@@ -32,6 +32,7 @@ from .config import (
     RunConfig,
     build_manifest,
     manifest_path_for,
+    valid_seed,
     write_manifest,
 )
 from .core import TOOLKIT_VERSION, Nanoparticle, NumericalError
@@ -399,12 +400,23 @@ _HANDLERS = {
 }
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if not valid_seed(seed):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON run configuration "
                              "(bundled defaults if omitted)")
-    common.add_argument("--seed", type=int, metavar="N",
+    common.add_argument("--seed", type=_seed_arg, metavar="N",
                         help="override the config seed")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output, full precision")

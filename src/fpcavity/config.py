@@ -149,6 +149,12 @@ def default_config_data() -> dict:
     }
 
 
+def valid_seed(value) -> bool:
+    """The seed rule for config files and ``--seed``: a non-negative int."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 def _section(data: dict, key: str, kind=dict):
     try:
         value = data[key]
@@ -187,7 +193,7 @@ class RunConfig:
             raise ConfigError(
                 f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
         seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not valid_seed(seed):
             raise ConfigError("seed: must be a non-negative integer")
         self.seed: int = seed
 

@@ -4,8 +4,9 @@ Two sampling problems live here.  The geometric one: dipole orientation and
 standing-wave position of ions distributed through a sphere resting on the
 mirror, which turns the best-case Purcell factor into an ensemble
 distribution.  The spectral one: how many ions of an inhomogeneously
-broadened, hyperfine-split population fall inside a probe window, and the
-statistical fine structure a narrow probe sees when scanned across the line.
+broadened, hyperfine-split population fall inside a probe window (drawn
+from its exact binomial distribution), and the statistical fine structure
+a narrow probe sees when scanned across the line.
 
 Sampling uses a counter-based generator (Philox) keyed on (seed, domain,
 block), so results are bitwise reproducible for a fixed seed regardless of
@@ -341,24 +342,21 @@ class IonCountStats(_JsonRecord):
 def ions_in_bandwidth(population: SpectralPopulation, probe_frequency: float,
                       bandwidth: float, seed: int = 0,
                       n_draws: int = 300) -> IonCountStats:
-    """Monte Carlo count of ions falling inside the probe window.
+    """Seeded draws of the number of ions inside the probe window.
 
-    Each draw places every ion at a Lorentzian-distributed frequency
-    shifted by a weighted hyperfine class, then counts the ions inside
-    [probe - bw/2, probe + bw/2]; the count carries Poisson-like
-    statistics.
+    Ions are placed independently, each landing inside
+    [probe - bw/2, probe + bw/2] with probability
+    p = expected_ions_in_bandwidth / total_ions, so the count is exactly
+    Binomial(total_ions, p).  ``n_draws`` counts are drawn from that
+    distribution and summarised by their sample mean and std.
     """
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
     if n_draws < 2:
         raise ValueError("n_draws must be >= 2")
-    lo = probe_frequency - 0.5 * bandwidth
-    hi = probe_frequency + 0.5 * bandwidth
-    counts = np.empty(n_draws)
-    for draw in range(n_draws):
-        rng = _rng(seed, _DOMAIN_ION_COUNT, draw)
-        centers = _draw_ion_frequencies(population, rng)
-        counts[draw] = np.count_nonzero((centers >= lo) & (centers <= hi))
+    n = population.total_ions
+    # the class weights may sum to 1 + 1e-6, which could push p past 1
+    p = min(expected_ions_in_bandwidth(population, probe_frequency,
+                                       bandwidth) / n, 1.0)
+    counts = _rng(seed, _DOMAIN_ION_COUNT, 0).binomial(n, p, size=n_draws)
     return IonCountStats(mean=float(np.mean(counts)),
                          std=float(np.std(counts, ddof=1)),
                          n_draws=n_draws, seed=seed)

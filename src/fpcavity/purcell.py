@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .core import (
     HBAR,
     SPEED_OF_LIGHT,
@@ -48,6 +46,22 @@ def nominal_purcell(wavelength: float, finesse_value: float,
     return 6.0 / math.pi**3 * reduced**2 * finesse_value / waist**2
 
 
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0.
+
+    Below 25 the direct product is accurate to rounding.  Further out
+    erfc heads for underflow and exp(x^2) for overflow, so the asymptotic
+    series (Abramowitz & Stegun 7.1.23) takes over, truncated after the
+    (2x^2)^-4 term; its error is below 4e-13 relative at 25 and falls as
+    x^-10.
+    """
+    if x < 25.0:
+        return math.exp(x * x) * math.erfc(x)
+    t = 0.5 / (x * x)
+    return (1.0 - t * (1.0 - 3.0 * t * (1.0 - 5.0 * t * (1.0 - 7.0 * t)))) \
+        / (x * math.sqrt(math.pi))
+
+
 def jitter_suppression(sigma_rms: float, wavelength: float,
                        finesse_value: float) -> float:
     """Purcell reduction from residual cavity length jitter.
@@ -55,7 +69,9 @@ def jitter_suppression(sigma_rms: float, wavelength: float,
     Expectation of the Lorentzian resonance factor 1 / (1 + (x / x_hw)^2)
     over a zero-mean Gaussian length error x of rms width ``sigma_rms``,
     where x_hw = lambda / (4 finesse) is the cavity half width in length
-    units.  Evaluated by adaptive quadrature to better than 1e-6 relative.
+    units.  That expectation is the Voigt profile at zero detuning, with
+    the closed form sqrt(pi/2) / r * erfcx(1 / (sqrt(2) r)) for
+    r = sigma_rms / x_hw.
     """
     if sigma_rms < 0.0:
         raise ValueError("sigma_rms must be >= 0")
@@ -67,13 +83,8 @@ def jitter_suppression(sigma_rms: float, wavelength: float,
     ratio = sigma_rms / half_width
     if ratio < 1e-9:
         return 1.0
-
-    def integrand(u):
-        return math.exp(-0.5 * u * u) / (1.0 + (u * ratio) ** 2)
-
-    value, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-9,
-                    limit=200)
-    return 2.0 * value / math.sqrt(2.0 * math.pi)
+    return (math.sqrt(0.5 * math.pi) / ratio
+            * _erfcx(1.0 / (math.sqrt(2.0) * ratio)))
 
 
 def bad_emitter_factor(cavity_linewidth_fwhm: float,

@@ -109,6 +109,14 @@ def test_config_errors(tmp_path, capsys):
     assert main(["cavity", "--config", str(unstable)]) == 2
 
 
+@pytest.mark.parametrize("command", ["cavity", "purcell"])
+def test_negative_seed_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_simulate_requires_out(capsys):
     assert main(["simulate", "decay"]) == 2
     assert "--out" in capsys.readouterr().err

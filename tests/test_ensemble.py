@@ -229,6 +229,33 @@ def test_ions_in_bandwidth_statistics():
         ions_in_bandwidth(population, 0.0, 0.0)
 
 
+def test_ions_in_bandwidth_matches_binomial():
+    population = SpectralPopulation(
+        total_ions=61149, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=default_hyperfine_classes())
+    n = population.total_ions
+    p = expected_ions_in_bandwidth(population, 0.0, 13e6) / n
+    mean, std = n * p, math.sqrt(n * p * (1.0 - p))
+    draws = 300
+    for seed in range(5):
+        stats = ions_in_bandwidth(population, 0.0, 13e6, seed=seed,
+                                  n_draws=draws)
+        assert abs(stats.mean - mean) <= 4.0 * std / math.sqrt(draws)
+        assert abs(stats.std - std) <= 4.0 * std / math.sqrt(2 * (draws - 1))
+
+
+def test_ions_in_bandwidth_wide_window_clamps_probability():
+    # weights summing to 1 + 5e-7 pass validation; a window covering the
+    # whole line then has an expected fraction just above 1
+    population = SpectralPopulation(
+        total_ions=1000, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=((0.0, 0.5), (1e6, 0.5 + 5e-7)))
+    assert expected_ions_in_bandwidth(population, 0.0, 1e30) > 1000
+    stats = ions_in_bandwidth(population, 0.0, 1e30, n_draws=10)
+    assert stats.mean == 1000.0
+    assert stats.std == 0.0
+
+
 def test_sfs_spectrum():
     population = SpectralPopulation(total_ions=20000,
                                     inhomogeneous_fwhm=34e9)

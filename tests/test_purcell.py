@@ -1,5 +1,9 @@
 """Purcell chain: nominal factor, degradations, coupling figures."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from fpcavity import (
     saturation_intensity,
     saturation_power,
 )
+from fpcavity import purcell
 
 T580 = Transition(wavelength=580.8e-9, branching_ratio=0.007,
                   homogeneous_linewidth=3.3e6, free_space_lifetime=2.0e-3)
@@ -57,7 +62,7 @@ def test_nominal_purcell_index_scaling():
 def test_jitter_suppression_against_closed_form():
     # independent oracle: E[1/(1+(x/a)^2)] for x ~ N(0, sigma) has the
     # closed form sqrt(pi/2) erfcx(1/(r sqrt 2)) / r with r = sigma / a
-    for sigma in (1e-12, 2e-12, 4e-12, 8e-12, 16e-12):
+    for sigma in (0.2e-12, 1e-12, 2e-12, 4e-12, 8e-12, 16e-12):
         for wavelength, fin in ((580.8e-9, 17500.0), (611e-9, 9500.0),
                                 (580.8e-9, 16888.47)):
             r = sigma / (wavelength / (4.0 * fin))
@@ -72,7 +77,31 @@ def test_jitter_suppression_values():
         0.6669887417195267, rel=1e-9)
     assert jitter_suppression(8e-12, 611e-9, 9500.0) == pytest.approx(
         0.8437879705725319, rel=1e-9)
+    # asymptotic erfcx branch: 1 / (sqrt(2) r) = 29.3
+    assert jitter_suppression(0.2e-12, 580.8e-9, 17500.0) == pytest.approx(
+        0.9994199741251936, rel=1e-9)
     assert jitter_suppression(0.0, 580.8e-9, 17500.0) == 1.0
+
+
+def test_erfcx_branches_meet():
+    below = math.nextafter(25.0, 0.0)
+    assert purcell._erfcx(below) == pytest.approx(erfcx(below), rel=1e-12)
+    assert purcell._erfcx(25.0) == pytest.approx(
+        math.exp(625.0) * math.erfc(25.0), rel=1e-12)
+    for x in (25.0, 40.0, 1e3, 1e8):
+        assert purcell._erfcx(x) == pytest.approx(erfcx(x), rel=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(purcell.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys, fpcavity; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_jitter_suppression_monotone_in_sigma():
