@@ -19,9 +19,12 @@ collected channel in contact and open_single modes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .core import CavityGeometry, Nanoparticle, _JsonRecord
 from .ensemble import ChannelStrength, channel_strengths
@@ -58,8 +61,8 @@ class DetectionChain(_JsonRecord):
             raise ValueError("path_transmission must be in (0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in (0, 1]")
-        if self.dark_rate < 0.0:
-            raise ValueError("dark_rate must be >= 0")
+        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
+            raise ValueError("dark_rate must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,10 @@ class PulseScheme(_JsonRecord):
     excited_population: float
 
     def __post_init__(self):
-        if self.excitation_time <= 0.0 or self.detection_time <= 0.0:
-            raise ValueError("cycle times must be positive")
+        for name in ("excitation_time", "detection_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.excited_population <= 1.0:
             raise ValueError("excited_population must be in (0, 1]")
 
@@ -92,16 +97,18 @@ def pulsed_rate(scheme: PulseScheme, effective_purcell: float,
 
     Per cycle the ion emits into the mode with probability F / (F + 1)
     once it decays; the exponential factor is the chance it decays inside
-    the detection window, with the lifetime shortened by (F + 1).
+    the detection window, with the lifetime shortened by (F + 1).  This is
+    the one-channel case of :func:`mode_detected_rate`: the channel is
+    collected, with outcoupling and detection chain both lossless.
     """
     if effective_purcell < 0.0:
         raise ValueError("effective_purcell must be >= 0")
     if free_space_lifetime <= 0.0:
         raise ValueError("free_space_lifetime must be positive")
-    decayed = -math.expm1(-(effective_purcell + 1.0) * scheme.detection_time
-                          / free_space_lifetime)
-    return (scheme.excited_population * scheme.repetition_rate
-            * effective_purcell / (effective_purcell + 1.0) * decayed)
+    return float(_detected_rates(
+        effective_purcell, effective_purcell, scheme.excitation_time,
+        [scheme.detection_time], scheme.excited_population,
+        free_space_lifetime)[0])
 
 
 def detected_rate(emitted_rate: float, outcoupling: float,
@@ -128,11 +135,22 @@ def snr(signal_rate: float, dark_rate: float,
     """Shot-noise signal-to-noise of a rate against detector dark counts."""
     if signal_rate < 0.0 or dark_rate < 0.0:
         raise ValueError("rates must be >= 0")
-    if integration_time <= 0.0:
-        raise ValueError("integration_time must be positive")
+    _check_integration_time(integration_time)
+    return float(_snrs(np.array([signal_rate], dtype=float), dark_rate,
+                       integration_time)[0])
+
+
+def _check_integration_time(integration_time: float) -> None:
+    if not (math.isfinite(integration_time) and integration_time > 0.0):
+        raise ValueError("integration_time must be finite and positive")
+
+
+def _snrs(signal_rates: np.ndarray, dark_rate: float,
+          integration_time: float) -> np.ndarray:
+    """:func:`snr` of each rate, for already validated arguments."""
     if dark_rate == 0.0:
-        return math.inf if signal_rate > 0.0 else 0.0
-    return (signal_rate * integration_time
+        return np.where(signal_rates > 0.0, math.inf, 0.0)
+    return (signal_rates * integration_time
             / math.sqrt(dark_rate * integration_time))
 
 
@@ -193,6 +211,40 @@ def _mode_setup(mode: str, particle: Nanoparticle, transitions, budgets,
     return channels, outcouplings, collected
 
 
+def _channel_sums(channels: list[ChannelStrength], outcouplings,
+                  collected) -> tuple[float, float]:
+    """Summed enhancement of all channels, and of the collected ones
+    weighted by their outcoupling."""
+    total = math.fsum(c.strength for c in channels)
+    collect = math.fsum(
+        channel.strength * eta
+        for channel, eta, keep in zip(channels, outcouplings, collected)
+        if keep)
+    return total, collect
+
+
+def _detected_rates(total: float, collect: float, excitation_time: float,
+                    windows, excited_population: float,
+                    free_space_lifetime: float,
+                    path_transmission: float = 1.0,
+                    detector_efficiency: float = 1.0) -> np.ndarray:
+    """Detected rate for each detection window of a pulsed cycle.
+
+    ``total`` is the summed enhancement that speeds up the decay and
+    ``collect`` the part of it that reaches the output; see
+    :func:`mode_detected_rate`.  The exponential goes through
+    ``math.expm1`` one window at a time, so every element equals the
+    scalar formula bit for bit.
+    """
+    windows = np.asarray(windows, dtype=float)
+    repetition_rates = 1.0 / (excitation_time + windows)
+    exponents = -(total + 1.0) * windows / free_space_lifetime
+    decayed = -np.array([math.expm1(x) for x in exponents.tolist()])
+    return (excited_population * repetition_rates * decayed
+            * collect / (total + 1.0)
+            * path_transmission * detector_efficiency)
+
+
 def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
                        collected, scheme: PulseScheme,
                        free_space_lifetime: float,
@@ -203,16 +255,11 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
     transition; only the collected channels contribute clicks, each
     weighted by its branching into the mode and its own outcoupling.
     """
-    total = math.fsum(c.strength for c in channels)
-    decayed = -math.expm1(-(total + 1.0) * scheme.detection_time
-                          / free_space_lifetime)
-    collect = math.fsum(
-        channel.strength * eta
-        for channel, eta, keep in zip(channels, outcouplings, collected)
-        if keep)
-    return (scheme.excited_population * scheme.repetition_rate * decayed
-            * collect / (total + 1.0)
-            * chain.path_transmission * chain.detector_efficiency)
+    total, collect = _channel_sums(channels, outcouplings, collected)
+    return float(_detected_rates(
+        total, collect, scheme.excitation_time, [scheme.detection_time],
+        scheme.excited_population, free_space_lifetime,
+        chain.path_transmission, chain.detector_efficiency)[0])
 
 
 def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
@@ -226,11 +273,24 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
 
     ``budgets`` are bare-cavity budgets in transition order; each grid
     point loads them with that diameter's scattering loss.  Repetition
-    rates must leave a positive detection window after the excitation
-    pulse.
+    rates must be finite and leave a positive detection window after the
+    excitation pulse.  Each (mode, diameter) block sets its channels up
+    once and evaluates all repetition rates as one array.
     """
     if isinstance(modes, str):
         modes = (modes,)
+    # each rule is checked once, before any row is built: PulseScheme
+    # states the rules on excitation time and population, and the windows
+    # are checked below
+    PulseScheme(excitation_time, 1.0, excited_population)
+    _check_integration_time(integration_time)
+    repetition_rates = list(repetition_rates)
+    f_reps = np.array(repetition_rates, dtype=float)
+    if not (np.isfinite(f_reps) & (f_reps > 0.0)).all():
+        raise ValueError("repetition_rates must be finite and positive")
+    windows = 1.0 / f_reps - excitation_time
+    if (windows <= 0.0).any():
+        raise ValueError("repetition period must exceed the excitation time")
     lifetime = _shared_lifetime(transitions)
     rows = []
     for mode in modes:
@@ -241,24 +301,16 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
             channels, outcouplings, collected = _mode_setup(
                 mode, particle, transitions, budgets, radius_of_curvature,
                 contact_length, contact_jitter, open_jitter)
-            total = math.fsum(c.strength for c in channels)
-            for f_rep in repetition_rates:
-                window = 1.0 / f_rep - excitation_time
-                if window <= 0.0:
-                    raise ValueError(
-                        "repetition period must exceed the excitation time")
-                scheme = PulseScheme(excitation_time, window,
-                                     excited_population)
-                rate = mode_detected_rate(channels, outcouplings, collected,
-                                          scheme, lifetime, chain)
-                rows.append(SweepRow(
-                    diameter=diameter,
-                    repetition_rate=f_rep,
-                    mode=mode,
-                    rate=rate,
-                    snr=snr(rate, chain.dark_rate, integration_time),
-                    effective_purcell=total,
-                ))
+            total, collect = _channel_sums(channels, outcouplings, collected)
+            rates = _detected_rates(
+                total, collect, excitation_time, windows,
+                excited_population, lifetime, chain.path_transmission,
+                chain.detector_efficiency)
+            snrs = _snrs(rates, chain.dark_rate, integration_time)
+            rows.extend(
+                SweepRow(diameter, f_rep, mode, rate, row_snr, total)
+                for f_rep, rate, row_snr in zip(
+                    repetition_rates, rates.tolist(), snrs.tolist()))
     return rows
 
 
@@ -274,18 +326,45 @@ def best_operating_point(rows) -> SweepRow:
     return best
 
 
+def _cached(format_value):
+    """``format_value`` memoised per value and type; zeros are not cached,
+    because 0.0 and -0.0 compare equal but print differently."""
+    cache = {}
+
+    def format_cached(value):
+        key = (type(value), value)
+        text = cache.get(key)
+        if text is None:
+            text = format_value(value)
+            if value:
+                cache[key] = text
+        return text
+
+    return format_cached
+
+
+def _csv_field(value) -> str:
+    """One field as ``csv.writer`` renders it inside a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[:-2]
+
+
 def write_sweep_csv(rows, path) -> Path:
-    """Write sweep rows as CSV with the canonical column set."""
+    """Write sweep rows as CSV with the canonical column set.
+
+    Diameter, repetition-rate and mode strings repeat across the grid, so
+    each distinct value is formatted once; the lines stream to the file.
+    """
     path = Path(path)
+    diameter_text = _cached(lambda d: repr(round(d * 1e9, 9)))
+    rate_text = _cached(lambda f: repr(round(f, 9)))
+    mode_text = _cached(_csv_field)
     with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                repr(round(row.diameter * 1e9, 9)),
-                repr(round(row.repetition_rate, 9)),
-                row.mode,
-                repr(float(row.rate)),
-                repr(float(row.snr)),
-            ])
+        handle.write(",".join(SWEEP_COLUMNS) + "\n")
+        handle.writelines(
+            f"{diameter_text(row.diameter)},"
+            f"{rate_text(row.repetition_rate)},{mode_text(row.mode)},"
+            f"{float(row.rate)!r},{float(row.snr)!r}\n"
+            for row in rows)
     return path

@@ -1,5 +1,8 @@
 """Detection planning: pulsed rates, SNR, and the design sweep."""
+import csv
+import io
 import math
+import warnings
 
 import pytest
 
@@ -16,7 +19,9 @@ from fpcavity import (
     sweep_grid,
     write_sweep_csv,
 )
+from fpcavity.core import Nanoparticle
 from fpcavity.optics import LossBudget
+from fpcavity.planner import _mode_setup, mode_detected_rate
 
 T580 = Transition(wavelength=580.8e-9, branching_ratio=0.007,
                   homogeneous_linewidth=3.3e6, free_space_lifetime=2.0e-3)
@@ -186,3 +191,117 @@ def test_write_sweep_csv(tmp_path):
     assert fields[2] == "contact"
     # repr round-trip keeps the rate exact
     assert float(fields[3]) == rows[0].rate
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DetectionChain(0.8, 0.65, math.nan),
+    lambda: DetectionChain(0.8, 0.65, math.inf),
+    lambda: PulseScheme(math.nan, 1e-3, 0.5),
+    lambda: PulseScheme(1e-6, math.inf, 0.5),
+], ids=["dark_nan", "dark_inf", "excitation_nan", "detection_inf"])
+def test_value_types_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("f_rep", [math.nan, math.inf, 0.0])
+def test_sweep_rejects_bad_repetition_rate(f_rep):
+    with pytest.raises(ValueError, match="repetition_rates"):
+        _sweep((70e-9,), (1000.0, f_rep), "contact")
+
+
+@pytest.mark.parametrize("integration_time", [math.nan, math.inf])
+def test_sweep_rejects_non_finite_integration_time(integration_time):
+    with pytest.raises(ValueError, match="integration_time"):
+        sweep_grid((70e-9,), (1000.0,), "contact", [T580, T611], BUDGETS,
+                   25e-6, CHAIN, excitation_time=1e-6,
+                   excited_population=0.5, integration_time=integration_time)
+
+
+def _scalar_rate(channels, outcouplings, collected, scheme, lifetime, chain):
+    """The per-point rate formula written out with Python floats."""
+    total = math.fsum(c.strength for c in channels)
+    decayed = -math.expm1(-(total + 1.0) * scheme.detection_time / lifetime)
+    collect = math.fsum(c.strength * eta for c, eta, keep
+                        in zip(channels, outcouplings, collected) if keep)
+    return (scheme.excited_population * scheme.repetition_rate * decayed
+            * collect / (total + 1.0)
+            * chain.path_transmission * chain.detector_efficiency)
+
+
+def test_vector_sweep_matches_scalar_reference_bitwise():
+    diameters = (40e-9, 57.3e-9, 70e-9, 100e-9)
+    # the last rate leaves a detection window of about 1e-15 s
+    rates = (250.0, 1000.0 / 3.0, 6000.0, 47123.9, 999999.999)
+    modes = ("contact", "open_single", "open_double")
+    rows = _sweep(diameters, rates, modes)
+    assert len(rows) == len(diameters) * len(rates) * len(modes)
+    rows = iter(rows)
+    for mode in modes:
+        for diameter in diameters:
+            particle = Nanoparticle(diameter=diameter,
+                                    dopant_concentration=0.5)
+            channels, outcouplings, collected = _mode_setup(
+                mode, particle, [T580, T611], BUDGETS, 25e-6, 2.5e-6,
+                0.8e-12, 2.5e-12)
+            for f_rep in rates:
+                scheme = PulseScheme(1e-6, 1.0 / f_rep - 1e-6, 0.5)
+                rate = mode_detected_rate(channels, outcouplings, collected,
+                                          scheme, 2.0e-3, CHAIN)
+                assert rate == _scalar_rate(channels, outcouplings,
+                                            collected, scheme, 2.0e-3, CHAIN)
+                row = next(rows)
+                assert row == SweepRow(
+                    diameter, f_rep, mode, rate, snr(rate, 20.0),
+                    math.fsum(c.strength for c in channels))
+                for value in (row.repetition_rate, row.rate, row.snr,
+                              row.effective_purcell):
+                    assert type(value) is float
+
+
+def test_sweep_zero_dark_rate_gives_infinite_snr():
+    chain = DetectionChain(0.8, 0.65, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_grid((40e-9, 70e-9), (500.0, 6000.0),
+                          ("contact", "open_double"), [T580, T611], BUDGETS,
+                          25e-6, chain, excitation_time=1e-6,
+                          excited_population=0.5)
+    assert rows
+    for row in rows:
+        assert row.rate > 0.0
+        assert row.snr == math.inf
+
+
+def _reference_csv(rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("d_np_nm", "f_rep_hz", "mode", "rate_cps", "snr"))
+    for row in rows:
+        writer.writerow([
+            repr(round(row.diameter * 1e9, 9)),
+            repr(round(row.repetition_rate, 9)),
+            row.mode,
+            repr(float(row.rate)),
+            repr(float(row.snr)),
+        ])
+    return buffer.getvalue()
+
+
+def test_write_sweep_csv_bytes_match_reference(tmp_path):
+    rows = [
+        SweepRow(70e-9, 4000.0, "contact", 240.8, 53.8, 5.24),
+        SweepRow(70e-9, 6000.0, "contact", 1e-05, 2.5e+16, 5.24),
+        SweepRow(40e-9, 4000.0, "open_double", 2.5e+16, math.inf, 5.69),
+        SweepRow(40e-9, 6000.0, "open_single", 0.0, 0.0, 5.69),
+        SweepRow(57.123456789123e-9, 1e-05, "contact", 1.0 / 3.0, 1e-300,
+                 1.0),
+        # equal values of another type or sign print differently
+        SweepRow(70e-9, 4000, "contact", 1.0, 2.0, 5.24),
+        SweepRow(0.0, 0.0, "contact", 1.0, 2.0, 5.24),
+        SweepRow(-0.0, -0.0, "contact", 1.0, 2.0, 5.24),
+        SweepRow(70e-9, 4000.0, "needs,quoting", 1.0, 2.0, 5.24),
+        SweepRow(70e-9, 4000.0, "contact", 240.8, 53.8, 5.24),
+    ]
+    path = write_sweep_csv((row for row in rows), tmp_path / "sweep.csv")
+    assert path.read_bytes() == _reference_csv(rows).encode()
