@@ -14,7 +14,6 @@ from .core import (
     TOOLKIT_VERSION,
     YTTRIA_CATION_DENSITY,
     CavityGeometry,
-    MirrorSpec,
     Nanoparticle,
     NumericalError,
     Transition,

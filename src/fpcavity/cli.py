@@ -49,8 +49,8 @@ from .optics import (
     double_resonance,
     finesse,
     free_spectral_range,
+    loaded_budget,
     mode_waist,
-    particle_scattering_loss,
 )
 from .planner import (
     CONTACT_LENGTH,
@@ -108,8 +108,8 @@ def _time(value: float) -> str:
 def _loaded_budgets(config: RunConfig):
     """Bare budgets with the config nanoparticle's scattering added."""
     return tuple(
-        budget.with_particle(particle_scattering_loss(
-            config.nanoparticle.diameter, transition.wavelength))
+        loaded_budget(budget, config.nanoparticle.diameter,
+                      transition.wavelength)
         for transition, budget in zip(config.transitions,
                                       config.loss_budgets))
 

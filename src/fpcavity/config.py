@@ -307,11 +307,6 @@ class RunConfig:
                               f"{exc}") from None
         return cls(data)
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        data = json.loads(self.canonical_json())
-        data["seed"] = seed
-        return RunConfig(data)
-
     @property
     def data(self) -> dict:
         return self._data

@@ -122,20 +122,6 @@ class Transition(_JsonRecord):
 
 
 @dataclass(frozen=True)
-class MirrorSpec(_JsonRecord):
-    """Single mirror: power transmission and parasitic loss, both in ppm."""
-
-    transmission: float
-    absorption_scatter_loss: float
-
-    def __post_init__(self):
-        if self.transmission < 0.0:
-            raise ValueError("transmission must be >= 0 ppm")
-        if self.absorption_scatter_loss < 0.0:
-            raise ValueError("absorption_scatter_loss must be >= 0 ppm")
-
-
-@dataclass(frozen=True)
 class CavityGeometry(_JsonRecord):
     """Plano-concave cavity geometry.
 

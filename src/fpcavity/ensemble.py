@@ -9,31 +9,24 @@ from its exact binomial distribution), and the statistical fine structure
 a narrow probe sees when scanned across the line.
 
 Sampling uses a counter-based generator (Philox) keyed on (seed, domain,
-block), so results are bitwise reproducible for a fixed seed regardless of
-how many workers split the sample range.
+block).  The ensemble draws its samples in fixed blocks of 4096, one stream
+per block, so a given (seed, n_samples) always gives bitwise the same
+statistics.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CavityGeometry, Nanoparticle, Transition, _JsonRecord
-from .optics import (
-    LossBudget,
-    cavity_linewidth,
-    finesse,
-    mode_waist,
-    particle_scattering_loss,
-)
-from .purcell import degradation_factors, effective_purcell, nominal_purcell
+from .core import CavityGeometry, Nanoparticle, _JsonRecord
+from .optics import loaded_budget
+from .purcell import coupling_report
 from .trace import Trace
 
-THREAD_ENV_VAR = "FPCAVITY_THREADS"
-
+# the block layout defines the seeded numbers: changing it changes every
+# EnsembleStats for a given (seed, n_samples)
 _BLOCK = 4096
 # entropy-domain tags keep the independent sampling tasks on distinct streams
 _DOMAIN_ENSEMBLE = 0
@@ -44,14 +37,6 @@ _DOMAIN_SFS = 2
 def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
     sequence = np.random.SeedSequence(entropy=(seed, domain, index))
     return np.random.Generator(np.random.Philox(sequence))
-
-
-def _worker_count(n_workers: int | None) -> int:
-    if n_workers is None:
-        n_workers = int(os.environ.get(THREAD_ENV_VAR, "1"))
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    return n_workers
 
 
 def default_antinode_offset(wavelength: float,
@@ -136,21 +121,12 @@ def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
         jitter_sigma = geometry.rms_length_jitter
     channels = []
     for transition, bare in zip(transitions, budgets, strict=True):
-        budget = bare.with_particle(particle_scattering_loss(
-            particle.diameter, transition.wavelength))
-        finesse_value = finesse(budget)
-        waist = mode_waist(transition.wavelength,
-                           geometry.radius_of_curvature,
-                           geometry.cavity_length)
-        kappa = cavity_linewidth(geometry.cavity_length, budget)
-        nominal = nominal_purcell(transition.wavelength, finesse_value,
-                                  waist, refractive_index)
-        degradation = degradation_factors(
-            transition, kappa, finesse_value=finesse_value,
-            jitter_sigma=jitter_sigma)
-        channels.append(ChannelStrength(
-            wavelength=transition.wavelength,
-            strength=effective_purcell(transition, nominal, degradation)))
+        loaded = loaded_budget(bare, particle.diameter, transition.wavelength)
+        report = coupling_report(transition, geometry, loaded,
+                                 jitter_sigma=jitter_sigma,
+                                 refractive_index=refractive_index)
+        channels.append(ChannelStrength(wavelength=transition.wavelength,
+                                        strength=report.effective_purcell))
     return channels
 
 
@@ -182,8 +158,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
                            transitions, budgets, n_samples: int = 20000,
                            seed: int = 0, jitter_sigma: float | None = None,
                            antinode_offset_fraction: float = 0.15,
-                           refractive_index: float = 1.0,
-                           n_workers: int | None = None) -> EnsembleStats:
+                           refractive_index: float = 1.0) -> EnsembleStats:
     """Monte Carlo distribution of the summed effective Purcell factor.
 
     Each sample is one ion: a shared random dipole orientation and a shared
@@ -192,32 +167,24 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     ``max`` field is the analytic ceiling with orientation and position
     factors set to 1, not a sample maximum.
 
-    The sample range is split into fixed blocks with independent
-    counter-based streams; any ``n_workers`` gives bitwise identical
-    results.  ``n_workers=None`` reads the FPCAVITY_THREADS environment
-    variable, defaulting to 1.
+    The sample range is split into fixed blocks of 4096 samples, each on
+    its own counter-based stream keyed on (seed, block).  That layout, and
+    the block-order reduction, fix the result for a given ``seed`` and
+    ``n_samples`` bit for bit.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    workers = _worker_count(n_workers)
     channels = channel_strengths(particle, geometry, transitions, budgets,
                                  jitter_sigma=jitter_sigma,
                                  refractive_index=refractive_index)
     offsets = [antinode_offset_fraction * c.wavelength for c in channels]
     n_blocks = (n_samples + _BLOCK - 1) // _BLOCK
-    counts = [min(_BLOCK, n_samples - b * _BLOCK) for b in range(n_blocks)]
+    partials = [
+        _ensemble_block(seed, block, min(_BLOCK, n_samples - block * _BLOCK),
+                        particle.diameter, channels, offsets)
+        for block in range(n_blocks)]
 
-    def run(block: int) -> tuple[float, float]:
-        return _ensemble_block(seed, block, counts[block], particle.diameter,
-                               channels, offsets)
-
-    if workers == 1:
-        partials = [run(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, range(n_blocks)))
-
-    # reduce strictly in block order so the result is worker-independent
+    # fsum in block order: the seeded numbers are defined by this reduction
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     mean = total / n_samples

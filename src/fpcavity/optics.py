@@ -173,6 +173,13 @@ def particle_scattering_loss(diameter: float,
             * color**RAYLEIGH_WAVELENGTH_EXPONENT)
 
 
+def loaded_budget(budget: LossBudget, diameter: float,
+                  wavelength: float) -> LossBudget:
+    """Bare-cavity ``budget`` with a nanoparticle's scattering loss at
+    ``wavelength`` added."""
+    return budget.with_particle(particle_scattering_loss(diameter, wavelength))
+
+
 def diameter_from_scattering_loss(loss_ppm: float,
                                   wavelength: float =
                                   RAYLEIGH_REFERENCE_WAVELENGTH) -> float:

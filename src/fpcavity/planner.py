@@ -28,11 +28,7 @@ import numpy as np
 
 from .core import CavityGeometry, Nanoparticle, _JsonRecord
 from .ensemble import ChannelStrength, channel_strengths
-from .optics import (
-    double_resonance,
-    outcoupling_efficiency,
-    particle_scattering_loss,
-)
+from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
 PLAN_MODES = ("contact", "open_single", "open_double")
 
@@ -133,8 +129,9 @@ def photon_path_efficiency(outcoupling: float,
 def snr(signal_rate: float, dark_rate: float,
         integration_time: float = 1.0) -> float:
     """Shot-noise signal-to-noise of a rate against detector dark counts."""
-    if signal_rate < 0.0 or dark_rate < 0.0:
-        raise ValueError("rates must be >= 0")
+    for name, rate in (("signal_rate", signal_rate), ("dark_rate", dark_rate)):
+        if not (math.isfinite(rate) and rate >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0")
     _check_integration_time(integration_time)
     return float(_snrs(np.array([signal_rate], dtype=float), dark_rate,
                        integration_time)[0])
@@ -203,11 +200,10 @@ def _mode_setup(mode: str, particle: Nanoparticle, transitions, budgets,
         raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
 
     channels = channel_strengths(particle, geometry, enhanced, bare)
-    outcouplings = []
-    for transition, budget in zip(enhanced, bare):
-        loaded = budget.with_particle(particle_scattering_loss(
-            particle.diameter, transition.wavelength))
-        outcouplings.append(outcoupling_efficiency(loaded))
+    outcouplings = [
+        outcoupling_efficiency(loaded_budget(budget, particle.diameter,
+                                             transition.wavelength))
+        for transition, budget in zip(enhanced, bare)]
     return channels, outcouplings, collected
 
 
@@ -284,6 +280,8 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     # are checked below
     PulseScheme(excitation_time, 1.0, excited_population)
     _check_integration_time(integration_time)
+    # both are read once: every mode iterates them again
+    diameters = list(diameters)
     repetition_rates = list(repetition_rates)
     f_reps = np.array(repetition_rates, dtype=float)
     if not (np.isfinite(f_reps) & (f_reps > 0.0)).all():

@@ -88,6 +88,13 @@ def test_purcell_seed_override(capsys):
     assert seeded["table"] == base["table"]  # deterministic part unchanged
 
 
+def test_stray_thread_env_var_is_ignored(capsys, monkeypatch):
+    base = _json_run(capsys, ["purcell", "--json"])
+    monkeypatch.setenv("FPCAVITY_THREADS", "abc")
+    stray = _json_run(capsys, ["purcell", "--json"])
+    assert stray["ensemble"] == base["ensemble"]
+
+
 def test_config_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

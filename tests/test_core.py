@@ -5,7 +5,6 @@ import pytest
 
 from fpcavity import (
     CavityGeometry,
-    MirrorSpec,
     Nanoparticle,
     Transition,
     frequency_to_wavelength,
@@ -96,12 +95,6 @@ def test_cavity_geometry_validation():
         CavityGeometry(25e-6, 5.808e-6, 0)
     with pytest.raises(ValueError):
         CavityGeometry(25e-6, 5.808e-6, 20, rms_length_jitter=-1e-12)
-
-
-def test_mirror_spec_validation():
-    MirrorSpec(transmission=25.0, absorption_scatter_loss=17.0)
-    with pytest.raises(ValueError):
-        MirrorSpec(transmission=-1.0, absorption_scatter_loss=0.0)
 
 
 def test_nanoparticle_volume():

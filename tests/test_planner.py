@@ -218,6 +218,26 @@ def test_sweep_rejects_non_finite_integration_time(integration_time):
                    excited_population=0.5, integration_time=integration_time)
 
 
+@pytest.mark.parametrize("signal_rate, dark_rate, name", [
+    (math.nan, 20.0, "signal_rate"),
+    (100.0, math.nan, "dark_rate"),
+    (100.0, math.inf, "dark_rate"),
+    (math.inf, 20.0, "signal_rate"),
+], ids=["signal_nan", "dark_nan", "dark_inf", "signal_inf"])
+def test_snr_rejects_non_finite_rates(signal_rate, dark_rate, name):
+    with pytest.raises(ValueError, match=name):
+        snr(signal_rate, dark_rate)
+
+
+def test_sweep_reads_diameter_generator_once():
+    diameters = (40e-9, 70e-9, 100e-9)
+    modes = ("contact", "open_single", "open_double")
+    listed = _sweep(list(diameters), (4000.0, 5000.0), modes)
+    generated = _sweep((d for d in diameters), (4000.0, 5000.0), modes)
+    assert len(listed) == 3 * 3 * 2
+    assert generated == listed
+
+
 def _scalar_rate(channels, outcouplings, collected, scheme, lifetime, chain):
     """The per-point rate formula written out with Python floats."""
     total = math.fsum(c.strength for c in channels)

@@ -97,8 +97,10 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
+    # neither scipy nor the thread pool is part of the runtime path
+    packages = ("scipy", "concurrent.futures")
     code = ("import sys, fpcavity; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            f"for p in {packages!r} if m == p or m.startswith(p + '.')))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
