@@ -54,7 +54,6 @@ from .optics import (
 )
 from .planner import (
     CONTACT_LENGTH,
-    PLAN_MODES,
     best_operating_point,
     sweep_grid,
     write_sweep_csv,

@@ -21,8 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,7 +238,8 @@ def _detected_rates(total: float, collect: float, excitation_time: float,
     windows = np.asarray(windows, dtype=float)
     repetition_rates = 1.0 / (excitation_time + windows)
     exponents = -(total + 1.0) * windows / free_space_lifetime
-    decayed = -np.array([math.expm1(x) for x in exponents.tolist()])
+    decayed = -np.fromiter(map(math.expm1, exponents.tolist()), float,
+                           len(exponents))
     return (excited_population * repetition_rates * decayed
             * collect / (total + 1.0)
             * path_transmission * detector_efficiency)
@@ -258,20 +262,99 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
         chain.path_transmission, chain.detector_efficiency)[0])
 
 
+class _Block(NamedTuple):
+    """Sweep rows of one (mode, diameter) pair, with their repetition
+    rates as a list and their rates and SNRs as arrays."""
+
+    mode: str
+    diameter: float
+    rows: list[SweepRow]
+    repetition_rates: list
+    rates: np.ndarray
+    snrs: np.ndarray
+
+    @classmethod
+    def of_rows(cls, rows: list[SweepRow]) -> _Block:
+        return cls(rows[0].mode, rows[0].diameter, rows,
+                   [row.repetition_rate for row in rows],
+                   np.array([float(row.rate) for row in rows]),
+                   np.array([float(row.snr) for row in rows]))
+
+
+class Sweep(Sequence):
+    """Read-only sequence of :class:`SweepRow`, as :func:`sweep_grid`
+    returns it.
+
+    Next to the rows it keeps each (mode, diameter) block's rates and SNRs
+    as arrays, which :func:`best_operating_point` and
+    :func:`write_sweep_csv` work on; ``list(sweep)`` gives a mutable copy.
+    """
+
+    __slots__ = ("_blocks", "_rows")
+
+    def __init__(self, blocks: list[_Block]):
+        self._blocks = blocks
+        self._rows = [row for block in blocks for row in block.rows]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, Sweep):
+            other = other._rows
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._rows == other
+
+    def __repr__(self) -> str:
+        return f"<Sweep of {len(self)} rows>"
+
+
+def _as_blocks(rows):
+    """``rows`` in block form, one block at a time: a sweep's own blocks,
+    or for any other iterable of :class:`SweepRow` one block per run of
+    consecutive rows holding the same mode, diameter and effective
+    Purcell objects, so that ``list(sweep)`` gives the sweep's blocks."""
+    if isinstance(rows, Sweep):
+        yield from rows._blocks
+        return
+    run = []
+    diameter = mode = purcell = None
+    for row in rows:
+        if not (row.diameter is diameter and row.mode is mode
+                and row.effective_purcell is purcell):
+            if run:
+                yield _Block.of_rows(run)
+            run = []
+            diameter, mode, purcell = (row.diameter, row.mode,
+                                       row.effective_purcell)
+        run.append(row)
+    if run:
+        yield _Block.of_rows(run)
+
+
 def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
                radius_of_curvature: float, chain: DetectionChain,
                excitation_time: float, excited_population: float,
                contact_length: float = CONTACT_LENGTH,
                contact_jitter: float = CONTACT_JITTER,
                open_jitter: float = OPEN_JITTER,
-               integration_time: float = 1.0) -> list[SweepRow]:
+               integration_time: float = 1.0) -> Sweep:
     """Detected rate and SNR over diameter, repetition rate, and mode.
 
     ``budgets`` are bare-cavity budgets in transition order; each grid
     point loads them with that diameter's scattering loss.  Repetition
     rates must be finite and leave a positive detection window after the
     excitation pulse.  Each (mode, diameter) block sets its channels up
-    once and evaluates all repetition rates as one array.
+    once and evaluates all repetition rates as one array.  Rows come in
+    mode, diameter, repetition-rate order, with the caller's own diameter
+    and repetition-rate objects.
     """
     if isinstance(modes, str):
         modes = (modes,)
@@ -290,7 +373,7 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     if (windows <= 0.0).any():
         raise ValueError("repetition period must exceed the excitation time")
     lifetime = _shared_lifetime(transitions)
-    rows = []
+    blocks = []
     for mode in modes:
         for diameter in diameters:
             # only the diameter enters the rate; doping is a placeholder
@@ -305,40 +388,38 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
                 excited_population, lifetime, chain.path_transmission,
                 chain.detector_efficiency)
             snrs = _snrs(rates, chain.dark_rate, integration_time)
-            rows.extend(
-                SweepRow(diameter, f_rep, mode, rate, row_snr, total)
-                for f_rep, rate, row_snr in zip(
-                    repetition_rates, rates.tolist(), snrs.tolist()))
-    return rows
+            rows = [SweepRow(diameter, f_rep, mode, rate, row_snr, total)
+                    for f_rep, rate, row_snr in zip(
+                        repetition_rates, rates.tolist(), snrs.tolist())]
+            blocks.append(_Block(mode, diameter, rows, repetition_rates,
+                                 rates, snrs))
+    return Sweep(blocks)
 
 
 def best_operating_point(rows) -> SweepRow:
-    """Row with the highest rate; ties go to the gentlest settings."""
-    rows = list(rows)
-    if not rows:
+    """Row with the highest rate; ties go to the gentlest settings.
+
+    Each block offers its highest rate at its lowest repetition rate, the
+    first of equal ones; those rows compete under the key (-rate,
+    repetition rate, diameter, mode), the first one winning ties.  The
+    result is the row that key picks over all rows.
+    """
+    winners = []
+    for block in _as_blocks(rows):
+        if len(block.rates):
+            top = block.rates.max()
+            if math.isnan(top):
+                raise ValueError("sweep rates must not be NaN")
+            tied = np.flatnonzero(block.rates == top).tolist()
+            winners.append(block.rows[
+                min(tied, key=block.repetition_rates.__getitem__)])
+    if not winners:
         raise ValueError("no sweep rows to choose from")
-    best = min(rows, key=lambda r: (-r.rate, r.repetition_rate,
-                                    r.diameter, r.mode))
+    best = min(winners, key=lambda r: (-r.rate, r.repetition_rate,
+                                       r.diameter, r.mode))
     if best.rate <= 0.0:
         raise ValueError("sweep produced no usable operating point")
     return best
-
-
-def _cached(format_value):
-    """``format_value`` memoised per value and type; zeros are not cached,
-    because 0.0 and -0.0 compare equal but print differently."""
-    cache = {}
-
-    def format_cached(value):
-        key = (type(value), value)
-        text = cache.get(key)
-        if text is None:
-            text = format_value(value)
-            if value:
-                cache[key] = text
-        return text
-
-    return format_cached
 
 
 def _csv_field(value) -> str:
@@ -351,18 +432,25 @@ def _csv_field(value) -> str:
 def write_sweep_csv(rows, path) -> Path:
     """Write sweep rows as CSV with the canonical column set.
 
-    Diameter, repetition-rate and mode strings repeat across the grid, so
-    each distinct value is formatted once; the lines stream to the file.
+    Each block's diameter and mode are formatted once, and so are the
+    repetition rates that consecutive blocks share; the lines stream to
+    the file one block at a time.
     """
     path = Path(path)
-    diameter_text = _cached(lambda d: repr(round(d * 1e9, 9)))
-    rate_text = _cached(lambda f: repr(round(f, 9)))
-    mode_text = _cached(_csv_field)
+    shared = rate_texts = None
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(SWEEP_COLUMNS) + "\n")
-        handle.writelines(
-            f"{diameter_text(row.diameter)},"
-            f"{rate_text(row.repetition_rate)},{mode_text(row.mode)},"
-            f"{float(row.rate)!r},{float(row.snr)!r}\n"
-            for row in rows)
+        for block in _as_blocks(rows):
+            f_reps = block.repetition_rates
+            if not (f_reps is shared
+                    or (shared is not None and len(f_reps) == len(shared)
+                        and all(map(operator.is_, f_reps, shared)))):
+                shared = f_reps
+                rate_texts = [repr(round(f, 9)) for f in f_reps]
+            diameter = repr(round(block.diameter * 1e9, 9))
+            mode = _csv_field(block.mode)
+            handle.write("".join([
+                f"{diameter},{f_rep},{mode},{rate!r},{row_snr!r}\n"
+                for f_rep, rate, row_snr in zip(
+                    rate_texts, block.rates.tolist(), block.snrs.tolist())]))
     return path

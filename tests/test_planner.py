@@ -150,6 +150,71 @@ def test_best_operating_point_tie_breaks():
                                        5.0)])
 
 
+def test_sweep_is_a_read_only_sequence_of_rows():
+    diameters = (40e-9, 70e-9)
+    rates = (4000, 5000.0)
+    sweep = _sweep(diameters, rates, ("contact", "open_double"))
+    rows = list(sweep)
+    assert len(sweep) == len(rows) == 2 * 2 * 2
+    assert sweep and not _sweep((), rates, "contact")
+    assert not _sweep(diameters, (), "contact")
+    assert list(iter(sweep)) == [sweep[i] for i in range(len(sweep))]
+    assert all(row is sweep[i] for i, row in enumerate(rows))
+    assert [sweep[-i] for i in range(1, 9)] == rows[::-1]
+    for index in (8, -9):
+        with pytest.raises(IndexError):
+            sweep[index]
+    for part in (slice(None), slice(1, 6, 2), slice(-3, None),
+                 slice(None, None, -3), slice(9, 20)):
+        assert sweep[part] == rows[part]
+    # rows run over modes, then diameters, then repetition rates
+    assert sweep[3] == SweepRow(70e-9, 5000.0, "contact", sweep[3].rate,
+                                sweep[3].snr, sweep[3].effective_purcell)
+    assert sweep == _sweep(list(diameters), list(rates),
+                           ("contact", "open_double"))
+    assert sweep == rows and sweep != rows[:-1] and sweep != tuple(rows)
+    assert sweep != _sweep(diameters, rates, "contact")
+    for row in sweep:
+        assert any(row.diameter is d for d in diameters)
+        assert any(row.repetition_rate is f for f in rates)
+        for value in (row.rate, row.snr, row.effective_purcell):
+            assert type(value) is float
+    with pytest.raises(TypeError):
+        sweep[0] = rows[1]
+
+
+def test_best_operating_point_matches_min_over_rows():
+    # equal diameters and equal repetition rates of another type tie
+    diameters = (70e-9, 40e-9, float("4e-08"))
+    rates = (2000.0, 4000, 4000.0)
+    sweep = _sweep(diameters, rates, ("open_double", "contact"))
+    expected = min(list(sweep), key=lambda r: (-r.rate, r.repetition_rate,
+                                               r.diameter, r.mode))
+    for rows in (sweep, list(sweep), iter(sweep)):
+        best = best_operating_point(rows)
+        assert best is expected
+        assert best.diameter is diameters[1]
+        assert best.repetition_rate is rates[1]
+    # equal rates at different repetition rates, in one run of rows that
+    # hold the same diameter, mode and effective Purcell objects
+    diameter, purcell = 40e-9, 5.0
+    tied = [SweepRow(diameter, f_rep, "contact", rate, row_snr, purcell)
+            for f_rep, rate, row_snr in ((3000.0, 5.0, 1.0), (4000, 7.0, 2.0),
+                                         (2000.0, 7.0, 3.0), (2000, 7.0, 4.0))]
+    assert best_operating_point(tied) is tied[2]
+    with pytest.raises(ValueError, match="no sweep rows to choose from"):
+        best_operating_point(_sweep((), rates, "contact"))
+    with pytest.raises(ValueError, match="NaN"):
+        best_operating_point([SweepRow(70e-9, 1000.0, "contact", 5.0, 1.0,
+                                       5.0),
+                              SweepRow(70e-9, 2000.0, "contact", math.nan,
+                                       1.0, 5.0)])
+    with pytest.raises(ValueError,
+                       match="sweep produced no usable operating point"):
+        best_operating_point([SweepRow(70e-9, 1000.0, "contact", 0.0, 0.0,
+                                       5.0)])
+
+
 def test_sweep_rejects_impossible_window():
     with pytest.raises(ValueError):
         _sweep((70e-9,), (2e6,), "contact")
@@ -309,6 +374,8 @@ def _reference_csv(rows) -> str:
 
 
 def test_write_sweep_csv_bytes_match_reference(tmp_path):
+    sweep = _sweep((40e-9, 70e-9), (4000, 5000.0, 6000),
+                   ("contact", "open_single", "open_double"))
     rows = [
         SweepRow(70e-9, 4000.0, "contact", 240.8, 53.8, 5.24),
         SweepRow(70e-9, 6000.0, "contact", 1e-05, 2.5e+16, 5.24),
@@ -323,5 +390,7 @@ def test_write_sweep_csv_bytes_match_reference(tmp_path):
         SweepRow(70e-9, 4000.0, "needs,quoting", 1.0, 2.0, 5.24),
         SweepRow(70e-9, 4000.0, "contact", 240.8, 53.8, 5.24),
     ]
-    path = write_sweep_csv((row for row in rows), tmp_path / "sweep.csv")
-    assert path.read_bytes() == _reference_csv(rows).encode()
+    for source, expected in (((row for row in rows), rows),
+                             (sweep, list(sweep)), (list(sweep), list(sweep))):
+        path = write_sweep_csv(source, tmp_path / "sweep.csv")
+        assert path.read_bytes() == _reference_csv(expected).encode()
