@@ -17,8 +17,8 @@ from fpcavity import (
     free_spectral_range,
     mode_waist,
     outcoupling_efficiency,
-    particle_scattering_loss,
 )
+from fpcavity.optics import loaded_budget
 
 RADIUS_OF_CURVATURE = 25e-6
 WAVELENGTH_BLUE = 580.8e-9
@@ -55,8 +55,7 @@ def main() -> None:
             ("blue", WAVELENGTH_BLUE, BUDGET_BLUE),
             ("red", WAVELENGTH_RED, BUDGET_RED)):
         bare_f = finesse(budget)
-        loaded = budget.with_particle(
-            particle_scattering_loss(70e-9, wavelength))
+        loaded = loaded_budget(budget, 70e-9, wavelength)
         loaded_f = finesse(loaded)
         print(f"  {label}: total loss {budget.total:.1f} ppm -> finesse "
               f"{bare_f:.0f}, kappa "

@@ -20,10 +20,10 @@ from fpcavity import (
     mode_waist,
     multimodal_sum,
     nominal_purcell,
-    particle_scattering_loss,
     saturation_intensity,
     saturation_power,
 )
+from fpcavity.optics import loaded_budget
 
 T_BLUE = Transition(wavelength=580.8e-9, branching_ratio=0.007,
                     homogeneous_linewidth=3.3e6, free_space_lifetime=2e-3)
@@ -36,8 +36,8 @@ PARTICLE_DIAMETER = 70e-9
 
 
 def budget_walk(transition: Transition) -> float:
-    loaded = BUDGETS[transition].with_particle(
-        particle_scattering_loss(PARTICLE_DIAMETER, transition.wavelength))
+    loaded = loaded_budget(BUDGETS[transition], PARTICLE_DIAMETER,
+                           transition.wavelength)
     f = finesse(loaded)
     waist = mode_waist(transition.wavelength, GEOMETRY.radius_of_curvature,
                        GEOMETRY.cavity_length)
@@ -87,8 +87,8 @@ def main() -> None:
     print("\nbest-case coupling table (no jitter, ion on axis at an "
           "antinode):")
     for transition in (T_BLUE, T_RED):
-        loaded = BUDGETS[transition].with_particle(particle_scattering_loss(
-            PARTICLE_DIAMETER, transition.wavelength))
+        loaded = loaded_budget(BUDGETS[transition], PARTICLE_DIAMETER,
+                               transition.wavelength)
         report = coupling_report(transition, GEOMETRY, loaded)
         row = report.to_table_row()
         print(f"  {transition.wavelength * 1e9:6.1f} nm: "
@@ -96,8 +96,8 @@ def main() -> None:
               f"kappa = 2pi x {row['kappa'] / 1e9:.2f} GHz, "
               f"F_eff = {row['f_eff']:.3f}, "
               f"C = {row['cooperativity']:.2e}")
-    loaded_blue = finesse(BUDGETS[T_BLUE].with_particle(
-        particle_scattering_loss(PARTICLE_DIAMETER, T_BLUE.wavelength)))
+    loaded_blue = finesse(loaded_budget(BUDGETS[T_BLUE], PARTICLE_DIAMETER,
+                                        T_BLUE.wavelength))
     print(f"  (x_hw for the blue mode is "
           f"{T_BLUE.wavelength / (4 * loaded_blue) * 1e12:.1f}"
           f" pm; the 8 pm lock residual costs the factor "

@@ -5,7 +5,6 @@ operating modes, prints the best operating point of each mode, and shows
 how long an integration the SNR target needs.  Writes the full sweep to
 demos/output/.
 """
-import math
 from pathlib import Path
 
 from fpcavity import (

@@ -25,7 +25,6 @@ from .optics import (
     DoubleResonance,
     LossBudget,
     cavity_linewidth,
-    diameter_from_scattering_loss,
     double_resonance,
     finesse,
     free_spectral_range,
@@ -60,14 +59,12 @@ from .ensemble import (
     IonCountStats,
     SpectralPopulation,
     channel_strengths,
-    default_antinode_offset,
     default_hyperfine_classes,
     ensemble_purcell_stats,
     expected_ions_in_bandwidth,
     ions_in_bandwidth,
     sample_height,
     sample_orientation_factor,
-    sample_position_factor,
     sfs_spectrum,
     standing_wave_factor,
     total_ion_count,
@@ -94,10 +91,8 @@ from .planner import (
     PulseScheme,
     SweepRow,
     best_operating_point,
-    detected_rate,
     mode_detected_rate,
     photon_path_efficiency,
-    pulsed_rate,
     snr,
     sweep_grid,
     write_sweep_csv,

@@ -58,7 +58,7 @@ from .planner import (
     sweep_grid,
     write_sweep_csv,
 )
-from .purcell import coupling_report, multimodal_sum
+from .purcell import cavity_lifetime, coupling_report, multimodal_sum
 from .spectra import (
     decay_histogram,
     hole_spectrum,
@@ -271,7 +271,7 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
         derived = {"span": span}
     elif kind == "decay":
         lifetime = transition.free_space_lifetime
-        effective = lifetime / (1.0 + params["effective_purcell"])
+        effective = cavity_lifetime(lifetime, params["effective_purcell"])
         grid = np.linspace(0.0, params["time_span_multiple"] * effective,
                            int(params["points"]))
         trace = decay_histogram(
@@ -367,13 +367,15 @@ def _cmd_plan(args, config: RunConfig, seed: int):
         best = best_operating_point(rows)
     except ValueError as exc:
         raise _CliError(2, f"plan error: {exc}") from None
-    report = {
-        "n_rows": len(rows),
-        "modes": list(config.plan_modes),
-        "integration_time": config.plan_integration_time,
-        "best": best.to_dict(),
-        "rows": [row.to_dict() for row in rows],
-    }
+    report = None
+    if args.json:  # only --json prints the report, and its rows are costly
+        report = {
+            "n_rows": len(rows),
+            "modes": list(config.plan_modes),
+            "integration_time": config.plan_integration_time,
+            "best": best.to_dict(),
+            "rows": [row.to_dict() for row in rows],
+        }
     lines = [
         f"swept {len(rows)} operating points "
         f"({', '.join(config.plan_modes)})",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -165,6 +166,18 @@ def _section(data: dict, key: str, kind=dict):
     return value
 
 
+def _check_finite(value, path: str) -> None:
+    """Reject a NaN or infinite number anywhere under ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+
+
 def _build(path: str, constructor, fields: dict):
     if not isinstance(fields, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -187,6 +200,7 @@ class RunConfig:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
+        _check_finite(data, "")
         self._data = data
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:

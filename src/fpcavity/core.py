@@ -38,11 +38,6 @@ def hz_to_angular(frequency):
     return TWO_PI * frequency
 
 
-def angular_to_hz(rate):
-    """Angular rate (rad/s) to ordinary frequency (Hz)."""
-    return rate / TWO_PI
-
-
 def wavelength_to_frequency(wavelength: float) -> float:
     """Vacuum wavelength (m) to optical frequency (Hz)."""
     if wavelength <= 0.0:
@@ -65,21 +60,13 @@ def linewidth_to_coherence_time(fwhm: float) -> float:
 
 
 class _JsonRecord:
-    """JSON round-trip helpers shared by the value types."""
+    """JSON serialization helpers shared by the value types."""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict):
-        return cls(**data)
-
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -114,11 +101,6 @@ class Transition(_JsonRecord):
     @property
     def frequency(self) -> float:
         return wavelength_to_frequency(self.wavelength)
-
-    @property
-    def decay_rate(self) -> float:
-        """Total spontaneous decay rate 1/T1 (s^-1)."""
-        return 1.0 / self.free_space_lifetime
 
 
 @dataclass(frozen=True)

@@ -39,19 +39,6 @@ def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def default_antinode_offset(wavelength: float,
-                            penetration_fraction: float = 0.1) -> float:
-    """Distance from the mirror surface to the first field antinode.
-
-    A hard mirror puts the antinode at lambda/4; field penetration into the
-    coating pulls it toward the surface by ``penetration_fraction`` of a
-    wavelength.
-    """
-    if not 0.0 <= penetration_fraction < 0.25:
-        raise ValueError("penetration_fraction must be in [0, 0.25)")
-    return wavelength * (0.25 - penetration_fraction)
-
-
 def sample_orientation_factor(rng: np.random.Generator,
                               size: int | None = None):
     """Projection factor |d . e|^2 of an isotropic dipole on a fixed axis.
@@ -85,15 +72,6 @@ def standing_wave_factor(height, wavelength: float, antinode_offset: float):
         raise ValueError("wavelength must be positive")
     return np.sin(2.0 * math.pi * (np.asarray(height) + antinode_offset)
                   / wavelength) ** 2
-
-
-def sample_position_factor(diameter: float, wavelength: float,
-                           antinode_offset: float, rng: np.random.Generator,
-                           size: int | None = None):
-    """Standing-wave factor for random emitter heights in the particle."""
-    heights = sample_height(diameter, rng, size=size)
-    factor = standing_wave_factor(heights, wavelength, antinode_offset)
-    return float(factor) if size is None else factor
 
 
 @dataclass(frozen=True)

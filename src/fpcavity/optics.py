@@ -19,6 +19,8 @@ RAYLEIGH_REFERENCE_DIAMETER = 60e-9  # m
 RAYLEIGH_REFERENCE_WAVELENGTH = 580.8e-9  # m
 RAYLEIGH_WAVELENGTH_EXPONENT = -4.0
 
+MAX_MODE_ORDER = 200  # highest longitudinal order double_resonance accepts
+
 
 @dataclass(frozen=True)
 class LossBudget(_JsonRecord):
@@ -53,10 +55,6 @@ class LossBudget(_JsonRecord):
     def total_fraction(self) -> float:
         """Total round-trip loss as a dimensionless fraction."""
         return self.total * 1e-6
-
-    def with_particle(self, particle_scatter: float) -> "LossBudget":
-        """Copy of the budget with the particle scattering term replaced."""
-        return replace(self, particle_scatter=particle_scatter)
 
 
 @dataclass(frozen=True)
@@ -104,29 +102,29 @@ def mode_waist(wavelength: float, radius_of_curvature: float,
     return math.sqrt(w0_sq)
 
 
-def resonance_length(wavelength: float, mode_order: int,
-                     penetration_offset: float = 0.0) -> float:
-    """Geometric length of longitudinal mode q: d = q lambda / 2 + offset.
+def resonance_length(wavelength: float, mode_order: int) -> float:
+    """Geometric length of longitudinal mode q: d = q lambda / 2.
 
-    ``penetration_offset`` absorbs the field penetration into the mirror
-    coatings; the default treats the mirrors as hard boundaries.
+    The mirrors are treated as hard boundaries, without field penetration
+    into the coatings.
     """
     if wavelength <= 0.0:
         raise ValueError("wavelength must be positive")
     if mode_order < 1:
         raise ValueError("mode_order must be >= 1")
-    return mode_order * wavelength / 2.0 + penetration_offset
+    return mode_order * wavelength / 2.0
 
 
-def double_resonance(wavelength_1: float, wavelength_2: float,
-                     max_mode_order: int = 200) -> DoubleResonance:
+def double_resonance(wavelength_1: float,
+                     wavelength_2: float) -> DoubleResonance:
     """Shortest cavity resonant with both wavelengths at adjacent orders.
 
     Modes q and q - 1 coincide for the two colors when
     q = round(lambda_2 / (lambda_2 - lambda_1)) with lambda_2 > lambda_1.
     The returned length makes mode q exactly resonant at lambda_1; the
     leftover offset of lambda_2 from mode q - 1 is reported as
-    ``residual_detuning`` (Hz).
+    ``residual_detuning`` (Hz).  Orders above ``MAX_MODE_ORDER`` are
+    rejected.
     """
     if not 0.0 < wavelength_1 < wavelength_2:
         raise ValueError("need 0 < wavelength_1 < wavelength_2")
@@ -134,9 +132,9 @@ def double_resonance(wavelength_1: float, wavelength_2: float,
     if q < 2:
         raise ValueError("wavelengths too far apart: no adjacent-order "
                          "double resonance exists")
-    if q > max_mode_order:
+    if q > MAX_MODE_ORDER:
         raise ValueError(
-            f"no double resonance at mode order <= {max_mode_order} "
+            f"no double resonance at mode order <= {MAX_MODE_ORDER} "
             f"(would need q = {q})")
     length = resonance_length(wavelength_1, q)
     fsr = free_spectral_range(length)
@@ -177,25 +175,8 @@ def loaded_budget(budget: LossBudget, diameter: float,
                   wavelength: float) -> LossBudget:
     """Bare-cavity ``budget`` with a nanoparticle's scattering loss at
     ``wavelength`` added."""
-    return budget.with_particle(particle_scattering_loss(diameter, wavelength))
-
-
-def diameter_from_scattering_loss(loss_ppm: float,
-                                  wavelength: float =
-                                  RAYLEIGH_REFERENCE_WAVELENGTH) -> float:
-    """Particle diameter (m) that produces ``loss_ppm`` of extra loss.
-
-    Exact inverse of :func:`particle_scattering_loss` at the same
-    wavelength; the sixth-root makes the sizing robust to loss errors.
-    """
-    if loss_ppm <= 0.0:
-        raise ValueError("loss_ppm must be positive")
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
-    color = wavelength / RAYLEIGH_REFERENCE_WAVELENGTH
-    scaled = loss_ppm / (RAYLEIGH_REFERENCE_LOSS_PPM
-                         * color**RAYLEIGH_WAVELENGTH_EXPONENT)
-    return RAYLEIGH_REFERENCE_DIAMETER * scaled ** (1.0 / 6.0)
+    return replace(budget, particle_scatter=particle_scattering_loss(
+        diameter, wavelength))
 
 
 def outcoupling_efficiency(budget: LossBudget) -> float:

@@ -90,37 +90,6 @@ class PulseScheme(_JsonRecord):
         return 1.0 / (self.excitation_time + self.detection_time)
 
 
-def pulsed_rate(scheme: PulseScheme, effective_purcell: float,
-                free_space_lifetime: float) -> float:
-    """Photons emitted into the cavity mode per second of pulsed cycling.
-
-    Per cycle the ion emits into the mode with probability F / (F + 1)
-    once it decays; the exponential factor is the chance it decays inside
-    the detection window, with the lifetime shortened by (F + 1).  This is
-    the one-channel case of :func:`mode_detected_rate`: the channel is
-    collected, with outcoupling and detection chain both lossless.
-    """
-    if effective_purcell < 0.0:
-        raise ValueError("effective_purcell must be >= 0")
-    if free_space_lifetime <= 0.0:
-        raise ValueError("free_space_lifetime must be positive")
-    return float(_detected_rates(
-        effective_purcell, effective_purcell, scheme.excitation_time,
-        [scheme.detection_time], scheme.excited_population,
-        free_space_lifetime)[0])
-
-
-def detected_rate(emitted_rate: float, outcoupling: float,
-                  chain: DetectionChain) -> float:
-    """Counted rate after outcoupling, path losses, and the detector."""
-    if emitted_rate < 0.0:
-        raise ValueError("emitted_rate must be >= 0")
-    if not 0.0 <= outcoupling <= 1.0:
-        raise ValueError("outcoupling must be in [0, 1]")
-    return (emitted_rate * outcoupling * chain.path_transmission
-            * chain.detector_efficiency)
-
-
 def photon_path_efficiency(outcoupling: float,
                            chain: DetectionChain) -> float:
     """End-to-end probability that a cavity photon becomes a click."""
@@ -179,14 +148,13 @@ def _shared_lifetime(transitions) -> float:
 
 
 def _mode_setup(mode: str, particle: Nanoparticle, transitions, budgets,
-                radius_of_curvature: float, contact_length: float,
-                contact_jitter: float, open_jitter: float):
+                radius_of_curvature: float):
     """Geometry, channel strengths, and collection weights for one mode."""
     if mode == "contact":
         pumped = transitions[0]
-        order = max(1, round(2.0 * contact_length / pumped.wavelength))
-        geometry = CavityGeometry(radius_of_curvature, contact_length,
-                                  order, contact_jitter)
+        order = max(1, round(2.0 * CONTACT_LENGTH / pumped.wavelength))
+        geometry = CavityGeometry(radius_of_curvature, CONTACT_LENGTH,
+                                  order, CONTACT_JITTER)
         enhanced, bare = [pumped], [budgets[0]]
         collected = [True]
     elif mode in ("open_single", "open_double"):
@@ -196,7 +164,7 @@ def _mode_setup(mode: str, particle: Nanoparticle, transitions, budgets,
                                      transitions[1].wavelength)
         geometry = CavityGeometry(radius_of_curvature,
                                   resonance.cavity_length,
-                                  resonance.mode_order_1, open_jitter)
+                                  resonance.mode_order_1, OPEN_JITTER)
         enhanced, bare = list(transitions), list(budgets)
         collected = [True, mode == "open_double"]
     else:
@@ -225,8 +193,7 @@ def _channel_sums(channels: list[ChannelStrength], outcouplings,
 def _detected_rates(total: float, collect: float, excitation_time: float,
                     windows, excited_population: float,
                     free_space_lifetime: float,
-                    path_transmission: float = 1.0,
-                    detector_efficiency: float = 1.0) -> np.ndarray:
+                    chain: DetectionChain) -> np.ndarray:
     """Detected rate for each detection window of a pulsed cycle.
 
     ``total`` is the summed enhancement that speeds up the decay and
@@ -242,7 +209,7 @@ def _detected_rates(total: float, collect: float, excitation_time: float,
                            len(exponents))
     return (excited_population * repetition_rates * decayed
             * collect / (total + 1.0)
-            * path_transmission * detector_efficiency)
+            * chain.path_transmission * chain.detector_efficiency)
 
 
 def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
@@ -254,12 +221,13 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
     The decay accelerates by the summed enhancement of every resonant
     transition; only the collected channels contribute clicks, each
     weighted by its branching into the mode and its own outcoupling.
+    Per cycle the ion decays inside the detection window with probability
+    1 - exp(-(F + 1) t / T1), F being the summed enhancement.
     """
     total, collect = _channel_sums(channels, outcouplings, collected)
     return float(_detected_rates(
         total, collect, scheme.excitation_time, [scheme.detection_time],
-        scheme.excited_population, free_space_lifetime,
-        chain.path_transmission, chain.detector_efficiency)[0])
+        scheme.excited_population, free_space_lifetime, chain)[0])
 
 
 class _Block(NamedTuple):
@@ -342,9 +310,6 @@ def _as_blocks(rows):
 def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
                radius_of_curvature: float, chain: DetectionChain,
                excitation_time: float, excited_population: float,
-               contact_length: float = CONTACT_LENGTH,
-               contact_jitter: float = CONTACT_JITTER,
-               open_jitter: float = OPEN_JITTER,
                integration_time: float = 1.0) -> Sweep:
     """Detected rate and SNR over diameter, repetition rate, and mode.
 
@@ -354,7 +319,8 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     excitation pulse.  Each (mode, diameter) block sets its channels up
     once and evaluates all repetition rates as one array.  Rows come in
     mode, diameter, repetition-rate order, with the caller's own diameter
-    and repetition-rate objects.
+    and repetition-rate objects.  The mode geometries use the constants
+    ``CONTACT_LENGTH``, ``CONTACT_JITTER`` and ``OPEN_JITTER``.
     """
     if isinstance(modes, str):
         modes = (modes,)
@@ -380,13 +346,11 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
             particle = Nanoparticle(diameter=diameter,
                                     dopant_concentration=0.5)
             channels, outcouplings, collected = _mode_setup(
-                mode, particle, transitions, budgets, radius_of_curvature,
-                contact_length, contact_jitter, open_jitter)
+                mode, particle, transitions, budgets, radius_of_curvature)
             total, collect = _channel_sums(channels, outcouplings, collected)
             rates = _detected_rates(
                 total, collect, excitation_time, windows,
-                excited_population, lifetime, chain.path_transmission,
-                chain.detector_efficiency)
+                excited_population, lifetime, chain)
             snrs = _snrs(rates, chain.dark_rate, integration_time)
             rows = [SweepRow(diameter, f_rep, mode, rate, row_snr, total)
                     for f_rep, rate, row_snr in zip(

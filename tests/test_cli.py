@@ -1,14 +1,16 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fpcavity
-from fpcavity import RunConfig, cli
+from fpcavity import RunConfig, SweepRow, cli, sweep_grid
 from fpcavity.cli import main
-from fpcavity.config import file_sha256
+from fpcavity.config import ConfigError, file_sha256
 from fpcavity.core import NumericalError
 
 
@@ -115,6 +117,39 @@ def test_config_errors(tmp_path, capsys):
     unstable.write_text(json.dumps(data))
     assert main(["cavity", "--config", str(unstable)]) == 2
 
+    # an overflowing literal parses as inf and used to divide by zero
+    data = RunConfig.default().data
+    data["loss_budgets"][0]["absorption_scatter"] = "HUGE"
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(data).replace('"HUGE"', "1e999"))
+    capsys.readouterr()
+    assert main(["purcell", "--config", str(overflow)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: loss_budgets[0].absorption_scatter: must be finite\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("leaf", [
+    ("transitions", 0, "wavelength"),
+    ("loss_budgets", 1, "transmission_out"),
+    ("geometry", "rms_length_jitter"),
+    ("plan", "repetition_rates", 0),
+    ("pulse", "excitation_time"),
+    ("simulate", "decay", "effective_purcell"),
+], ids=lambda leaf: "/".join(map(str, leaf)))
+def test_non_finite_config_number_names_its_path(leaf, value):
+    data = RunConfig.default().data
+    parent = data
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = value
+    path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in leaf).lstrip(".")
+    message = re.escape(f"{path}: must be finite")
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(data)
+
 
 @pytest.mark.parametrize("command", ["cavity", "purcell"])
 def test_negative_seed_rejected(command, capsys):
@@ -163,6 +198,21 @@ def test_simulate_decay_reproducible(tmp_path, capsys):
     assert by_path[str(out)] == file_sha256(out)
 
 
+@pytest.mark.parametrize("effective_purcell", [-1.0, -0.5])
+def test_simulate_decay_rejects_negative_purcell(tmp_path, capsys,
+                                                 effective_purcell):
+    # -1 used to divide by zero, -0.5 to simulate a decay slower than T1
+    data = RunConfig.default().data
+    data["simulate"]["decay"]["effective_purcell"] = effective_purcell
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "decay.csv"
+    assert main(["simulate", "decay", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert "effective Purcell factor must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_bundled_dataset(capsys):
     dataset = Path(fpcavity.__file__).parent / "data" \
         / "hole_width_vs_power.csv"
@@ -185,10 +235,18 @@ def test_fit_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_plan_sweep_output(tmp_path, capsys):
+def test_plan_sweep_output(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.csv"
     report = _json_run(capsys, ["plan", "--json", "--out", str(out)])
     assert report["n_rows"] == 7 * 12 * 3
+    config = RunConfig.default()
+    rows = sweep_grid(
+        config.plan_diameters, config.plan_repetition_rates,
+        config.plan_modes, config.transitions, config.loss_budgets,
+        config.geometry.radius_of_curvature, config.detection,
+        config.excitation_time, config.excited_population,
+        integration_time=config.plan_integration_time)
+    assert report["rows"] == [row.to_dict() for row in rows]
     best = report["best"]
     assert best["mode"] == "contact"
     assert best["diameter"] == pytest.approx(40e-9, rel=1e-12)
@@ -204,6 +262,12 @@ def test_plan_sweep_output(tmp_path, capsys):
     assert manifest["config_sha256"] == RunConfig.default().config_hash()
 
     first = out.read_bytes()
+
+    def no_report(row):
+        raise AssertionError("plan without --json built a report row")
+
+    # without --json the report is never printed, so it is never built
+    monkeypatch.setattr(SweepRow, "to_dict", no_report)
     assert main(["plan", "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == first

@@ -11,14 +11,12 @@ from fpcavity import (
     SpectralPopulation,
     Transition,
     channel_strengths,
-    default_antinode_offset,
     default_hyperfine_classes,
     ensemble_purcell_stats,
     expected_ions_in_bandwidth,
     ions_in_bandwidth,
     sample_height,
     sample_orientation_factor,
-    sample_position_factor,
     sfs_spectrum,
     standing_wave_factor,
     total_ion_count,
@@ -76,23 +74,12 @@ def test_standing_wave_factor_shape():
 def test_position_factor_means():
     # independent expectations from quadrature over the Beta(2, 2) profile
     rng = np.random.default_rng(13)
-    mean = np.mean(sample_position_factor(60e-9, 580.8e-9, 0.0, rng,
-                                          size=200_000))
-    assert mean == pytest.approx(0.11821395197042431, abs=1.5e-3)
-    offset = default_antinode_offset(580.8e-9)
-    assert offset == pytest.approx(0.15 * 580.8e-9, rel=1e-12)
-    mean = np.mean(sample_position_factor(70e-9, 580.8e-9, offset, rng,
-                                          size=200_000))
-    assert mean == pytest.approx(0.9142816350941276, abs=1.5e-3)
-
-
-def test_default_antinode_offset_validation():
-    with pytest.raises(ValueError):
-        default_antinode_offset(580.8e-9, penetration_fraction=0.25)
-    with pytest.raises(ValueError):
-        default_antinode_offset(580.8e-9, penetration_fraction=-0.01)
-    assert default_antinode_offset(580.8e-9, 0.0) == pytest.approx(
-        580.8e-9 / 4.0, rel=1e-15)
+    for diameter, offset, expected in (
+            (60e-9, 0.0, 0.11821395197042431),
+            (70e-9, 0.15 * 580.8e-9, 0.9142816350941276)):
+        heights = sample_height(diameter, rng, size=200_000)
+        mean = np.mean(standing_wave_factor(heights, 580.8e-9, offset))
+        assert mean == pytest.approx(expected, abs=1.5e-3)
 
 
 def test_channel_strengths_values():

@@ -7,7 +7,6 @@ import pytest
 from fpcavity import (
     LossBudget,
     cavity_linewidth,
-    diameter_from_scattering_loss,
     double_resonance,
     finesse,
     free_spectral_range,
@@ -17,6 +16,7 @@ from fpcavity import (
     particle_scattering_loss,
     resonance_length,
 )
+from fpcavity.optics import loaded_budget
 
 BARE_580 = LossBudget(transmission_in=25.0, transmission_out=200.0,
                       absorption_scatter=134.04)
@@ -65,9 +65,6 @@ def test_resonance_length():
                                                            rel=1e-12)
     assert resonance_length(611e-9, 19) == pytest.approx(5.8045e-6,
                                                          rel=1e-12)
-    offset = 30e-9
-    assert resonance_length(580.8e-9, 20, offset) == pytest.approx(
-        5.808e-6 + offset, rel=1e-12)
 
 
 def test_double_resonance_solution():
@@ -84,6 +81,10 @@ def test_double_resonance_rejects_bad_pairs():
         double_resonance(611e-9, 580.8e-9)  # order matters
     with pytest.raises(ValueError):
         double_resonance(580.8e-9, 580.9e-9)  # q beyond the order cap
+    # the cap admits q = 200 and rejects q = 201
+    assert double_resonance(580e-9, 580e-9 * 200 / 199).mode_order_1 == 200
+    with pytest.raises(ValueError, match="mode order <= 200"):
+        double_resonance(580e-9, 580e-9 * 201 / 200)
 
 
 def test_finesse_from_budgets():
@@ -118,19 +119,9 @@ def test_particle_scattering_wavelength_dependence():
     assert red == pytest.approx(blue * (580.8 / 611.0) ** 4, rel=1e-12)
 
 
-def test_diameter_from_scattering_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        diameter = rng.uniform(20e-9, 150e-9)
-        wavelength = rng.uniform(400e-9, 800e-9)
-        loss = particle_scattering_loss(diameter, wavelength)
-        assert diameter_from_scattering_loss(loss, wavelength) == \
-            pytest.approx(diameter, rel=1e-12)
-
-
 def test_loss_budget_total_and_loading():
     assert BARE_580.total == pytest.approx(359.04, rel=1e-12)
-    loaded = BARE_580.with_particle(13.0)
+    loaded = loaded_budget(BARE_580, 60e-9, 580.8e-9)  # the 13 ppm reference
     assert loaded.total == pytest.approx(372.04, rel=1e-12)
     assert BARE_580.particle_scatter == 0.0  # original untouched
     with pytest.raises(ValueError):
@@ -141,7 +132,8 @@ def test_outcoupling_efficiency():
     assert outcoupling_efficiency(BARE_580) == pytest.approx(
         200.0 / 359.04, rel=1e-12)
     # extra particle loss lowers the escape probability
-    assert outcoupling_efficiency(BARE_580.with_particle(33.0)) < \
+    assert outcoupling_efficiency(loaded_budget(BARE_580, 70e-9,
+                                                580.8e-9)) < \
         outcoupling_efficiency(BARE_580)
 
 

@@ -7,14 +7,13 @@ import warnings
 import pytest
 
 from fpcavity import (
+    ChannelStrength,
     DetectionChain,
     PulseScheme,
     SweepRow,
     Transition,
     best_operating_point,
-    detected_rate,
     photon_path_efficiency,
-    pulsed_rate,
     snr,
     sweep_grid,
     write_sweep_csv,
@@ -30,6 +29,7 @@ T611 = Transition(wavelength=611e-9, branching_ratio=0.36,
 BUDGETS = [LossBudget(25.0, 200.0, 134.04), LossBudget(25.0, 200.0, 436.39)]
 CHAIN = DetectionChain(path_transmission=0.8, detector_efficiency=0.65,
                        dark_rate=20.0)
+LOSSLESS = DetectionChain(1.0, 1.0, 0.0)
 
 
 def _sweep(diameters, rates, modes):
@@ -55,21 +55,27 @@ def test_pulse_scheme():
         PulseScheme(1e-6, 9e-6, 1.5)
 
 
+def _one_channel_rate(scheme, strength, outcoupling=1.0, chain=LOSSLESS):
+    return mode_detected_rate([ChannelStrength(580.8e-9, strength)],
+                              [outcoupling], [True], scheme, 2e-3, chain)
+
+
 def test_pulsed_rate_limits():
     scheme = PulseScheme(1e-6, 249e-6, 0.5)
-    assert pulsed_rate(scheme, 0.0, 2e-3) == 0.0
+    assert _one_channel_rate(scheme, 0.0) == 0.0
     # long window, large enhancement: every cycle decays inside the
     # window, leaving the repetition rate times the mode branching
-    saturated = pulsed_rate(PulseScheme(1e-6, 0.1, 1.0), 1e4, 2e-3)
+    saturated = _one_channel_rate(PulseScheme(1e-6, 0.1, 1.0), 1e4)
     assert saturated == pytest.approx(1e4 / 10001.0 / 0.100001, rel=1e-9)
 
 
 def test_detected_rate_and_path_efficiency():
-    assert detected_rate(100.0, 0.5, CHAIN) == pytest.approx(26.0, rel=1e-12)
+    scheme = PulseScheme(1e-6, 249e-6, 0.5)
+    emitted = _one_channel_rate(scheme, 2.0)
+    assert _one_channel_rate(scheme, 2.0, 0.5, CHAIN) == pytest.approx(
+        0.26 * emitted, rel=1e-12)
     assert photon_path_efficiency(0.5, CHAIN) == pytest.approx(0.26,
                                                                rel=1e-12)
-    with pytest.raises(ValueError):
-        detected_rate(-1.0, 0.5, CHAIN)
     with pytest.raises(ValueError):
         photon_path_efficiency(1.5, CHAIN)
 
@@ -327,8 +333,7 @@ def test_vector_sweep_matches_scalar_reference_bitwise():
             particle = Nanoparticle(diameter=diameter,
                                     dopant_concentration=0.5)
             channels, outcouplings, collected = _mode_setup(
-                mode, particle, [T580, T611], BUDGETS, 25e-6, 2.5e-6,
-                0.8e-12, 2.5e-12)
+                mode, particle, [T580, T611], BUDGETS, 25e-6)
             for f_rep in rates:
                 scheme = PulseScheme(1e-6, 1.0 / f_rep - 1e-6, 0.5)
                 rate = mode_detected_rate(channels, outcouplings, collected,

@@ -27,12 +27,12 @@ from fpcavity import (
     mode_waist,
     multimodal_sum,
     nominal_purcell,
-    particle_scattering_loss,
     purcell_from_lifetimes,
     saturation_intensity,
     saturation_power,
 )
 from fpcavity import purcell
+from fpcavity.optics import loaded_budget
 
 T580 = Transition(wavelength=580.8e-9, branching_ratio=0.007,
                   homogeneous_linewidth=3.3e6, free_space_lifetime=2.0e-3)
@@ -217,7 +217,7 @@ def test_saturation_values():
 
 
 def test_coupling_report_table_values():
-    loaded_580 = BARE_580.with_particle(particle_scattering_loss(70e-9))
+    loaded_580 = loaded_budget(BARE_580, 70e-9, 580.8e-9)
     report = coupling_report(T580, GEOMETRY, loaded_580)
     assert report.cavity_linewidth == pytest.approx(1.6094300216436288e9,
                                                     rel=1e-9)
@@ -228,8 +228,7 @@ def test_coupling_report_table_values():
     assert report.cooperativity == pytest.approx(9.034026422679743e-05,
                                                  rel=1e-9)
 
-    loaded_611 = BARE_611.with_particle(
-        particle_scattering_loss(70e-9, 611e-9))
+    loaded_611 = loaded_budget(BARE_611, 70e-9, 611e-9)
     report = coupling_report(T611, GEOMETRY, loaded_611)
     # oracle carried the 611 loss total at coarser rounding
     assert report.cavity_linewidth == pytest.approx(2.826886060383636e9,
