@@ -239,7 +239,7 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
     transition = config.transitions[0]
     if kind == "ple":
         span = params["span_multiple"] * params["inhomogeneous_fwhm"]
-        grid = np.linspace(-0.5 * span, 0.5 * span, int(params["points"]))
+        grid = np.linspace(-0.5 * span, 0.5 * span, params["points"])
         population = None
         if params.get("use_population"):
             particle = config.nanoparticle
@@ -255,7 +255,7 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
         derived = {"span": span}
     elif kind == "saturation":
         powers = np.geomspace(params["min_power"], params["max_power"],
-                              int(params["points"]))
+                              params["points"])
         trace = saturation_curve(
             powers, params["scale"], params["exponent"],
             params.get("background", 0.0),
@@ -263,19 +263,24 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
         derived = {}
     elif kind == "hole":
         span = params["span_multiple"] * params["hole_fwhm"]
-        grid = np.linspace(-0.5 * span, 0.5 * span, int(params["points"]))
+        grid = np.linspace(-0.5 * span, 0.5 * span, params["points"])
         trace = hole_spectrum(
-            grid, int(params["n_teeth"]), params["tooth_power"],
+            grid, params["n_teeth"], params["tooth_power"],
             params["hole_fwhm"], params["rate_scale"],
             noise=params.get("noise", "none"), seed=seed)
         derived = {"span": span}
     elif kind == "decay":
         lifetime = transition.free_space_lifetime
-        effective = cavity_lifetime(lifetime, params["effective_purcell"])
+        try:
+            effective = cavity_lifetime(lifetime,
+                                        params["effective_purcell"])
+        except ValueError as exc:
+            raise ConfigError(
+                f"simulate.decay.effective_purcell: {exc}") from None
         grid = np.linspace(0.0, params["time_span_multiple"] * effective,
-                           int(params["points"]))
+                           params["points"])
         trace = decay_histogram(
-            effective, grid, int(params["shots"]), params["amplitude"],
+            effective, grid, params["shots"], params["amplitude"],
             params.get("background", 0.0),
             noise=params.get("noise", "poisson"), seed=seed)
         derived = {

@@ -150,6 +150,21 @@ def default_config_data() -> dict:
     }
 
 
+# The numbers each simulation kind reads from ``simulate.<kind>``; the
+# counts among them must be integers.
+_SIMULATE_NUMBERS = {
+    "ple": ("inhomogeneous_fwhm", "amplitude", "background", "span_multiple",
+            "points", "probe_fwhm"),
+    "saturation": ("scale", "exponent", "background", "min_power",
+                   "max_power", "points"),
+    "hole": ("n_teeth", "tooth_power", "hole_fwhm", "rate_scale",
+             "span_multiple", "points"),
+    "decay": ("effective_purcell", "shots", "amplitude", "background",
+              "time_span_multiple", "points"),
+}
+_SIMULATE_COUNTS = ("points", "shots", "n_teeth")
+
+
 def valid_seed(value) -> bool:
     """The seed rule for config files and ``--seed``: a non-negative int."""
     return isinstance(value, int) and not isinstance(value, bool) \
@@ -326,11 +341,28 @@ class RunConfig:
         return self._data
 
     def simulate_params(self, kind: str) -> dict:
+        """The ``simulate.<kind>`` block, its numbers type-checked.
+
+        A missing key is left for the caller, which either defaults it or
+        reports it as missing.
+        """
         try:
-            return dict(self.simulate[kind])
+            params = dict(self.simulate[kind])
         except KeyError:
             raise ConfigError(
                 f"simulate.{kind}: no parameters configured") from None
+        for key in _SIMULATE_NUMBERS.get(kind, ()):
+            if key not in params:
+                continue
+            value = params[key]
+            if key in _SIMULATE_COUNTS:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ConfigError(
+                        f"simulate.{kind}.{key}: must be an integer")
+            elif not isinstance(value, (int, float)) \
+                    or isinstance(value, bool):
+                raise ConfigError(f"simulate.{kind}.{key}: must be a number")
+        return params
 
     def canonical_json(self) -> str:
         return json.dumps(self._data, sort_keys=True,

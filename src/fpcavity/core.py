@@ -62,6 +62,9 @@ def linewidth_to_coherence_time(fwhm: float) -> float:
 class _JsonRecord:
     """JSON serialization helpers shared by the value types."""
 
+    # Empty, so a subclass that declares slots carries no ``__dict__``.
+    __slots__ = ()
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -123,7 +123,7 @@ def _snrs(signal_rates: np.ndarray, dark_rate: float,
             / math.sqrt(dark_rate * integration_time))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow(_JsonRecord):
     """One operating point of the design sweep.
 

@@ -5,6 +5,18 @@ comma separator, ``.`` decimal point, LF line endings, a single ``x,y``
 header row, floats written with shortest round-trip precision.  Metadata
 (model parameters, noise tag, seed) travels in a JSON sidecar next to the
 CSV, never inside it.
+
+The reader is more lenient than the writer.  It accepts:
+
+- a first line that is ``x,y`` once surrounding whitespace is stripped;
+- any line ending (LF, CRLF, CR, or another break ``str.splitlines``
+  knows); blank and whitespace-only lines are skipped anywhere;
+- data lines of exactly two comma-separated fields, each of which Python's
+  ``float`` accepts: whitespace around a field, a sign, ``1_0``,
+  ``inf``/``Infinity`` and ``nan``/``-nan`` in any case.
+
+Anything else raises ``TraceFormatError`` naming the 1-based line of the
+file, header included.  There is no quoting and no comment syntax.
 """
 from __future__ import annotations
 
@@ -50,25 +62,50 @@ class Trace:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the trace in the canonical CSV dialect."""
-    path = Path(path)
-    with path.open("w", newline="\n") as handle:
+    body = "".join([f"{x!r},{y!r}\n"
+                    for x, y in zip(trace.x.tolist(), trace.y.tolist())])
+    with Path(path).open("w", newline="\n") as handle:
         handle.write("x,y\n")
-        for xv, yv in zip(trace.x, trace.y):
-            handle.write(f"{float(xv)!r},{float(yv)!r}\n")
+        handle.write(body)
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a canonical trace CSV; raises TraceFormatError with the line."""
-    path = Path(path)
-    with path.open("r") as handle:
-        lines = handle.read().splitlines()
+    """Read a trace CSV; raises TraceFormatError with the file line."""
+    with Path(path).open("r") as handle:
+        text = handle.read()
+    lines = text.splitlines()
     if not lines:
         raise TraceFormatError("empty file, expected an 'x,y' header", 1)
     if lines[0].strip() != "x,y":
         raise TraceFormatError(f"expected header 'x,y', got {lines[0]!r}", 1)
+    body = lines[1:]
+    # numpy skips only empty lines and warns when it finds no row, so a body
+    # without a non-empty line goes straight to the line loop.  numpy also
+    # strips U+001F around a number, which Python's float rejects; checked
+    # over every code point, it is the one character on which the two
+    # parsers disagree.
+    if any(body) and "\x1f" not in text:
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == 2:
+                return Trace(x=np.ascontiguousarray(data[:, 0]),
+                             y=np.ascontiguousarray(data[:, 1]))
+    return _read_rows(body)
+
+
+def _read_rows(body: list[str]) -> Trace:
+    """Parse the data lines one at a time: the statement of the dialect.
+
+    The bulk parse in ``read_trace_csv`` accepts a subset of what this loop
+    accepts and returns the same bits; every rejected file, and spellings
+    only Python's ``float`` takes (``1_0``), come here for their result.
+    """
     xs: list[float] = []
     ys: list[float] = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -81,7 +118,7 @@ def read_trace_csv(path) -> Trace:
         except ValueError as err:
             raise TraceFormatError(f"not a number: {err}", number) from None
     if not xs:
-        raise TraceFormatError("no data rows", max(2, len(lines)))
+        raise TraceFormatError("no data rows", max(2, len(body) + 1))
     return Trace(x=np.array(xs), y=np.array(ys))
 
 

@@ -213,6 +213,36 @@ def test_simulate_decay_rejects_negative_purcell(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("decay", "effective_purcell", "abc", "must be a number"),
+    ("decay", "points", "12", "must be an integer"),
+    ("decay", "points", 2.7, "must be an integer"),
+    ("decay", "shots", True, "must be an integer"),
+    ("decay", "effective_purcell", -1.0,
+     "effective Purcell factor must be >= 0"),
+    ("hole", "n_teeth", 200.0, "must be an integer"),
+    ("saturation", "background", False, "must be a number"),
+    ("ple", "probe_fwhm", None, "must be a number"),
+], ids=["purcell-string", "points-string", "points-float", "shots-bool",
+        "purcell-negative", "teeth-float", "background-bool",
+        "probe-null"])
+def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
+                                              value, message):
+    # a string Purcell factor used to exit 1 with a TypeError traceback,
+    # "12" and 2.7 points were read through int(...)
+    data = RunConfig.default().data
+    data["simulate"][kind][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "trace.csv"
+    capsys.readouterr()
+    assert main(["simulate", kind, "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: simulate.{kind}.{key}: {message}\n")
+    assert not out.exists()
+
+
 def test_fit_bundled_dataset(capsys):
     dataset = Path(fpcavity.__file__).parent / "data" \
         / "hole_width_vs_power.csv"

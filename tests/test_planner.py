@@ -1,7 +1,10 @@
 """Detection planning: pulsed rates, SNR, and the design sweep."""
+import copy
 import csv
+import dataclasses
 import io
 import math
+import pickle
 import warnings
 
 import pytest
@@ -187,6 +190,37 @@ def test_sweep_is_a_read_only_sequence_of_rows():
             assert type(value) is float
     with pytest.raises(TypeError):
         sweep[0] = rows[1]
+
+
+def test_sweep_rows_are_slotted_frozen_records():
+    row = SweepRow(diameter=6e-8, repetition_rate=4000, mode="contact",
+                   rate=12.5, snr=-0.0, effective_purcell=0.82)
+    assert not hasattr(row, "__dict__")
+    assert hasattr(T580, "__dict__")  # records without slots keep theirs
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.rate = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del row.rate
+    # a name that is no field: FrozenInstanceError before, and on Python
+    # 3.10-3.11 a TypeError from the class that slots=True recreates
+    with pytest.raises((AttributeError, TypeError)):
+        row.extra = 1.0
+    assert copy.deepcopy(row) == row
+    assert pickle.loads(pickle.dumps(row)) == row
+    fields = {"diameter": 6e-8, "repetition_rate": 4000, "mode": "contact",
+              "rate": 12.5, "snr": -0.0, "effective_purcell": 0.82}
+    assert row.to_dict() == fields
+    assert type(row.to_dict()["repetition_rate"]) is int
+    assert row.to_json() == (
+        '{"diameter": 6e-08, "effective_purcell": 0.82, "mode": "contact", '
+        '"rate": 12.5, "repetition_rate": 4000, "snr": -0.0}')
+    same = SweepRow(**fields)
+    assert row == same and row is not same
+    assert row != dataclasses.replace(row, rate=12.6)
+    assert hash(row) == hash(same) == hash(tuple(fields.values()))
+    assert repr(row) == (
+        "SweepRow(diameter=6e-08, repetition_rate=4000, mode='contact', "
+        "rate=12.5, snr=-0.0, effective_purcell=0.82)")
 
 
 def test_best_operating_point_matches_min_over_rows():
