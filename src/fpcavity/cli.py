@@ -269,7 +269,7 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
             params["hole_fwhm"], params["rate_scale"],
             noise=params.get("noise", "none"), seed=seed)
         derived = {"span": span}
-    elif kind == "decay":
+    else:  # decay; argparse admits only SIMULATE_KINDS
         lifetime = transition.free_space_lifetime
         try:
             effective = cavity_lifetime(lifetime,
@@ -287,19 +287,13 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
             "effective_lifetime": effective,
             "free_space_lifetime": lifetime,
         }
-    else:
-        raise ConfigError(f"unknown simulation kind {kind!r}")
     return trace, params, derived
 
 
 def _cmd_simulate(args, config: RunConfig, seed: int):
     if not args.out:
         raise _CliError(2, "simulate writes a trace file; pass --out PATH")
-    try:
-        trace, params, derived = _simulate_trace(args.kind, config, seed)
-    except KeyError as exc:
-        raise ConfigError(
-            f"simulate.{args.kind}: missing parameter {exc}") from None
+    trace, params, derived = _simulate_trace(args.kind, config, seed)
     out = Path(args.out)
     sidecar = write_trace(trace, out, metadata={
         "kind": args.kind,
@@ -408,13 +402,10 @@ _HANDLERS = {
 
 def _seed_arg(text: str) -> int:
     try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if not valid_seed(seed):
+        return valid_seed(int(text), "--seed")
+    except ValueError:  # int() or the seed rule, a ConfigError
         raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return seed
+            f"must be a non-negative integer, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,11 +2,14 @@
 
 A run is described by one JSON document holding the full parameter tree:
 transitions, cavity geometry, mirror loss budgets, nanoparticle, detection
-chain, pulse timing, Monte Carlo settings, sweep grids, and the seed.
-:class:`RunConfig` validates the document by feeding every section through
-the domain-model constructors before any computation happens, and hashes
-its canonical serialization so a result can be tied to the exact inputs
-that produced it.
+chain, pulse timing, Monte Carlo settings, sweep grids, simulation blocks,
+and the seed.  :class:`RunConfig` checks every key at load, whatever the
+subcommand, against one nested table of rules (``_DOCUMENT``), so an
+unknown or missing key, a wrongly typed or non-finite value, or an
+out-of-range count is reported with its path before any computation.
+Value-type sections take their rules from the dataclass fields, and their
+constructors then check the domain.  The canonical serialization is hashed
+so a result can be tied to the exact inputs that produced it.
 
 :class:`RunManifest` is the record written next to every output: config
 hash, toolkit version, seed, creation time, and the output files with
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .core import (
 )
 from .optics import LossBudget
 from .planner import PLAN_MODES, DetectionChain
+from .spectra import NOISE_MODELS
 
 SCHEMA_VERSION = 1
 
@@ -150,173 +154,184 @@ def default_config_data() -> dict:
     }
 
 
-# The numbers each simulation kind reads from ``simulate.<kind>``; the
-# counts among them must be integers.
-_SIMULATE_NUMBERS = {
-    "ple": ("inhomogeneous_fwhm", "amplitude", "background", "span_multiple",
-            "points", "probe_fwhm"),
-    "saturation": ("scale", "exponent", "background", "min_power",
-                   "max_power", "points"),
-    "hole": ("n_teeth", "tooth_power", "hole_fwhm", "rate_scale",
-             "span_multiple", "points"),
-    "decay": ("effective_purcell", "shots", "amplitude", "background",
-              "time_span_multiple", "points"),
-}
-_SIMULATE_COUNTS = ("points", "shots", "n_teeth")
+# A rule takes a value and its path in the document, and returns the value
+# to keep or raises ConfigError naming the path.
 
-
-def valid_seed(value) -> bool:
-    """The seed rule for config files and ``--seed``: a non-negative int."""
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
-
-
-def _section(data: dict, key: str, kind=dict):
-    try:
-        value = data[key]
-    except KeyError:
-        raise ConfigError(f"{key}: section is missing") from None
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected {kind.__name__}")
+def _number(value, path: str):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past it
+        raise ConfigError(f"{path}: must be finite")
     return value
 
 
-def _check_finite(value, path: str) -> None:
-    """Reject a NaN or infinite number anywhere under ``value``."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
+def _positive_number(value, path: str) -> float:
+    if _number(value, path) <= 0.0:
+        raise ConfigError(f"{path}: must be a positive number")
+    return float(value)
 
 
-def _build(path: str, constructor, fields: dict):
-    if not isinstance(fields, dict):
-        raise ConfigError(f"{path}: expected an object")
-    try:
-        return constructor(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _fraction(value, path: str) -> float:
+    if not 0.0 < _number(value, path) <= 1.0:
+        raise ConfigError(f"{path}: must be in (0, 1]")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: must be an integer")
+    return value
+
+
+def _int_at_least(minimum: int):
+    def rule(value, path: str) -> int:
+        if _integer(value, path) < minimum:
+            raise ConfigError(f"{path}: must be an integer >= {minimum}")
+        return value
+    return rule
+
+
+# The config ``seed`` key and ``--seed`` share this rule.
+valid_seed = _int_at_least(0)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: must be true or false")
+    return value
+
+
+def _choice(options: tuple):
+    def rule(value, path: str):
+        if value not in options:
+            allowed = " or ".join(map(repr, options))
+            raise ConfigError(f"{path}: must be {allowed}, got {value!r}")
+        return value
+    return rule
+
+
+def _list(item_rule):
+    """A non-empty list, each item checked by ``item_rule``, as a tuple."""
+    def rule(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: must be a non-empty list")
+        return tuple(item_rule(item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    return rule
+
+
+def _object(rules: dict, optional=()):
+    """An object holding only the keys of ``rules``, every one of them
+    except those in ``optional``; each value is checked by its rule."""
+    def rule(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config root'}: must be an object")
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in rules:
+                raise ConfigError(f"{prefix}{key}: unknown key")
+        for key in rules:
+            if key not in value and key not in optional:
+                raise ConfigError(f"{prefix}{key}: required key is missing")
+        return {key: rules[key](item, prefix + key)
+                for key, item in value.items()}
+    return rule
+
+
+def _record(cls):
+    """Rules read off a value type's dataclass fields: an ``int`` field
+    takes a JSON integer, any other a finite number, and a field with a
+    default may be left out.  The constructor then checks the domain."""
+    check = _object(
+        {f.name: _integer if f.type == "int" else _number
+         for f in fields(cls)},
+        optional={f.name for f in fields(cls) if f.default is not MISSING})
+
+    def rule(value, path: str):
+        checked = check(value, path)
+        try:
+            return cls(**checked)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return rule
+
+
+def _simulation(numbers: tuple, optional=(), **rules):
+    """A ``simulate.<kind>`` block: finite ``numbers``, ``points`` >= 1, an
+    optional ``noise`` model, and any further ``rules``.  The optional
+    keys are the ones ``cli._simulate_trace`` gives a default."""
+    return _object({**dict.fromkeys(numbers, _number), **rules,
+                    "points": _int_at_least(1),
+                    "noise": _choice(NOISE_MODELS)},
+                   optional=("noise", *optional))
+
+
+_SIMULATE = {
+    "ple": _simulation(("inhomogeneous_fwhm", "amplitude", "background",
+                        "span_multiple", "probe_fwhm"),
+                       ("use_population", "probe_fwhm"), use_population=_flag),
+    "saturation": _simulation(("scale", "exponent", "background",
+                               "min_power", "max_power"), ("background",)),
+    "hole": _simulation(("tooth_power", "hole_fwhm", "rate_scale",
+                         "span_multiple"), n_teeth=_int_at_least(1)),
+    "decay": _simulation(("effective_purcell", "amplitude", "background",
+                          "time_span_multiple"), ("background",),
+                         shots=_int_at_least(1)),
+}
+
+_DOCUMENT = _object({
+    "schema_version": _choice((SCHEMA_VERSION,)),
+    "seed": valid_seed,
+    "transitions": _list(_record(Transition)),
+    "loss_budgets": _list(_record(LossBudget)),
+    "geometry": _record(CavityGeometry),
+    "nanoparticle": _record(Nanoparticle),
+    "detection": _record(DetectionChain),
+    "pulse": _object({"excitation_time": _positive_number,
+                      "excited_population": _fraction}),
+    "monte_carlo": _object({"n_samples": _int_at_least(2),
+                            "antinode_offset_fraction": _positive_number}),
+    "ion_estimate": _object({
+        "diameter": _positive_number, "inhomogeneous_fwhm": _positive_number,
+        "probe_bandwidth": _positive_number, "n_draws": _int_at_least(2)}),
+    "plan": _object({"diameters": _list(_positive_number),
+                     "repetition_rates": _list(_positive_number),
+                     "modes": _list(_choice(PLAN_MODES)),
+                     "integration_time": _positive_number}),
+    "simulate": _object(_SIMULATE, optional=_SIMULATE),
+}, optional=("seed",))
 
 
 class RunConfig:
-    """Validated parameter tree for one toolkit run.
-
-    Construction walks the whole document through the domain constructors,
-    so any reported error carries the path of the offending field and no
-    computation ever sees an unchecked number.
-    """
+    """Parameter tree for one toolkit run, checked whole by ``_DOCUMENT``
+    at construction, so no computation ever sees an unchecked value."""
 
     def __init__(self, data: dict):
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        _check_finite(data, "")
-        self._data = data
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-        seed = data.get("seed", 0)
-        if not valid_seed(seed):
-            raise ConfigError("seed: must be a non-negative integer")
-        self.seed: int = seed
-
-        raw_transitions = _section(data, "transitions", list)
-        if not raw_transitions:
-            raise ConfigError("transitions: must not be empty")
-        self.transitions = tuple(
-            _build(f"transitions[{i}]", Transition, entry)
-            for i, entry in enumerate(raw_transitions))
-
-        raw_budgets = _section(data, "loss_budgets", list)
-        if len(raw_budgets) != len(raw_transitions):
+        doc = _DOCUMENT(data, "")
+        if len(doc["loss_budgets"]) != len(doc["transitions"]):
             raise ConfigError("loss_budgets: need one budget per transition")
-        self.loss_budgets = tuple(
-            _build(f"loss_budgets[{i}]", LossBudget, entry)
-            for i, entry in enumerate(raw_budgets))
-
-        self.geometry = _build("geometry", CavityGeometry,
-                               _section(data, "geometry"))
-        self.nanoparticle = _build("nanoparticle", Nanoparticle,
-                                   _section(data, "nanoparticle"))
-        self.detection = _build("detection", DetectionChain,
-                                _section(data, "detection"))
-
-        pulse = _section(data, "pulse")
-        self.excitation_time = self._positive(pulse, "pulse",
-                                              "excitation_time")
-        self.excited_population = self._positive(pulse, "pulse",
-                                                 "excited_population")
-        if self.excited_population > 1.0:
-            raise ConfigError("pulse.excited_population: must be <= 1")
-
-        mc = _section(data, "monte_carlo")
-        self.mc_samples = self._count(mc, "monte_carlo", "n_samples", 2)
-        self.antinode_offset_fraction = self._positive(
-            mc, "monte_carlo", "antinode_offset_fraction")
-
-        ion = _section(data, "ion_estimate")
-        self.ion_diameter = self._positive(ion, "ion_estimate", "diameter")
-        self.ion_inhomogeneous_fwhm = self._positive(
-            ion, "ion_estimate", "inhomogeneous_fwhm")
-        self.ion_probe_bandwidth = self._positive(
-            ion, "ion_estimate", "probe_bandwidth")
-        self.ion_draws = self._count(ion, "ion_estimate", "n_draws", 2)
-
-        plan = _section(data, "plan")
-        self.plan_diameters = self._number_list(plan, "plan", "diameters")
-        self.plan_repetition_rates = self._number_list(
-            plan, "plan", "repetition_rates")
-        modes = _section(plan, "modes", list)
-        for mode in modes:
-            if mode not in PLAN_MODES:
-                raise ConfigError(f"plan.modes: unknown mode {mode!r}")
-        if not modes:
-            raise ConfigError("plan.modes: must not be empty")
-        self.plan_modes = tuple(modes)
-        self.plan_integration_time = self._positive(plan, "plan",
-                                                    "integration_time")
-
-        self.simulate = _section(data, "simulate")
-        for kind, params in self.simulate.items():
-            if not isinstance(params, dict):
-                raise ConfigError(f"simulate.{kind}: expected an object")
-
-    @staticmethod
-    def _positive(section: dict, path: str, key: str) -> float:
-        value = section.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value <= 0.0:
-            raise ConfigError(f"{path}.{key}: must be a positive number")
-        return float(value)
-
-    @staticmethod
-    def _count(section: dict, path: str, key: str, minimum: int) -> int:
-        value = section.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < minimum:
-            raise ConfigError(f"{path}.{key}: must be an integer "
-                              f">= {minimum}")
-        return value
-
-    @staticmethod
-    def _number_list(section: dict, path: str, key: str) -> tuple:
-        values = section.get(key)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{path}.{key}: must be a non-empty list")
-        out = []
-        for i, value in enumerate(values):
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or value <= 0.0:
-                raise ConfigError(f"{path}.{key}[{i}]: must be a positive "
-                                  "number")
-            out.append(float(value))
-        return tuple(out)
+        self.data = data  # as written; hashed and recorded verbatim
+        self.seed: int = doc.get("seed", 0)
+        self.transitions = doc["transitions"]
+        self.loss_budgets = doc["loss_budgets"]
+        self.geometry = doc["geometry"]
+        self.nanoparticle = doc["nanoparticle"]
+        self.detection = doc["detection"]
+        pulse, mc, ion = doc["pulse"], doc["monte_carlo"], doc["ion_estimate"]
+        self.excitation_time = pulse["excitation_time"]
+        self.excited_population = pulse["excited_population"]
+        self.mc_samples = mc["n_samples"]
+        self.antinode_offset_fraction = mc["antinode_offset_fraction"]
+        self.ion_diameter = ion["diameter"]
+        self.ion_inhomogeneous_fwhm = ion["inhomogeneous_fwhm"]
+        self.ion_probe_bandwidth = ion["probe_bandwidth"]
+        self.ion_draws = ion["n_draws"]
+        plan = doc["plan"]
+        self.plan_diameters = plan["diameters"]
+        self.plan_repetition_rates = plan["repetition_rates"]
+        self.plan_modes = plan["modes"]
+        self.plan_integration_time = plan["integration_time"]
+        self.simulate = doc["simulate"]
 
     @classmethod
     def default(cls) -> "RunConfig":
@@ -336,36 +351,16 @@ class RunConfig:
                               f"{exc}") from None
         return cls(data)
 
-    @property
-    def data(self) -> dict:
-        return self._data
-
     def simulate_params(self, kind: str) -> dict:
-        """The ``simulate.<kind>`` block, its numbers type-checked.
-
-        A missing key is left for the caller, which either defaults it or
-        reports it as missing.
-        """
+        """The ``simulate.<kind>`` block, as written and checked at load."""
         try:
-            params = dict(self.simulate[kind])
+            return dict(self.simulate[kind])
         except KeyError:
             raise ConfigError(
                 f"simulate.{kind}: no parameters configured") from None
-        for key in _SIMULATE_NUMBERS.get(kind, ()):
-            if key not in params:
-                continue
-            value = params[key]
-            if key in _SIMULATE_COUNTS:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(
-                        f"simulate.{kind}.{key}: must be an integer")
-            elif not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                raise ConfigError(f"simulate.{kind}.{key}: must be a number")
-        return params
 
     def canonical_json(self) -> str:
-        return json.dumps(self._data, sort_keys=True,
+        return json.dumps(self.data, sort_keys=True,
                           separators=(",", ":"), allow_nan=False)
 
     def config_hash(self) -> str:

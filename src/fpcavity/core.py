@@ -72,6 +72,13 @@ class _JsonRecord:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
+def _require_finite(record) -> None:
+    """Reject a NaN or infinite number in any field of a value type."""
+    for name, value in vars(record).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Transition(_JsonRecord):
     """One optical transition of the emitter.
@@ -88,6 +95,7 @@ class Transition(_JsonRecord):
     free_space_lifetime: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         if not 0.0 < self.branching_ratio <= 1.0:
@@ -122,6 +130,7 @@ class CavityGeometry(_JsonRecord):
     rms_length_jitter: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.radius_of_curvature <= 0.0:
             raise ValueError("radius_of_curvature must be positive")
         if not 0.0 < self.cavity_length < self.radius_of_curvature:
@@ -151,6 +160,7 @@ class Nanoparticle(_JsonRecord):
     refractive_index: float = 1.93
 
     def __post_init__(self):
+        _require_finite(self)
         if self.diameter <= 0.0:
             raise ValueError("diameter must be positive")
         if not 0.0 < self.dopant_concentration < 1.0:

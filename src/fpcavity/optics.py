@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import SPEED_OF_LIGHT, TWO_PI, _JsonRecord
+from .core import SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_finite
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -38,6 +38,7 @@ class LossBudget(_JsonRecord):
     particle_scatter: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("transmission_in", "transmission_out",
                      "absorption_scatter", "particle_scatter"):
             if getattr(self, name) < 0.0:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CavityGeometry, Nanoparticle, _JsonRecord
+from .core import CavityGeometry, Nanoparticle, _JsonRecord, _require_finite
 from .ensemble import ChannelStrength, channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
@@ -56,12 +56,13 @@ class DetectionChain(_JsonRecord):
     dark_rate: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.path_transmission <= 1.0:
             raise ValueError("path_transmission must be in (0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in (0, 1]")
-        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
-            raise ValueError("dark_rate must be finite and >= 0")
+        if self.dark_rate < 0.0:
+            raise ValueError("dark_rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,10 @@ class PulseScheme(_JsonRecord):
     excited_population: float
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("excitation_time", "detection_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.excited_population <= 1.0:
             raise ValueError("excited_population must be in (0, 1]")
 

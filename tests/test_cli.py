@@ -243,6 +243,45 @@ def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, leaf, value, message", [
+    ("decay", ("geometry", "mode_order"), True, "must be an integer"),
+    ("decay", ("geometry", "mode_order"), 20.0, "must be an integer"),
+    ("decay", ("monte_carlo", "n_sampels"), 20000, "unknown key"),
+    ("decay", ("plann",), {}, "unknown key"),
+    ("decay", ("simulate", "decy"), {}, "unknown key"),
+    ("decay", ("simulate", "decay", "noize"), "poisson", "unknown key"),
+    ("ple", ("simulate", "ple", "use_population"), "false",
+     "must be true or false"),
+    ("decay", ("transitions", 0, "wavelength"), "abc", "must be a number"),
+    ("decay", ("nanoparticle", "diameter"), None, "must be a number"),
+    ("decay", ("simulate", "decay", "points"), 0, "must be an integer >= 1"),
+    ("decay", ("simulate", "decay", "points"), -3, "must be an integer >= 1"),
+    ("decay", ("simulate", "decay", "noise"), "gaussian",
+     "must be 'none' or 'poisson', got 'gaussian'"),
+], ids=["mode-order-bool", "mode-order-float", "unknown-mc-key",
+        "unknown-section", "unknown-kind", "unknown-decay-key",
+        "population-string", "wavelength-string", "diameter-null",
+        "points-zero", "points-negative", "noise-unknown"])
+def test_every_config_key_is_checked_at_load(tmp_path, capsys, kind, leaf,
+                                             value, message):
+    # each of these used to run and write a trace, ignoring or misreading
+    # the key, or to exit 2 without naming the key
+    data = RunConfig.default().data
+    parent = data
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "trace.csv"
+    path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in leaf).lstrip(".")
+    assert main(["simulate", kind, "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert not out.exists()
+
+
 def test_fit_bundled_dataset(capsys):
     dataset = Path(fpcavity.__file__).parent / "data" \
         / "hole_width_vs_power.csv"

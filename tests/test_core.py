@@ -1,4 +1,5 @@
 """Domain value types and unit conversions."""
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,17 @@ from fpcavity import (
     wavelength_to_frequency,
 )
 from fpcavity.core import TWO_PI, hz_to_angular
+from fpcavity.optics import LossBudget
+from fpcavity.planner import DetectionChain, PulseScheme
+
+_VALUE_TYPES = (
+    Transition(580.8e-9, 0.007, 3.3e6, 2.0e-3),
+    CavityGeometry(25e-6, 5.808e-6, 20, 8e-12),
+    Nanoparticle(70e-9, 0.003),
+    LossBudget(25.0, 200.0, 134.04),
+    DetectionChain(0.8, 0.65, 20.0),
+    PulseScheme(1e-6, 1e-3, 0.5),
+)
 
 
 def test_wavelength_to_frequency_reference_lines():
@@ -105,3 +117,16 @@ def test_nanoparticle_validation():
         Nanoparticle(diameter=60e-9, dopant_concentration=0.0)
     with pytest.raises(ValueError):
         Nanoparticle(diameter=60e-9, dopant_concentration=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("record, name", [
+    pytest.param(record, f.name, id=f"{type(record).__name__}.{f.name}")
+    for record in _VALUE_TYPES
+    for f in dataclasses.fields(record) if f.type == "float"
+])
+def test_value_types_reject_non_finite_fields(record, name, value):
+    # NaN passed every `<` domain check, and inf most of them
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        dataclasses.replace(record, **{name: value})
