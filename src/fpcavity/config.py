@@ -165,16 +165,32 @@ def _number(value, path: str):
     return value
 
 
-def _positive_number(value, path: str) -> float:
+def _positive(value, path: str):
     if _number(value, path) <= 0.0:
         raise ConfigError(f"{path}: must be a positive number")
-    return float(value)
+    return value
 
 
-def _fraction(value, path: str) -> float:
+def _non_negative(value, path: str):
+    if _number(value, path) < 0.0:
+        raise ConfigError(f"{path}: must be a number >= 0")
+    return value
+
+
+def _fraction(value, path: str):
     if not 0.0 < _number(value, path) <= 1.0:
         raise ConfigError(f"{path}: must be in (0, 1]")
-    return float(value)
+    return value
+
+
+def _float(rule):
+    """``rule``, keeping the value as a float."""
+    def checked(value, path: str) -> float:
+        return float(rule(value, path))
+    return checked
+
+
+_positive_number = _float(_positive)
 
 
 def _integer(value, path: str) -> int:
@@ -256,27 +272,37 @@ def _record(cls):
     return rule
 
 
-def _simulation(numbers: tuple, optional=(), **rules):
-    """A ``simulate.<kind>`` block: finite ``numbers``, ``points`` >= 1, an
-    optional ``noise`` model, and any further ``rules``.  The optional
-    keys are the ones ``cli._simulate_trace`` gives a default."""
-    return _object({**dict.fromkeys(numbers, _number), **rules,
-                    "points": _int_at_least(1),
+def _simulation(rules: dict, optional=()):
+    """A ``simulate.<kind>`` block: the kind's own ``rules``, which state
+    the domain its simulator needs, plus ``points`` >= 1 and an optional
+    ``noise`` model.  Values are kept as written, since the trace's
+    sidecar records them.  The optional keys are the ones
+    ``cli._simulate_trace`` gives a default."""
+    return _object({**rules, "points": _int_at_least(1),
                     "noise": _choice(NOISE_MODELS)},
                    optional=("noise", *optional))
 
 
 _SIMULATE = {
-    "ple": _simulation(("inhomogeneous_fwhm", "amplitude", "background",
-                        "span_multiple", "probe_fwhm"),
-                       ("use_population", "probe_fwhm"), use_population=_flag),
-    "saturation": _simulation(("scale", "exponent", "background",
-                               "min_power", "max_power"), ("background",)),
-    "hole": _simulation(("tooth_power", "hole_fwhm", "rate_scale",
-                         "span_multiple"), n_teeth=_int_at_least(1)),
-    "decay": _simulation(("effective_purcell", "amplitude", "background",
-                          "time_span_multiple"), ("background",),
-                         shots=_int_at_least(1)),
+    "ple": _simulation({"inhomogeneous_fwhm": _positive,
+                        "amplitude": _non_negative,
+                        "background": _non_negative,
+                        "span_multiple": _positive, "use_population": _flag,
+                        "probe_fwhm": _positive},
+                       ("use_population", "probe_fwhm")),
+    "saturation": _simulation({"scale": _non_negative, "exponent": _fraction,
+                               "background": _non_negative,
+                               "min_power": _positive, "max_power": _positive},
+                              ("background",)),
+    "hole": _simulation({"n_teeth": _int_at_least(1), "tooth_power": _positive,
+                         "hole_fwhm": _positive, "rate_scale": _non_negative,
+                         "span_multiple": _positive}),
+    # the Purcell factor's domain is cavity_lifetime's, checked in the CLI
+    "decay": _simulation({"effective_purcell": _number,
+                          "shots": _int_at_least(1),
+                          "amplitude": _non_negative,
+                          "background": _non_negative,
+                          "time_span_multiple": _positive}, ("background",)),
 }
 
 _DOCUMENT = _object({
@@ -288,7 +314,7 @@ _DOCUMENT = _object({
     "nanoparticle": _record(Nanoparticle),
     "detection": _record(DetectionChain),
     "pulse": _object({"excitation_time": _positive_number,
-                      "excited_population": _fraction}),
+                      "excited_population": _float(_fraction)}),
     "monte_carlo": _object({"n_samples": _int_at_least(2),
                             "antinode_offset_fraction": _positive_number}),
     "ion_estimate": _object({

@@ -47,8 +47,14 @@ def sample_orientation_factor(rng: np.random.Generator,
     Gaussian vectors; the mean of the factor is exactly 1/3.
     """
     n = 1 if size is None else size
-    vectors = rng.normal(size=(n, 3))
-    factor = vectors[:, 0] ** 2 / np.sum(vectors**2, axis=1)
+    squares = rng.normal(size=(n, 3))
+    squares *= squares
+    x2, y2, z2 = squares.T
+    # x^2 / ((x^2 + y^2) + z^2): the order in which a sum over each row
+    # adds its three squares, so in place gives the same bits
+    norm = x2 + y2
+    norm += z2
+    factor = np.divide(x2, norm, out=norm)
     return float(factor[0]) if size is None else factor
 
 
@@ -124,12 +130,17 @@ def _ensemble_block(seed: int, block: int, count: int, diameter: float,
     rng = _rng(seed, _DOMAIN_ENSEMBLE, block)
     orientation = sample_orientation_factor(rng, size=count)
     heights = sample_height(diameter, rng, size=count)
-    total = np.zeros(count)
+    # in place, each step the same operation on the same operands as
+    # orientation * sum(strength * standing_wave_factor), so the same bits
+    samples = np.zeros(count)
     for channel, offset in zip(channels, offsets):
-        total += channel.strength * standing_wave_factor(
-            heights, channel.wavelength, offset)
-    samples = orientation * total
-    return float(np.sum(samples)), float(np.sum(samples * samples))
+        factor = standing_wave_factor(heights, channel.wavelength, offset)
+        factor *= channel.strength
+        samples += factor
+    samples *= orientation
+    total = float(np.sum(samples))
+    samples *= samples
+    return total, float(np.sum(samples))
 
 
 def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
+from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +36,7 @@ from .ensemble import ChannelStrength, channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
 PLAN_MODES = ("contact", "open_single", "open_double")
+_OPEN_MODES = ("open_single", "open_double")
 
 CONTACT_LENGTH = 2.5e-6
 CONTACT_JITTER = 0.8e-12
@@ -139,6 +142,33 @@ class SweepRow(_JsonRecord):
     snr: float
     effective_purcell: float
 
+    def to_dict(self) -> dict:
+        # the fields hold numbers and a string, so a shallow dict equals
+        # the deep copy dataclasses.asdict makes
+        return dict(zip(_ROW_FIELDS, _row_values(self)))
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+_row_values = operator.attrgetter(*_ROW_FIELDS)
+# SweepRow has no __post_init__, so a row is nothing but its six slots:
+# these are their setters, in field order
+_ROW_SETTERS = tuple(getattr(SweepRow, name).__set__ for name in _ROW_FIELDS)
+
+
+def _block_rows(diameter, repetition_rates: list, mode: str, rates: list,
+                snrs: list, effective_purcell: float) -> list[SweepRow]:
+    """``SweepRow(diameter, f_rep, mode, rate, snr, effective_purcell)``
+    for each repetition rate and its rate and SNR, built column by
+    column."""
+    rows = list(map(object.__new__,
+                    itertools.repeat(SweepRow, len(repetition_rates))))
+    columns = (itertools.repeat(diameter), repetition_rates,
+               itertools.repeat(mode), rates, snrs,
+               itertools.repeat(effective_purcell))
+    for setter, column in zip(_ROW_SETTERS, columns):
+        deque(map(setter, rows, column), maxlen=0)
+    return rows
+
 
 def _shared_lifetime(transitions) -> float:
     lifetimes = {t.free_space_lifetime for t in transitions}
@@ -148,35 +178,40 @@ def _shared_lifetime(transitions) -> float:
     return first
 
 
-def _mode_setup(mode: str, particle: Nanoparticle, transitions, budgets,
-                radius_of_curvature: float):
-    """Geometry, channel strengths, and collection weights for one mode."""
+def _cavity(mode: str, transitions, budgets, radius_of_curvature: float):
+    """Geometry of one mode's cavity, with the transitions it enhances and
+    their bare budgets; both open modes share one cavity."""
     if mode == "contact":
         pumped = transitions[0]
         order = max(1, round(2.0 * CONTACT_LENGTH / pumped.wavelength))
         geometry = CavityGeometry(radius_of_curvature, CONTACT_LENGTH,
                                   order, CONTACT_JITTER)
-        enhanced, bare = [pumped], [budgets[0]]
-        collected = [True]
-    elif mode in ("open_single", "open_double"):
-        if len(transitions) != 2:
-            raise ValueError(f"mode {mode!r} needs exactly two transitions")
-        resonance = double_resonance(transitions[0].wavelength,
-                                     transitions[1].wavelength)
-        geometry = CavityGeometry(radius_of_curvature,
-                                  resonance.cavity_length,
-                                  resonance.mode_order_1, OPEN_JITTER)
-        enhanced, bare = list(transitions), list(budgets)
-        collected = [True, mode == "open_double"]
-    else:
+        return geometry, [pumped], [budgets[0]]
+    if mode not in _OPEN_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
+    if len(transitions) != 2:
+        raise ValueError(f"mode {mode!r} needs exactly two transitions")
+    resonance = double_resonance(transitions[0].wavelength,
+                                 transitions[1].wavelength)
+    geometry = CavityGeometry(radius_of_curvature, resonance.cavity_length,
+                              resonance.mode_order_1, OPEN_JITTER)
+    return geometry, list(transitions), list(budgets)
 
+
+def _collected(mode: str) -> list[bool]:
+    """Which of a mode's enhanced transitions reach the detector."""
+    return [True] if mode == "contact" else [True, mode == "open_double"]
+
+
+def _channel_setup(particle: Nanoparticle, geometry: CavityGeometry,
+                   enhanced, bare):
+    """Channel strengths and outcouplings of one particle in one cavity."""
     channels = channel_strengths(particle, geometry, enhanced, bare)
     outcouplings = [
         outcoupling_efficiency(loaded_budget(budget, particle.diameter,
                                              transition.wavelength))
         for transition, budget in zip(enhanced, bare)]
-    return channels, outcouplings, collected
+    return channels, outcouplings
 
 
 def _channel_sums(channels: list[ChannelStrength], outcouplings,
@@ -191,7 +226,7 @@ def _channel_sums(channels: list[ChannelStrength], outcouplings,
     return total, collect
 
 
-def _detected_rates(total: float, collect: float, excitation_time: float,
+def _detected_rates(total, collect, excitation_time: float,
                     windows, excited_population: float,
                     free_space_lifetime: float,
                     chain: DetectionChain) -> np.ndarray:
@@ -199,15 +234,17 @@ def _detected_rates(total: float, collect: float, excitation_time: float,
 
     ``total`` is the summed enhancement that speeds up the decay and
     ``collect`` the part of it that reaches the output; see
-    :func:`mode_detected_rate`.  The exponential goes through
-    ``math.expm1`` one window at a time, so every element equals the
-    scalar formula bit for bit.
+    :func:`mode_detected_rate`.  Given as columns of several channel
+    sums, they give one row of rates per sum.  Every element is the
+    scalar formula's operations in the scalar formula's order, the
+    exponential through ``math.expm1``, so it equals the scalar formula
+    bit for bit.
     """
     windows = np.asarray(windows, dtype=float)
     repetition_rates = 1.0 / (excitation_time + windows)
     exponents = -(total + 1.0) * windows / free_space_lifetime
-    decayed = -np.fromiter(map(math.expm1, exponents.tolist()), float,
-                           len(exponents))
+    decayed = -np.fromiter(map(math.expm1, exponents.ravel().tolist()),
+                           float, exponents.size).reshape(exponents.shape)
     return (excited_population * repetition_rates * decayed
             * collect / (total + 1.0)
             * chain.path_transmission * chain.detector_efficiency)
@@ -263,7 +300,8 @@ class Sweep(Sequence):
 
     def __init__(self, blocks: list[_Block]):
         self._blocks = blocks
-        self._rows = [row for block in blocks for row in block.rows]
+        self._rows = list(itertools.chain.from_iterable(
+            block.rows for block in blocks))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -317,10 +355,12 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     ``budgets`` are bare-cavity budgets in transition order; each grid
     point loads them with that diameter's scattering loss.  Repetition
     rates must be finite and leave a positive detection window after the
-    excitation pulse.  Each (mode, diameter) block sets its channels up
-    once and evaluates all repetition rates as one array.  Rows come in
-    mode, diameter, repetition-rate order, with the caller's own diameter
-    and repetition-rate objects.  The mode geometries use the constants
+    excitation pulse.  Every diameter is checked before any row is built.
+    Each diameter's channels are set up once per cavity, the two open
+    modes sharing one, and the rates of every (mode, diameter) block at
+    every repetition rate come from one array pass.  Rows come in mode,
+    diameter, repetition-rate order, with the caller's own diameter and
+    repetition-rate objects.  The mode geometries use the constants
     ``CONTACT_LENGTH``, ``CONTACT_JITTER`` and ``OPEN_JITTER``.
     """
     if isinstance(modes, str):
@@ -340,25 +380,38 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     if (windows <= 0.0).any():
         raise ValueError("repetition period must exceed the excitation time")
     lifetime = _shared_lifetime(transitions)
-    blocks = []
+    # only the diameter enters the rate; doping is a placeholder
+    particles = [Nanoparticle(diameter=diameter, dopant_concentration=0.5)
+                 for diameter in diameters]
+    setups = {}  # per cavity; the two open modes share one
+    keys, totals, collects = [], [], []
     for mode in modes:
-        for diameter in diameters:
-            # only the diameter enters the rate; doping is a placeholder
-            particle = Nanoparticle(diameter=diameter,
-                                    dopant_concentration=0.5)
-            channels, outcouplings, collected = _mode_setup(
-                mode, particle, transitions, budgets, radius_of_curvature)
+        cavity = "open" if mode in _OPEN_MODES else mode
+        if cavity not in setups:
+            geometry, enhanced, bare = _cavity(mode, transitions, budgets,
+                                               radius_of_curvature)
+            setups[cavity] = [
+                _channel_setup(particle, geometry, enhanced, bare)
+                for particle in particles]
+        collected = _collected(mode)
+        for diameter, (channels, outcouplings) in zip(diameters,
+                                                      setups[cavity]):
             total, collect = _channel_sums(channels, outcouplings, collected)
-            rates = _detected_rates(
-                total, collect, excitation_time, windows,
-                excited_population, lifetime, chain)
-            snrs = _snrs(rates, chain.dark_rate, integration_time)
-            rows = [SweepRow(diameter, f_rep, mode, rate, row_snr, total)
-                    for f_rep, rate, row_snr in zip(
-                        repetition_rates, rates.tolist(), snrs.tolist())]
-            blocks.append(_Block(mode, diameter, rows, repetition_rates,
-                                 rates, snrs))
-    return Sweep(blocks)
+            keys.append((mode, diameter, total))
+            totals.append(total)
+            collects.append(collect)
+    # one array pass for every (mode, diameter) block, a row each
+    rates = _detected_rates(
+        np.array(totals).reshape(-1, 1), np.array(collects).reshape(-1, 1),
+        excitation_time, windows, excited_population, lifetime, chain)
+    snrs = _snrs(rates, chain.dark_rate, integration_time)
+    return Sweep([
+        _Block(mode, diameter,
+               _block_rows(diameter, repetition_rates, mode,
+                           block_rates.tolist(), block_snrs.tolist(), total),
+               repetition_rates, block_rates, block_snrs)
+        for (mode, diameter, total), block_rates, block_snrs
+        in zip(keys, rates, snrs)])
 
 
 def best_operating_point(rows) -> SweepRow:

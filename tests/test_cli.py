@@ -223,13 +223,22 @@ def test_simulate_decay_rejects_negative_purcell(tmp_path, capsys,
     ("hole", "n_teeth", 200.0, "must be an integer"),
     ("saturation", "background", False, "must be a number"),
     ("ple", "probe_fwhm", None, "must be a number"),
+    ("ple", "span_multiple", 0, "must be a positive number"),
+    ("saturation", "exponent", 2, "must be in (0, 1]"),
+    ("ple", "amplitude", -5, "must be a number >= 0"),
+    ("hole", "hole_fwhm", -1, "must be a positive number"),
+    ("decay", "time_span_multiple", -1, "must be a positive number"),
+    ("saturation", "min_power", -1, "must be a positive number"),
 ], ids=["purcell-string", "points-string", "points-float", "shots-bool",
         "purcell-negative", "teeth-float", "background-bool",
-        "probe-null"])
+        "probe-null", "ple-span-zero", "exponent-two", "amplitude-negative",
+        "hole-width-negative", "decay-span-negative", "power-negative"])
 def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
                                               value, message):
     # a string Purcell factor used to exit 1 with a TypeError traceback,
-    # "12" and 2.7 points were read through int(...)
+    # "12" and 2.7 points were read through int(...); a zero ple span
+    # exited 0 with a grid of zeros, and the other domain errors exited 2
+    # without the key path, a negative power after a numpy RuntimeWarning
     data = RunConfig.default().data
     data["simulate"][kind][key] = value
     config = tmp_path / "config.json"

@@ -121,6 +121,33 @@ def test_ensemble_determinism_and_block_layout():
     assert other.mean != one.mean
 
 
+@pytest.mark.parametrize("diameter, n_samples, seed, fraction, expected", [
+    # two full blocks and a partial one of 3712 samples
+    (70e-9, 12_000, 7, 0.15,
+     (0.9080731886688715, 0.8291551521617512, 3.0065425100341483)),
+    # exactly two full blocks
+    (55e-9, 8192, 123, 0.3,
+     (0.6902569116251958, 0.6403153227031227, 3.100317156547685)),
+], ids=["partial-last-block", "full-blocks"])
+def test_ensemble_stats_are_pinned_bit_for_bit(diameter, n_samples, seed,
+                                               fraction, expected):
+    # the per-sample arithmetic may be reordered in memory, never in value
+    stats = ensemble_purcell_stats(
+        Nanoparticle(diameter, 0.003), GEOMETRY, [T580, T611], BUDGETS,
+        n_samples=n_samples, seed=seed, antinode_offset_fraction=fraction)
+    assert (stats.mean, stats.std, stats.max) == expected
+    assert (stats.n_samples, stats.seed) == (n_samples, seed)
+
+
+def test_orientation_factor_matches_normalised_gaussians_bitwise():
+    for size in (1, 7, 4096):
+        vectors = np.random.default_rng(size).normal(size=(size, 3))
+        expected = vectors[:, 0] ** 2 / np.sum(vectors**2, axis=1)
+        factors = sample_orientation_factor(np.random.default_rng(size),
+                                            size=size)
+        assert factors.tobytes() == expected.tobytes()
+
+
 def test_ensemble_stats_structure():
     particle = Nanoparticle(70e-9, 0.003)
     stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,

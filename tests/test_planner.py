@@ -23,7 +23,12 @@ from fpcavity import (
 )
 from fpcavity.core import Nanoparticle
 from fpcavity.optics import LossBudget
-from fpcavity.planner import _mode_setup, mode_detected_rate
+from fpcavity.planner import (
+    _cavity,
+    _channel_setup,
+    _collected,
+    mode_detected_rate,
+)
 
 T580 = Transition(wavelength=580.8e-9, branching_ratio=0.007,
                   homogeneous_linewidth=3.3e6, free_space_lifetime=2.0e-3)
@@ -223,6 +228,47 @@ def test_sweep_rows_are_slotted_frozen_records():
         "rate=12.5, snr=-0.0, effective_purcell=0.82)")
 
 
+def test_sweep_rows_equal_constructor_built_rows():
+    # rows are filled slot by slot, which holds only while SweepRow's
+    # __init__ does nothing but set its fields
+    assert not hasattr(SweepRow, "__post_init__")
+    diameters = (40e-9, 70e-9, float("7e-08"))
+    rates = (4000, 5000.0, 4000.0)
+    modes = ("contact", "open_single", "open_double")
+    sweep = _sweep(diameters, rates, modes)
+    assert len(sweep) == 3 * 3 * 3
+    rows = iter(sweep)
+    for mode in modes:
+        for diameter in diameters:
+            for f_rep in rates:
+                row = next(rows)
+                built = SweepRow(diameter, f_rep, mode, row.rate, row.snr,
+                                 row.effective_purcell)
+                assert row == built and hash(row) == hash(built)
+                assert repr(row) == repr(built)
+                assert row.diameter is diameter
+                assert row.repetition_rate is f_rep
+                assert row.mode == mode and type(row.mode) is str
+                for value in (row.rate, row.snr, row.effective_purcell):
+                    assert type(value) is float
+                assert not hasattr(row, "__dict__")
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    row.rate = 0.0
+
+
+@pytest.mark.parametrize("values", [
+    (6e-8, 4000, "contact", 12.5, -0.0, 0.82),
+    (7e-8, 5000.0, "open_double", 0.0, math.inf, 5),
+], ids=["int-rate-negative-zero", "int-purcell-infinite-snr"])
+def test_sweep_row_to_dict_matches_asdict(values):
+    row = SweepRow(*values)
+    shallow, deep = row.to_dict(), dataclasses.asdict(row)
+    assert list(shallow.items()) == list(deep.items())
+    for key in deep:
+        assert type(shallow[key]) is type(deep[key])
+        assert repr(shallow[key]) == repr(deep[key])
+
+
 def test_best_operating_point_matches_min_over_rows():
     # equal diameters and equal repetition rates of another type tie
     diameters = (70e-9, 40e-9, float("4e-08"))
@@ -366,8 +412,9 @@ def test_vector_sweep_matches_scalar_reference_bitwise():
         for diameter in diameters:
             particle = Nanoparticle(diameter=diameter,
                                     dopant_concentration=0.5)
-            channels, outcouplings, collected = _mode_setup(
-                mode, particle, [T580, T611], BUDGETS, 25e-6)
+            channels, outcouplings = _channel_setup(
+                particle, *_cavity(mode, [T580, T611], BUDGETS, 25e-6))
+            collected = _collected(mode)
             for f_rep in rates:
                 scheme = PulseScheme(1e-6, 1.0 / f_rep - 1e-6, 0.5)
                 rate = mode_detected_rate(channels, outcouplings, collected,
