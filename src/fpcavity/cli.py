@@ -193,11 +193,14 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
         diameter=config.ion_diameter,
         dopant_concentration=particle.dopant_concentration,
         cation_density=particle.cation_density)
-    ions_total = total_ion_count(ion_particle)
-    population = SpectralPopulation(
-        total_ions=ions_total,
-        inhomogeneous_fwhm=config.ion_inhomogeneous_fwhm,
-        hyperfine_offsets=default_hyperfine_classes())
+    try:
+        ions_total = total_ion_count(ion_particle)
+        population = SpectralPopulation(
+            total_ions=ions_total,
+            inhomogeneous_fwhm=config.ion_inhomogeneous_fwhm,
+            hyperfine_offsets=default_hyperfine_classes())
+    except ValueError as exc:  # too few ions, or more than a draw takes
+        raise ConfigError(f"ion_estimate.diameter: {exc}") from None
     addressed = ions_in_bandwidth(
         population, 0.0, config.ion_probe_bandwidth,
         seed=seed, n_draws=config.ion_draws)

@@ -199,12 +199,25 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int, maximum: int | None = None):
     def rule(value, path: str) -> int:
         if _integer(value, path) < minimum:
             raise ConfigError(f"{path}: must be an integer >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{path}: must be an integer <= {maximum}")
         return value
     return rule
+
+
+# Upper bound on every count that sizes an array: simulate.<kind>.points,
+# monte_carlo.n_samples and ion_estimate.n_draws.  At 80 MB per float array
+# it is ample for any study, and a larger count fails here with its path
+# instead of inside numpy.
+MAX_COUNT = 10**7
+
+
+def _count(minimum: int):
+    return _int_at_least(minimum, MAX_COUNT)
 
 
 # The config ``seed`` key and ``--seed`` share this rule.
@@ -274,11 +287,11 @@ def _record(cls):
 
 def _simulation(rules: dict, optional=()):
     """A ``simulate.<kind>`` block: the kind's own ``rules``, which state
-    the domain its simulator needs, plus ``points`` >= 1 and an optional
-    ``noise`` model.  Values are kept as written, since the trace's
-    sidecar records them.  The optional keys are the ones
+    the domain its simulator needs, plus ``points`` in [1, MAX_COUNT] and
+    an optional ``noise`` model.  Values are kept as written, since the
+    trace's sidecar records them.  The optional keys are the ones
     ``cli._simulate_trace`` gives a default."""
-    return _object({**rules, "points": _int_at_least(1),
+    return _object({**rules, "points": _count(1),
                     "noise": _choice(NOISE_MODELS)},
                    optional=("noise", *optional))
 
@@ -315,11 +328,11 @@ _DOCUMENT = _object({
     "detection": _record(DetectionChain),
     "pulse": _object({"excitation_time": _positive_number,
                       "excited_population": _float(_fraction)}),
-    "monte_carlo": _object({"n_samples": _int_at_least(2),
+    "monte_carlo": _object({"n_samples": _count(2),
                             "antinode_offset_fraction": _positive_number}),
     "ion_estimate": _object({
         "diameter": _positive_number, "inhomogeneous_fwhm": _positive_number,
-        "probe_bandwidth": _positive_number, "n_draws": _int_at_least(2)}),
+        "probe_bandwidth": _positive_number, "n_draws": _count(2)}),
     "plan": _object({"diameters": _list(_positive_number),
                      "repetition_rates": _list(_positive_number),
                      "modes": _list(_choice(PLAN_MODES)),

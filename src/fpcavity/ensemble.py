@@ -101,12 +101,23 @@ def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
     own scattering loss is added here before the finesse is taken.  With
     ``jitter_sigma=None`` the geometry's rms length jitter applies.
     """
+    loaded = [loaded_budget(bare, particle.diameter, transition.wavelength)
+              for transition, bare in zip(transitions, budgets, strict=True)]
+    return _loaded_channel_strengths(geometry, transitions, loaded,
+                                     jitter_sigma, refractive_index)
+
+
+def _loaded_channel_strengths(geometry: CavityGeometry, transitions, loaded,
+                              jitter_sigma: float | None = None,
+                              refractive_index: float = 1.0
+                              ) -> list[ChannelStrength]:
+    """``channel_strengths`` from budgets that already hold the particle's
+    scattering loss, for a caller that needs those budgets too."""
     if jitter_sigma is None:
         jitter_sigma = geometry.rms_length_jitter
     channels = []
-    for transition, bare in zip(transitions, budgets, strict=True):
-        loaded = loaded_budget(bare, particle.diameter, transition.wavelength)
-        report = coupling_report(transition, geometry, loaded,
+    for transition, budget in zip(transitions, loaded):
+        report = coupling_report(transition, geometry, budget,
                                  jitter_sigma=jitter_sigma,
                                  refractive_index=refractive_index)
         channels.append(ChannelStrength(wavelength=transition.wavelength,
@@ -190,8 +201,11 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
 
 def total_ion_count(particle: Nanoparticle) -> int:
     """Number of dopant ions in the particle from volume and doping."""
-    return round(particle.volume * particle.cation_density
-                 * particle.dopant_concentration)
+    try:
+        return round(particle.volume * particle.cation_density
+                     * particle.dopant_concentration)
+    except OverflowError:  # the volume, or a count past the float range
+        raise ValueError("the ion count overflows a float") from None
 
 
 def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
@@ -217,6 +231,10 @@ def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
     return tuple(classes)
 
 
+# the largest trial count numpy's binomial draw takes, a C int64
+_MAX_IONS = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class SpectralPopulation(_JsonRecord):
     """Ion population over the inhomogeneous line.
@@ -236,6 +254,9 @@ class SpectralPopulation(_JsonRecord):
     def __post_init__(self):
         if self.total_ions < 1:
             raise ValueError("total_ions must be >= 1")
+        if self.total_ions > _MAX_IONS:
+            raise ValueError(f"total_ions must be <= {_MAX_IONS} for the "
+                             f"binomial draw, got {self.total_ions:.3g}")
         if self.inhomogeneous_fwhm <= 0.0:
             raise ValueError("inhomogeneous_fwhm must be positive")
         classes = tuple((float(off), float(w))

@@ -2,9 +2,11 @@
 
 A small registry of named models (Lorentzian peak and dip, power law,
 square-root broadening, exponential decay, straight line) with automatic
-initial guesses, fitted by a damped Gauss-Newton loop with
-central-difference Jacobians.  Parameter uncertainties come from the usual
-linearized covariance s^2 (J^T W J)^-1.
+initial guesses, fitted by a damped Gauss-Newton loop.  Each model states
+its analytic partial derivatives, so one Gauss-Newton step costs one model
+pass and one Jacobian pass.  Parameter uncertainties come from the usual
+linearized covariance s^2 (J^T W J)^-1.  The central-difference Jacobian
+``_jacobian`` is kept as the oracle the analytic ones are tested against.
 
 The solver is deliberately plain: normal equations with a Levenberg
 damping term, multiplicative step control, and a relative step-size
@@ -21,9 +23,10 @@ import numpy as np
 
 from .trace import Trace
 
-# parameter kinds set the finite-difference step floor for a parameter
-# whose current value is near zero: "x" and "y" scale with the data spans,
-# "slope" with their ratio, "unit" is order one
+# parameter kinds set the scale of a parameter whose current value is near
+# zero, for the convergence test's relative step and the central-difference
+# step of _jacobian: "x" and "y" scale with the data spans, "slope" with
+# their ratio, "unit" is order one
 _KINDS = ("y", "x", "unit", "slope")
 
 
@@ -34,6 +37,8 @@ class ModelSpec:
     kinds: tuple[str, ...]
     positive: frozenset[str]
     function: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # partial derivatives at (x, p): a k x N array, one row per parameter
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     guess: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -43,10 +48,33 @@ def _lorentzian(x, p):
     return amplitude / (1.0 + u * u) + offset
 
 
+def _lorentzian_rows(x, height, center, fwhm):
+    """Partial derivatives of height / (1 + u^2), u = 2 (x - center) / fwhm,
+    with respect to height, center and fwhm."""
+    u = 2.0 * (x - center) / fwhm
+    u_squared = u * u
+    shape = 1.0 / (1.0 + u_squared)
+    square = shape * shape
+    return (shape, square * u * (4.0 * height / fwhm),
+            square * u_squared * (2.0 * height / fwhm))
+
+
+def _lorentzian_jacobian(x, p):
+    amplitude, center, fwhm, _ = p
+    return np.stack([*_lorentzian_rows(x, amplitude, center, fwhm),
+                     np.ones_like(x)])
+
+
 def _inverted_lorentzian(x, p):
     baseline, depth, center, fwhm = p
     u = 2.0 * (x - center) / fwhm
     return baseline - depth / (1.0 + u * u)
+
+
+def _inverted_lorentzian_jacobian(x, p):
+    _, depth, center, fwhm = p
+    shape, d_center, d_fwhm = _lorentzian_rows(x, -depth, center, fwhm)
+    return np.stack([np.ones_like(x), -shape, d_center, d_fwhm])
 
 
 def _power_law(x, p):
@@ -54,9 +82,21 @@ def _power_law(x, p):
     return scale * np.power(x, exponent) + offset
 
 
+def _power_law_jacobian(x, p):
+    scale, exponent, _ = p
+    power = np.power(x, exponent)
+    # x^e ln x -> 0 as x -> 0 for e > 0; taking ln 0 as 0 keeps that limit
+    log_x = np.log(x, out=np.zeros_like(x), where=x > 0.0)
+    return np.stack([power, scale * power * log_x, np.ones_like(x)])
+
+
 def _sqrt_offset(x, p):
     slope, offset = p
     return slope * np.sqrt(x) + offset
+
+
+def _sqrt_offset_jacobian(x, p):
+    return np.stack([np.sqrt(x), np.ones_like(x)])
 
 
 def _exp_decay(x, p):
@@ -64,9 +104,20 @@ def _exp_decay(x, p):
     return amplitude * np.exp(-x / lifetime) + offset
 
 
+def _exp_decay_jacobian(x, p):
+    amplitude, lifetime, _ = p
+    decay = np.exp(-x / lifetime)
+    return np.stack([decay, (amplitude / lifetime**2) * x * decay,
+                     np.ones_like(x)])
+
+
 def _linear(x, p):
     slope, intercept = p
     return slope * x + intercept
+
+
+def _linear_jacobian(x, p):
+    return np.stack([x, np.ones_like(x)])
 
 
 def _peak_width(x, y, level, above: bool) -> float:
@@ -154,23 +205,24 @@ MODELS: dict[str, ModelSpec] = {
     spec.name: spec for spec in (
         ModelSpec("lorentzian", ("amplitude", "center", "fwhm", "offset"),
                   ("y", "x", "x", "y"), frozenset({"fwhm"}),
-                  _lorentzian, _guess_lorentzian),
+                  _lorentzian, _lorentzian_jacobian, _guess_lorentzian),
         ModelSpec("inverted_lorentzian",
                   ("baseline", "depth", "center", "fwhm"),
                   ("y", "y", "x", "x"), frozenset({"fwhm"}),
-                  _inverted_lorentzian, _guess_inverted_lorentzian),
+                  _inverted_lorentzian, _inverted_lorentzian_jacobian,
+                  _guess_inverted_lorentzian),
         ModelSpec("power_law", ("scale", "exponent", "offset"),
                   ("y", "unit", "y"), frozenset({"scale"}),
-                  _power_law, _guess_power_law),
+                  _power_law, _power_law_jacobian, _guess_power_law),
         ModelSpec("sqrt_offset", ("slope", "offset"),
                   ("slope", "y"), frozenset(),
-                  _sqrt_offset, _guess_sqrt_offset),
+                  _sqrt_offset, _sqrt_offset_jacobian, _guess_sqrt_offset),
         ModelSpec("exp_decay", ("amplitude", "lifetime", "offset"),
                   ("y", "x", "y"), frozenset({"amplitude", "lifetime"}),
-                  _exp_decay, _guess_exp_decay),
+                  _exp_decay, _exp_decay_jacobian, _guess_exp_decay),
         ModelSpec("linear", ("slope", "intercept"),
                   ("slope", "y"), frozenset(),
-                  _linear, _guess_linear),
+                  _linear, _linear_jacobian, _guess_linear),
     )
 }
 
@@ -339,10 +391,10 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     iteration = 0
     while iteration < max_iterations:
         iteration += 1
-        jac = _jacobian(spec, x, params, floors)
-        jtw = jac.T * w
-        normal = jtw @ jac
-        gradient = jtw @ residual
+        jac = spec.jacobian(x, params)
+        jw = jac * w
+        normal = jw @ jac.T
+        gradient = jw @ residual
         diagonal = np.diag(normal).copy()
         diagonal[diagonal <= 0.0] = max(np.max(diagonal), 1.0)
         try:
@@ -372,8 +424,8 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
             if damping > 1e12:
                 break
 
-    jac = _jacobian(spec, x, params, floors)
-    normal = (jac.T * w) @ jac
+    jac = spec.jacobian(x, params)
+    normal = (jac * w) @ jac.T
     errors = np.full(k, math.nan)
     dof = len(x) - k
     if dof > 0:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CavityGeometry, Nanoparticle, _JsonRecord, _require_finite
-from .ensemble import ChannelStrength, channel_strengths
+from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
 PLAN_MODES = ("contact", "open_single", "open_double")
@@ -205,13 +205,12 @@ def _collected(mode: str) -> list[bool]:
 
 def _channel_setup(particle: Nanoparticle, geometry: CavityGeometry,
                    enhanced, bare):
-    """Channel strengths and outcouplings of one particle in one cavity."""
-    channels = channel_strengths(particle, geometry, enhanced, bare)
-    outcouplings = [
-        outcoupling_efficiency(loaded_budget(budget, particle.diameter,
-                                             transition.wavelength))
-        for transition, budget in zip(enhanced, bare)]
-    return channels, outcouplings
+    """Channel strengths and outcouplings of one particle in one cavity,
+    both from one loaded budget per transition."""
+    loaded = [loaded_budget(budget, particle.diameter, transition.wavelength)
+              for transition, budget in zip(enhanced, bare, strict=True)]
+    channels = _loaded_channel_strengths(geometry, enhanced, loaded)
+    return channels, [outcoupling_efficiency(budget) for budget in loaded]
 
 
 def _channel_sums(channels: list[ChannelStrength], outcouplings,

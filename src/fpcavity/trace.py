@@ -60,13 +60,20 @@ class Trace:
         return self.x.size
 
 
+# lines formatted and written at a time, so a long trace never holds its
+# whole text in memory
+_WRITE_BLOCK = 8192
+
+
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the trace in the canonical CSV dialect."""
-    body = "".join([f"{x!r},{y!r}\n"
-                    for x, y in zip(trace.x.tolist(), trace.y.tolist())])
     with Path(path).open("w", newline="\n") as handle:
         handle.write("x,y\n")
-        handle.write(body)
+        for start in range(0, len(trace), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            handle.write("".join([
+                f"{x!r},{y!r}\n" for x, y in zip(trace.x[block].tolist(),
+                                                  trace.y[block].tolist())]))
 
 
 def read_trace_csv(path) -> Trace:

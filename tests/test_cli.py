@@ -265,12 +265,14 @@ def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
     ("decay", ("nanoparticle", "diameter"), None, "must be a number"),
     ("decay", ("simulate", "decay", "points"), 0, "must be an integer >= 1"),
     ("decay", ("simulate", "decay", "points"), -3, "must be an integer >= 1"),
+    ("decay", ("simulate", "decay", "points"), 10**30,
+     "must be an integer <= 10000000"),
     ("decay", ("simulate", "decay", "noise"), "gaussian",
      "must be 'none' or 'poisson', got 'gaussian'"),
 ], ids=["mode-order-bool", "mode-order-float", "unknown-mc-key",
         "unknown-section", "unknown-kind", "unknown-decay-key",
         "population-string", "wavelength-string", "diameter-null",
-        "points-zero", "points-negative", "noise-unknown"])
+        "points-zero", "points-negative", "points-huge", "noise-unknown"])
 def test_every_config_key_is_checked_at_load(tmp_path, capsys, kind, leaf,
                                              value, message):
     # each of these used to run and write a trace, ignoring or misreading
@@ -289,6 +291,24 @@ def test_every_config_key_is_checked_at_load(tmp_path, capsys, kind, leaf,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {path}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("diameter, message", [
+    (1000.0, "total_ions must be <= 9223372036854775807 for the binomial "
+             "draw, got 8.39e+34"),
+    (1e200, "the ion count overflows a float"),
+    (1e-12, "total_ions must be >= 1"),
+])
+def test_purcell_ion_count_out_of_range_names_the_diameter(
+        tmp_path, capsys, diameter, message):
+    # the first two used to exit 1 with an OverflowError traceback
+    data = RunConfig.default().data
+    data["ion_estimate"]["diameter"] = diameter
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["purcell", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: ion_estimate.diameter: {message}\n")
 
 
 def test_fit_bundled_dataset(capsys):

@@ -14,11 +14,16 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpcavity.cli import main
-from fpcavity.config import ConfigError, RunConfig, default_config_data
+from fpcavity.config import (
+    MAX_COUNT,
+    ConfigError,
+    RunConfig,
+    default_config_data,
+)
 
 DEFAULT = default_config_data()
 FUZZ = settings(derandomize=True, database=None, deadline=None)
@@ -61,6 +66,13 @@ EDITS = st.one_of(
     st.tuples(st.just("add"), st.sampled_from(OBJECTS),
               st.sampled_from(["extra", "n_sampels", "noize"])),
 )
+
+
+def _replaced(path, value):
+    """A copy of the default with the leaf at ``path`` set to ``value``."""
+    document = copy.deepcopy(DEFAULT)
+    _at(document, path[:-1])[path[-1]] = value
+    return document
 
 
 @st.composite
@@ -106,17 +118,43 @@ def test_loader_rejects_or_holds_finite_numbers(document):
     assert set(_paths(document)) <= set(PATHS)  # no key silently ignored
 
 
+COUNTS = [("simulate", kind, "points") for kind in DEFAULT["simulate"]] \
+    + [("monte_carlo", "n_samples"), ("ion_estimate", "n_draws")]
+
+
+@pytest.mark.parametrize("path", COUNTS, ids=".".join)
+def test_counts_that_size_arrays_are_bounded(path):
+    # loaded only: nothing is allocated at any of these sizes
+    assert MAX_COUNT == 10**7
+    RunConfig(_replaced(path, MAX_COUNT))
+    for value in (MAX_COUNT + 1, 10**30):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(_replaced(path, value))
+        assert str(info.value) == (
+            f"{'.'.join(path)}: must be an integer <= {MAX_COUNT}")
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
 
 
-@pytest.mark.parametrize("command", ["cavity", "plan"])
+@pytest.mark.parametrize(
+    "command", ["cavity", "plan", "purcell", "simulate ple",
+                "simulate saturation", "simulate hole", "simulate decay"],
+    ids=lambda command: command.replace(" ", "-"))
 @FUZZ
 @given(document=fuzzed_documents())
+# a diameter of about 5 mm or more puts the ion count past the binomial
+# draw's 2**63 - 1, and from about 1e102 m the volume overflows a float
+@example(document=_replaced(("ion_estimate", "diameter"), 1000.0))
+@example(document=_replaced(("ion_estimate", "diameter"), 1e200))
 def test_cli_exits_0_or_2_on_fuzzed_config(config_file, command, document):
     config_file.write_text(json.dumps(document))
+    argv = [*command.split(), "--config", str(config_file)]
+    if argv[0] == "simulate":
+        argv += ["--out", str(config_file.with_name("trace.csv"))]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--config", str(config_file)])
+        code = main(argv)
     assert code in (0, 2)

@@ -175,6 +175,16 @@ def test_ensemble_partial_block_sizes():
 def test_total_ion_count():
     assert total_ion_count(Nanoparticle(60e-9, 0.003)) == 18118
     assert total_ion_count(Nanoparticle(90e-9, 0.003)) == 61149
+    # the volume overflows a float from about 1e102 m
+    with pytest.raises(ValueError, match="overflows a float"):
+        total_ion_count(Nanoparticle(1e200, 0.003))
+
+
+def test_spectral_population_takes_at_most_an_int64_of_ions():
+    # numpy's binomial draw takes a C int64 trial count
+    SpectralPopulation(total_ions=2**63 - 1, inhomogeneous_fwhm=34e9)
+    with pytest.raises(ValueError, match="total_ions must be <= "):
+        SpectralPopulation(total_ions=2**63, inhomogeneous_fwhm=34e9)
 
 
 def test_default_hyperfine_classes():

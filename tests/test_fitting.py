@@ -1,4 +1,5 @@
 """Model registry, automatic guesses, and the least-squares solver."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fpcavity import (
     decay_histogram,
     fit,
 )
+from fpcavity import fitting
 from fpcavity.fitting import _jacobian, _step_floors
 
 
@@ -81,6 +83,72 @@ def test_jacobian_matches_analytic_lorentzian():
     for j in range(4):
         scale = np.max(np.abs(analytic[:, j]))
         assert np.max(np.abs(numeric[:, j] - analytic[:, j])) < 1e-4 * scale
+
+
+# three parameter points per model, in registry order: the clean case's
+# truth and two points away from it
+JACOBIAN_POINTS = {
+    "lorentzian": [(1000.0, 2e6, 5e5, 50.0), (-30.0, 0.0, 3e6, -2.0),
+                   (5.0, 4.5e6, 1e5, 1e3)],
+    "inverted_lorentzian": [(1414.0, 1273.0, 3e6, 1.2e7),
+                            (10.0, -4.0, -5e7, 2e6), (0.0, 1.0, 0.0, 1e8)],
+    "power_law": [(1000.0, 0.5, 20.0), (0.3, 1.7, -5.0), (2e4, -0.8, 0.0)],
+    "sqrt_offset": [(6.4e9, 3.3e6), (-1.0, 0.0), (1e3, -7e6)],
+    "exp_decay": [(1000.0, 1.1e-3, 40.0), (0.2, 5e-3, -1.0),
+                  (3e4, 2e-4, 0.0)],
+    "linear": [(-3.0, 7.0), (0.0, 0.0), (1e6, -2e-3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_analytic_jacobian_matches_central_differences(name):
+    spec = MODELS[name]
+    x, _, _ = _clean_case(name)
+    for point in JACOBIAN_POINTS[name]:
+        params = np.array(point)
+        y = spec.function(x, params)
+        analytic = spec.jacobian(x, params)
+        assert analytic.shape == (len(params), len(x))
+        numeric = _jacobian(spec, x, params, _step_floors(spec, x, y))
+        for j, row in enumerate(analytic):
+            scale = np.max(np.abs(row))
+            assert np.max(np.abs(numeric[:, j] - row)) <= 1e-5 * scale, \
+                (point, spec.parameters[j])
+
+
+def test_power_law_exponent_derivative_is_zero_at_the_origin():
+    spec = MODELS["power_law"]
+    x = np.linspace(0.0, 10.0, 11)
+    jac = spec.jacobian(x, np.array([3.0, 0.5, 1.0]))
+    assert np.all(np.isfinite(jac))
+    assert jac[1, 0] == 0.0
+    assert np.allclose(jac[1, 1:], 3.0 * np.sqrt(x[1:]) * np.log(x[1:]),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_each_iteration_makes_one_model_and_one_jacobian_pass(monkeypatch):
+    spec = MODELS["exp_decay"]
+    calls = {"function": 0, "jacobian": 0}
+
+    def counted(kind):
+        original = getattr(spec, kind)
+
+        def wrapper(x, p):
+            calls[kind] += 1
+            return original(x, p)
+        return wrapper
+
+    monkeypatch.setitem(fitting.MODELS, "exp_decay", dataclasses.replace(
+        spec, function=counted("function"), jacobian=counted("jacobian")))
+    t = np.linspace(0.0, 5e-3, 100)
+    trace = decay_histogram(1.1e-3, t, 20000, 0.05, background=0.002,
+                            seed=1)
+    result = fit("exp_decay", trace, weights="poisson")
+    assert result.converged and result.iterations >= 3
+    # the initial cost, then one trial per iteration
+    assert calls["function"] == result.iterations + 1
+    # one per iteration, then one for the standard errors
+    assert calls["jacobian"] == result.iterations + 1
 
 
 def test_auto_guess_flat_data_raises():

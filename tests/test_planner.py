@@ -21,8 +21,10 @@ from fpcavity import (
     sweep_grid,
     write_sweep_csv,
 )
+from fpcavity import ensemble, planner
 from fpcavity.core import Nanoparticle
-from fpcavity.optics import LossBudget
+from fpcavity.ensemble import channel_strengths
+from fpcavity.optics import LossBudget, loaded_budget, outcoupling_efficiency
 from fpcavity.planner import (
     _cavity,
     _channel_setup,
@@ -387,6 +389,26 @@ def test_sweep_reads_diameter_generator_once():
     generated = _sweep((d for d in diameters), (4000.0, 5000.0), modes)
     assert len(listed) == 3 * 3 * 2
     assert generated == listed
+
+
+def test_channel_setup_loads_each_budget_once(monkeypatch):
+    loads = []
+
+    def counted(budget, diameter, wavelength):
+        loads.append(wavelength)
+        return loaded_budget(budget, diameter, wavelength)
+
+    geometry, enhanced, bare = _cavity("open_double", [T580, T611], BUDGETS,
+                                       25e-6)
+    particle = Nanoparticle(diameter=70e-9, dopant_concentration=0.5)
+    expected = (channel_strengths(particle, geometry, enhanced, bare),
+                [outcoupling_efficiency(loaded_budget(b, 70e-9, t.wavelength))
+                 for t, b in zip(enhanced, bare)])
+    for module in (planner, ensemble):
+        monkeypatch.setattr(module, "loaded_budget", counted)
+    assert _channel_setup(particle, geometry, enhanced, bare) == expected
+    # the strengths and the outcouplings share one loaded budget each
+    assert loads == [T580.wavelength, T611.wavelength]
 
 
 def _scalar_rate(channels, outcouplings, collected, scheme, lifetime, chain):

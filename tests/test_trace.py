@@ -89,6 +89,23 @@ def test_round_trip_of_a_large_trace_is_bit_exact(tmp_path):
     assert _bits(back.y) == _bits(y)
 
 
+BLOCK = trace_module._WRITE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_block_writes_equal_the_one_shot_body(tmp_path, n):
+    special = [-0.0, math.inf, math.nan, 1e16, 5e-324, -math.inf]
+    x = np.linspace(-1.0, 1.0, n)
+    y = np.arange(n, dtype=float) * 0.1
+    x[:len(special)] = special[:n]
+    y[-len(special):] = special[-n:]
+    out = tmp_path / "t.csv"
+    write_trace_csv(Trace(x=x, y=y), out)
+    one_shot = "".join([f"{a!r},{b!r}\n"
+                        for a, b in zip(x.tolist(), y.tolist())])
+    assert out.read_bytes() == ("x,y\n" + one_shot).encode()
+
+
 @pytest.mark.parametrize("text", ["x,y\n1,2\n3,4\n", "x,y\n1_0,2\n3,4\n"],
                          ids=["bulk", "line-loop"])
 def test_returned_columns_are_contiguous_read_only_float64(tmp_path, text):
