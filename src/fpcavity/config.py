@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .core import (
+    MAX_DIAMETER,
     TOOLKIT_VERSION,
     CavityGeometry,
     Nanoparticle,
@@ -193,6 +194,13 @@ def _float(rule):
 _positive_number = _float(_positive)
 
 
+def _diameter(value, path: str) -> float:
+    if _positive(value, path) > MAX_DIAMETER:
+        raise ConfigError(f"{path}: must be a positive number <= "
+                          f"{MAX_DIAMETER:g}")
+    return float(value)
+
+
 def _integer(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: must be an integer")
@@ -331,9 +339,9 @@ _DOCUMENT = _object({
     "monte_carlo": _object({"n_samples": _count(2),
                             "antinode_offset_fraction": _positive_number}),
     "ion_estimate": _object({
-        "diameter": _positive_number, "inhomogeneous_fwhm": _positive_number,
+        "diameter": _diameter, "inhomogeneous_fwhm": _positive_number,
         "probe_bandwidth": _positive_number, "n_draws": _count(2)}),
-    "plan": _object({"diameters": _list(_positive_number),
+    "plan": _object({"diameters": _list(_diameter),
                      "repetition_rates": _list(_positive_number),
                      "modes": _list(_choice(PLAN_MODES)),
                      "integration_time": _positive_number}),

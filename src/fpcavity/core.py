@@ -27,6 +27,8 @@ TWO_PI = 2.0 * math.pi
 
 # cation site density of the cubic yttria host
 YTTRIA_CATION_DENSITY = 5.34e28  # m^-3
+# largest particle diameter (m): the Rayleigh D^6 loss needs D << lambda
+MAX_DIAMETER = 1e-6
 
 
 class NumericalError(RuntimeError):
@@ -40,22 +42,19 @@ def hz_to_angular(frequency):
 
 def wavelength_to_frequency(wavelength: float) -> float:
     """Vacuum wavelength (m) to optical frequency (Hz)."""
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    _require_positive("wavelength", wavelength)
     return SPEED_OF_LIGHT / wavelength
 
 
 def frequency_to_wavelength(frequency: float) -> float:
     """Optical frequency (Hz) to vacuum wavelength (m)."""
-    if frequency <= 0.0:
-        raise ValueError("frequency must be positive")
+    _require_positive("frequency", frequency)
     return SPEED_OF_LIGHT / frequency
 
 
 def linewidth_to_coherence_time(fwhm: float) -> float:
     """Coherence time 1/(pi * FWHM) of a Lorentzian line of width ``fwhm`` Hz."""
-    if fwhm <= 0.0:
-        raise ValueError("linewidth must be positive")
+    _require_positive("linewidth", fwhm)
     return 1.0 / (math.pi * fwhm)
 
 
@@ -79,6 +78,12 @@ def _require_finite(record) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Reject a value that is not a finite number above zero (NaN too)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class Transition(_JsonRecord):
     """One optical transition of the emitter.
@@ -96,12 +101,10 @@ class Transition(_JsonRecord):
 
     def __post_init__(self):
         _require_finite(self)
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        _require_positive("wavelength", self.wavelength)
         if not 0.0 < self.branching_ratio <= 1.0:
             raise ValueError("branching_ratio must be in (0, 1]")
-        if self.free_space_lifetime <= 0.0:
-            raise ValueError("free_space_lifetime must be positive")
+        _require_positive("free_space_lifetime", self.free_space_lifetime)
         floor = 1.0 / (TWO_PI * self.free_space_lifetime)
         if self.homogeneous_linewidth < floor:
             raise ValueError(
@@ -131,8 +134,7 @@ class CavityGeometry(_JsonRecord):
 
     def __post_init__(self):
         _require_finite(self)
-        if self.radius_of_curvature <= 0.0:
-            raise ValueError("radius_of_curvature must be positive")
+        _require_positive("radius_of_curvature", self.radius_of_curvature)
         if not 0.0 < self.cavity_length < self.radius_of_curvature:
             raise ValueError(
                 "cavity_length must lie in (0, radius_of_curvature) for a "
@@ -148,7 +150,7 @@ class CavityGeometry(_JsonRecord):
 class Nanoparticle(_JsonRecord):
     """Doped dielectric nanosphere resting on the flat mirror.
 
-    diameter: m
+    diameter: m, at most ``MAX_DIAMETER``
     dopant_concentration: dopant fraction of cation sites, in (0, 1)
     cation_density: host cation site density (m^-3)
     refractive_index: bulk index of the particle host
@@ -161,12 +163,11 @@ class Nanoparticle(_JsonRecord):
 
     def __post_init__(self):
         _require_finite(self)
-        if self.diameter <= 0.0:
-            raise ValueError("diameter must be positive")
+        if not 0.0 < self.diameter <= MAX_DIAMETER:
+            raise ValueError(f"diameter must be in (0, {MAX_DIAMETER:g}] m")
         if not 0.0 < self.dopant_concentration < 1.0:
             raise ValueError("dopant_concentration must be in (0, 1)")
-        if self.cation_density <= 0.0:
-            raise ValueError("cation_density must be positive")
+        _require_positive("cation_density", self.cation_density)
         if self.refractive_index < 1.0:
             raise ValueError("refractive_index must be >= 1")
 

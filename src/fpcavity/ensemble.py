@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CavityGeometry, Nanoparticle, _JsonRecord
+from .core import CavityGeometry, Nanoparticle, _JsonRecord, _require_positive
 from .optics import loaded_budget
 from .purcell import coupling_report
 from .trace import Trace
@@ -43,18 +43,13 @@ def sample_orientation_factor(rng: np.random.Generator,
                               size: int | None = None):
     """Projection factor |d . e|^2 of an isotropic dipole on a fixed axis.
 
-    Dipole directions are drawn uniformly on the sphere via normalized
-    Gaussian vectors; the mean of the factor is exactly 1/3.
+    |d . e| of an isotropic dipole is uniform on [0, 1] (Archimedes'
+    hat-box theorem; Marsaglia, Ann. Math. Stat. 43, 645 (1972)), so the
+    factor is u^2 of one uniform u: CDF sqrt(o), mean exactly 1/3.
     """
     n = 1 if size is None else size
-    squares = rng.normal(size=(n, 3))
-    squares *= squares
-    x2, y2, z2 = squares.T
-    # x^2 / ((x^2 + y^2) + z^2): the order in which a sum over each row
-    # adds its three squares, so in place gives the same bits
-    norm = x2 + y2
-    norm += z2
-    factor = np.divide(x2, norm, out=norm)
+    factor = rng.random(n)
+    factor *= factor
     return float(factor[0]) if size is None else factor
 
 
@@ -63,19 +58,27 @@ def sample_height(diameter: float, rng: np.random.Generator,
     """Height above the mirror of a uniform point in a resting sphere.
 
     The cross-section area of a sphere of diameter D at height z goes as
-    z (D - z), which is a Beta(2, 2) profile scaled to [0, D].
+    z (D - z), a Beta(2, 2) profile scaled to [0, D].  Its CDF 3t^2 - 2t^3
+    inverts by the trigonometric root of the cubic, t = 1/2 + sin(asin(2u -
+    1) / 3) of one uniform u (Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. II).
     """
-    if diameter <= 0.0:
-        raise ValueError("diameter must be positive")
+    _require_positive("diameter", diameter)
     n = 1 if size is None else size
-    heights = diameter * rng.beta(2.0, 2.0, size=n)
+    heights = rng.random(n)
+    heights *= 2.0
+    heights -= 1.0
+    np.arcsin(heights, out=heights)
+    heights /= 3.0
+    np.sin(heights, out=heights)
+    heights += 0.5
+    heights *= diameter
     return float(heights[0]) if size is None else heights
 
 
 def standing_wave_factor(height, wavelength: float, antinode_offset: float):
     """Intensity factor sin^2(2 pi (z + z0) / lambda) of the standing wave."""
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    _require_positive("wavelength", wavelength)
     return np.sin(2.0 * math.pi * (np.asarray(height) + antinode_offset)
                   / wavelength) ** 2
 
@@ -163,17 +166,21 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
 
     Each sample is one ion: a shared random dipole orientation and a shared
     random height, multiplied into every transition's deterministic channel
-    strength (jitter and bad-emitter factors are deterministic).  The
+    strength (jitter and bad-emitter factors are deterministic).  Both are
+    inverse-CDF draws from their exact marginals, one uniform each.  The
     ``max`` field is the analytic ceiling with orientation and position
     factors set to 1, not a sample maximum.
 
     The sample range is split into fixed blocks of 4096 samples, each on
-    its own counter-based stream keyed on (seed, block).  That layout, and
-    the block-order reduction, fix the result for a given ``seed`` and
+    its own counter-based stream keyed on (seed, block) that yields the
+    block's orientation uniforms, then its height uniforms.  That layout,
+    and the block-order reduction, fix the result for a given ``seed`` and
     ``n_samples`` bit for bit.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if not math.isfinite(antinode_offset_fraction):
+        raise ValueError("antinode_offset_fraction must be finite")
     channels = channel_strengths(particle, geometry, transitions, budgets,
                                  jitter_sigma=jitter_sigma,
                                  refractive_index=refractive_index)
@@ -201,11 +208,8 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
 
 def total_ion_count(particle: Nanoparticle) -> int:
     """Number of dopant ions in the particle from volume and doping."""
-    try:
-        return round(particle.volume * particle.cation_density
-                     * particle.dopant_concentration)
-    except OverflowError:  # the volume, or a count past the float range
-        raise ValueError("the ion count overflows a float") from None
+    return round(particle.volume * particle.cation_density
+                 * particle.dopant_concentration)
 
 
 def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
@@ -257,8 +261,7 @@ class SpectralPopulation(_JsonRecord):
         if self.total_ions > _MAX_IONS:
             raise ValueError(f"total_ions must be <= {_MAX_IONS} for the "
                              f"binomial draw, got {self.total_ions:.3g}")
-        if self.inhomogeneous_fwhm <= 0.0:
-            raise ValueError("inhomogeneous_fwhm must be positive")
+        _require_positive("inhomogeneous_fwhm", self.inhomogeneous_fwhm)
         classes = tuple((float(off), float(w))
                         for off, w in self.hyperfine_offsets)
         if not classes:
@@ -290,8 +293,7 @@ def expected_ions_in_bandwidth(population: SpectralPopulation,
                                probe_frequency: float,
                                bandwidth: float) -> float:
     """Analytic expectation of the ion count inside the probe window."""
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    _require_positive("bandwidth", bandwidth)
     half = 0.5 * population.inhomogeneous_fwhm
     lo = probe_frequency - 0.5 * bandwidth
     hi = probe_frequency + 0.5 * bandwidth
@@ -347,8 +349,7 @@ def sfs_spectrum(population: SpectralPopulation, probe_fwhm: float,
     ``rate_per_ion`` times the number of ions within half a probe width of
     that frequency.  The same seed always reproduces the same structure.
     """
-    if probe_fwhm <= 0.0:
-        raise ValueError("probe_fwhm must be positive")
+    _require_positive("probe_fwhm", probe_fwhm)
     if rate_per_ion < 0.0:
         raise ValueError("rate_per_ion must be >= 0")
     grid = np.asarray(grid, dtype=float)

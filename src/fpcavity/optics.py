@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_finite
+from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_finite,
+                   _require_positive)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -43,8 +44,7 @@ class LossBudget(_JsonRecord):
                      "absorption_scatter", "particle_scatter"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0 ppm")
-        if self.total <= 0.0:
-            raise ValueError("total loss must be positive")
+        _require_positive("total loss", self.total)
 
     @property
     def total(self) -> float:
@@ -75,8 +75,7 @@ class DoubleResonance(_JsonRecord):
 
 def free_spectral_range(cavity_length: float) -> float:
     """FSR = c / (2 d) in Hz."""
-    if cavity_length <= 0.0:
-        raise ValueError("cavity_length must be positive")
+    _require_positive("cavity_length", cavity_length)
     return SPEED_OF_LIGHT / (2.0 * cavity_length)
 
 
@@ -93,8 +92,7 @@ def mode_waist(wavelength: float, radius_of_curvature: float,
     radius_of_curvature : concave mirror radius R (m)
     cavity_length : mirror separation d (m)
     """
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    _require_positive("wavelength", wavelength)
     if not 0.0 < cavity_length < radius_of_curvature:
         raise ValueError("unstable geometry: need 0 < cavity_length < "
                          "radius_of_curvature")
@@ -109,8 +107,7 @@ def resonance_length(wavelength: float, mode_order: int) -> float:
     The mirrors are treated as hard boundaries, without field penetration
     into the coatings.
     """
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    _require_positive("wavelength", wavelength)
     if mode_order < 1:
         raise ValueError("mode_order must be >= 1")
     return mode_order * wavelength / 2.0
@@ -162,10 +159,8 @@ def particle_scattering_loss(diameter: float,
     Scales as diameter^6 and wavelength^-4 from the calibrated reference
     particle (13 ppm for 60 nm at 580.8 nm).
     """
-    if diameter <= 0.0:
-        raise ValueError("diameter must be positive")
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    _require_positive("diameter", diameter)
+    _require_positive("wavelength", wavelength)
     size = diameter / RAYLEIGH_REFERENCE_DIAMETER
     color = wavelength / RAYLEIGH_REFERENCE_WAVELENGTH
     return (RAYLEIGH_REFERENCE_LOSS_PPM * size**6

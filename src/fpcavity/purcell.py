@@ -18,12 +18,13 @@ from .core import (
     HBAR,
     SPEED_OF_LIGHT,
     TWO_PI,
+    CavityGeometry,
     Transition,
     _JsonRecord,
+    _require_positive,
     hz_to_angular,
 )
 from .optics import LossBudget, cavity_linewidth, finesse, mode_waist
-from .core import CavityGeometry
 
 
 def nominal_purcell(wavelength: float, finesse_value: float,
@@ -38,8 +39,7 @@ def nominal_purcell(wavelength: float, finesse_value: float,
     """
     if wavelength <= 0.0 or waist <= 0.0:
         raise ValueError("wavelength and waist must be positive")
-    if finesse_value <= 0.0:
-        raise ValueError("finesse must be positive")
+    _require_positive("finesse", finesse_value)
     if refractive_index < 1.0:
         raise ValueError("refractive_index must be >= 1")
     reduced = wavelength / refractive_index
@@ -94,8 +94,7 @@ def bad_emitter_factor(cavity_linewidth_fwhm: float,
     Approaches 1 when the cavity line dominates and suppresses the
     enhancement once the emitter line outgrows it.
     """
-    if cavity_linewidth_fwhm <= 0.0:
-        raise ValueError("cavity_linewidth_fwhm must be positive")
+    _require_positive("cavity_linewidth_fwhm", cavity_linewidth_fwhm)
     if homogeneous_linewidth_fwhm < 0.0:
         raise ValueError("homogeneous_linewidth_fwhm must be >= 0")
     return cavity_linewidth_fwhm / (cavity_linewidth_fwhm
@@ -202,8 +201,7 @@ def purcell_from_lifetimes(free_lifetime: float,
 
 def cavity_lifetime(free_lifetime: float, effective: float) -> float:
     """Shortened excited-state lifetime T1 / (F_eff + 1)."""
-    if free_lifetime <= 0.0:
-        raise ValueError("free_lifetime must be positive")
+    _require_positive("free_lifetime", free_lifetime)
     if effective < 0.0:
         raise ValueError("effective Purcell factor must be >= 0")
     return free_lifetime / (effective + 1.0)
@@ -242,8 +240,7 @@ def coupling_rate(effective: float, cavity_linewidth_fwhm: float,
     """
     if effective < 0.0:
         raise ValueError("effective Purcell factor must be >= 0")
-    if free_lifetime <= 0.0:
-        raise ValueError("free_lifetime must be positive")
+    _require_positive("free_lifetime", free_lifetime)
     kappa_ang = hz_to_angular(cavity_linewidth_fwhm)
     gamma_h_ang = hz_to_angular(homogeneous_linewidth_fwhm)
     if kappa_ang <= 0.0 or gamma_h_ang < 0.0:
@@ -277,12 +274,11 @@ def saturation_intensity(homogeneous_linewidth_fwhm: float,
     an angular rate.  The branching ratio in the denominator reflects that
     only a small fraction of the decay returns through the driven line.
     """
-    if homogeneous_linewidth_fwhm <= 0.0:
-        raise ValueError("homogeneous_linewidth_fwhm must be positive")
+    _require_positive("homogeneous_linewidth_fwhm",
+                      homogeneous_linewidth_fwhm)
     if not 0.0 < branching_ratio <= 1.0:
         raise ValueError("branching_ratio must be in (0, 1]")
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    _require_positive("wavelength", wavelength)
     gamma_h_ang = hz_to_angular(homogeneous_linewidth_fwhm)
     return (4.0 * math.pi**3 / 3.0 * HBAR * SPEED_OF_LIGHT * gamma_h_ang
             / (branching_ratio * wavelength**3))
@@ -295,8 +291,7 @@ def saturation_power(intensity: float, waist: float) -> float:
     """
     if intensity < 0.0:
         raise ValueError("intensity must be >= 0")
-    if waist <= 0.0:
-        raise ValueError("waist must be positive")
+    _require_positive("waist", waist)
     return intensity * math.pi * waist**2 / 2.0
 
 

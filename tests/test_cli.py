@@ -294,14 +294,16 @@ def test_every_config_key_is_checked_at_load(tmp_path, capsys, kind, leaf,
 
 
 @pytest.mark.parametrize("diameter, message", [
-    (1000.0, "total_ions must be <= 9223372036854775807 for the binomial "
-             "draw, got 8.39e+34"),
-    (1e200, "the ion count overflows a float"),
+    pytest.param(1000.0, "must be a positive number <= 1e-06",
+                 id="1000.0-past-the-ceiling"),
+    pytest.param(1e200, "must be a positive number <= 1e-06",
+                 id="1e+200-past-the-ceiling"),
     (1e-12, "total_ions must be >= 1"),
 ])
 def test_purcell_ion_count_out_of_range_names_the_diameter(
         tmp_path, capsys, diameter, message):
-    # the first two used to exit 1 with an OverflowError traceback
+    # the first two used to exit 1 with an OverflowError traceback; the
+    # config's diameter ceiling now stops them before any ion is counted
     data = RunConfig.default().data
     data["ion_estimate"]["diameter"] = diameter
     config = tmp_path / "config.json"
@@ -309,6 +311,33 @@ def test_purcell_ion_count_out_of_range_names_the_diameter(
     assert main(["purcell", "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
         f"config error: ion_estimate.diameter: {message}\n")
+
+
+@pytest.mark.parametrize("command, leaf, message", [
+    ("cavity", ("nanoparticle", "diameter"),
+     "nanoparticle: diameter must be in (0, 1e-06] m"),
+    ("purcell", ("nanoparticle", "diameter"),
+     "nanoparticle: diameter must be in (0, 1e-06] m"),
+    ("plan", ("plan", "diameters", 0),
+     "plan.diameters[0]: must be a positive number <= 1e-06"),
+], ids=["cavity", "purcell", "plan"])
+def test_diameter_past_the_rayleigh_ceiling_exits_2_with_its_path(
+        tmp_path, capsys, command, leaf, message):
+    # 1e200 passed the finite-number rule and then exited 1 with an
+    # OverflowError from the D^6 scattering loss
+    data = RunConfig.default().data
+    parent = data
+    for key in leaf[:-1]:
+        parent = parent[key]
+    parent[leaf[-1]] = 1e200
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    # the ceiling itself is accepted
+    parent[leaf[-1]] = 1e-6
+    config.write_text(json.dumps(data))
+    RunConfig.from_file(config)
 
 
 def test_fit_bundled_dataset(capsys):

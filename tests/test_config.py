@@ -145,10 +145,13 @@ def config_file(tmp_path_factory):
     ids=lambda command: command.replace(" ", "-"))
 @FUZZ
 @given(document=fuzzed_documents())
-# a diameter of about 5 mm or more puts the ion count past the binomial
-# draw's 2**63 - 1, and from about 1e102 m the volume overflows a float
+# diameters past MAX_DIAMETER once put the ion count past the binomial
+# draw's 2**63 - 1 (about 5 mm) or overflowed the D^6 scattering loss or
+# the volume (1e200 m); the config now refuses them with their path
 @example(document=_replaced(("ion_estimate", "diameter"), 1000.0))
 @example(document=_replaced(("ion_estimate", "diameter"), 1e200))
+@example(document=_replaced(("nanoparticle", "diameter"), 1e200))
+@example(document=_replaced(("plan", "diameters", 0), 1e200))
 def test_cli_exits_0_or_2_on_fuzzed_config(config_file, command, document):
     config_file.write_text(json.dumps(document))
     argv = [*command.split(), "--config", str(config_file)]

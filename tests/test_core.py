@@ -13,8 +13,12 @@ from fpcavity import (
     linewidth_to_coherence_time,
     wavelength_to_frequency,
 )
-from fpcavity.core import TWO_PI, hz_to_angular
-from fpcavity.optics import LossBudget
+from fpcavity.core import MAX_DIAMETER, TWO_PI, hz_to_angular
+from fpcavity.optics import (
+    LossBudget,
+    free_spectral_range,
+    particle_scattering_loss,
+)
 from fpcavity.planner import DetectionChain, PulseScheme
 
 _VALUE_TYPES = (
@@ -45,6 +49,19 @@ def test_wavelength_to_frequency_rejects_nonpositive():
         wavelength_to_frequency(0.0)
     with pytest.raises(ValueError):
         frequency_to_wavelength(-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0],
+                         ids=["nan", "inf", "-inf", "zero"])
+@pytest.mark.parametrize("function", [
+    wavelength_to_frequency, frequency_to_wavelength,
+    linewidth_to_coherence_time, free_spectral_range,
+    particle_scattering_loss])
+def test_unit_conversions_reject_non_finite_and_non_positive(function,
+                                                              value):
+    # NaN passed the old `<= 0` check and came back as a NaN result
+    with pytest.raises(ValueError, match="must be finite and positive$"):
+        function(value)
 
 
 def test_coherence_time_from_linewidth():
@@ -113,6 +130,13 @@ def test_nanoparticle_volume():
 def test_nanoparticle_validation():
     with pytest.raises(ValueError):
         Nanoparticle(diameter=0.0, dopant_concentration=0.003)
+    # one ceiling for the Rayleigh D << lambda scattering law
+    assert MAX_DIAMETER == 1e-6
+    Nanoparticle(diameter=MAX_DIAMETER, dopant_concentration=0.003)
+    with pytest.raises(ValueError,
+                       match=r"^diameter must be in \(0, 1e-06\] m$"):
+        Nanoparticle(diameter=math.nextafter(MAX_DIAMETER, 1.0),
+                     dopant_concentration=0.003)
     with pytest.raises(ValueError):
         Nanoparticle(diameter=60e-9, dopant_concentration=0.0)
     with pytest.raises(ValueError):

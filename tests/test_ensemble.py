@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta, kstest
 
+from fpcavity import ensemble
 from fpcavity import (
     CavityGeometry,
     LossBudget,
@@ -113,8 +115,8 @@ def test_ensemble_determinism_and_block_layout():
                                    **kwargs)
     assert one == again
     # exact values pin the fixed 4096-sample blocks and their Philox streams
-    assert one.mean == 0.9100898683893335
-    assert one.std == 0.8284095025471709
+    assert one.mean == 0.9134490693414776
+    assert one.std == 0.8229308104091437
     assert one.max == 3.0065425100341483
     other = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
                                    n_samples=10_000, seed=43)
@@ -124,10 +126,10 @@ def test_ensemble_determinism_and_block_layout():
 @pytest.mark.parametrize("diameter, n_samples, seed, fraction, expected", [
     # two full blocks and a partial one of 3712 samples
     (70e-9, 12_000, 7, 0.15,
-     (0.9080731886688715, 0.8291551521617512, 3.0065425100341483)),
+     (0.9041806230095862, 0.818383563296939, 3.0065425100341483)),
     # exactly two full blocks
     (55e-9, 8192, 123, 0.3,
-     (0.6902569116251958, 0.6403153227031227, 3.100317156547685)),
+     (0.6839388508288047, 0.6366514481888141, 3.100317156547685)),
 ], ids=["partial-last-block", "full-blocks"])
 def test_ensemble_stats_are_pinned_bit_for_bit(diameter, n_samples, seed,
                                                fraction, expected):
@@ -139,13 +141,141 @@ def test_ensemble_stats_are_pinned_bit_for_bit(diameter, n_samples, seed,
     assert (stats.n_samples, stats.seed) == (n_samples, seed)
 
 
-def test_orientation_factor_matches_normalised_gaussians_bitwise():
+def test_orientation_factor_is_the_square_of_one_uniform_bitwise():
     for size in (1, 7, 4096):
-        vectors = np.random.default_rng(size).normal(size=(size, 3))
-        expected = vectors[:, 0] ** 2 / np.sum(vectors**2, axis=1)
+        u = np.random.default_rng(size).random(size)
         factors = sample_orientation_factor(np.random.default_rng(size),
                                             size=size)
-        assert factors.tobytes() == expected.tobytes()
+        assert factors.tobytes() == (u * u).tobytes()
+
+
+def test_height_is_the_inverse_beta_cdf_of_one_uniform_bitwise():
+    for size in (1, 7, 4096):
+        u = np.random.default_rng(size).random(size)
+        expected = 70e-9 * (0.5 + np.sin(np.arcsin(2.0 * u - 1.0) / 3.0))
+        heights = sample_height(70e-9, np.random.default_rng(size),
+                                size=size)
+        assert heights.tobytes() == expected.tobytes()
+
+
+def test_samplers_follow_their_exact_distributions():
+    # independent oracles: scipy's Beta(2, 2) and the CDF sqrt(o) of the
+    # square of a uniform |d . e|
+    n = 10**6
+    rng = np.random.default_rng(2024)
+    factors = sample_orientation_factor(rng, size=n)
+    t = sample_height(1.0, rng, size=n)
+    assert kstest(factors, lambda o: np.sqrt(np.clip(o, 0.0, 1.0))
+                  ).pvalue > 0.01
+    assert kstest(t, beta(2.0, 2.0).cdf).pvalue > 0.01
+    # E[o] = 1/3 (variance 4/45), E[o^2] = 1/5 (variance 1/9 - 1/25), and
+    # Var[t] = 1/20, whose estimate has variance (3/560 - 1/400) / n
+    for estimate, exact, variance in (
+            (np.mean(factors), 1.0 / 3.0, 4.0 / 45.0),
+            (np.mean(factors**2), 1.0 / 5.0, 1.0 / 9.0 - 1.0 / 25.0),
+            (np.var(t), 1.0 / 20.0, 3.0 / 560.0 - 1.0 / 400.0)):
+        assert abs(estimate - exact) < 4.0 * math.sqrt(variance / n)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_T = 0.5 * (_GL_NODES + 1.0)
+# Beta(2, 2) density 6 t (1 - t) times the quadrature weights on [0, 1]
+_GL_BETA22 = 0.5 * _GL_WEIGHTS * 6.0 * _GL_T * (1.0 - _GL_T)
+
+
+def _exact_ensemble_moments(particle, fraction):
+    """Mean, std and fourth central moment of orientation * sum_c s_c
+    sin^2(k_c (z + z0_c)) by Gauss-Legendre quadrature over the Beta(2, 2)
+    height, with E[o^k] = 1 / (2k + 1) for o the square of a uniform."""
+    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
+    position = sum(c.strength * np.sin(2.0 * math.pi * (
+        particle.diameter * _GL_T + fraction * c.wavelength)
+        / c.wavelength) ** 2 for c in channels)
+    raw = [float(np.sum(_GL_BETA22 * position**k)) / (2 * k + 1)
+           for k in range(5)]
+    mean = raw[1]
+    variance = raw[2] - mean**2
+    fourth = raw[4] - 4 * mean * raw[3] + 6 * mean**2 * raw[2] \
+        - 3 * mean**4
+    return mean, math.sqrt(variance), fourth
+
+
+@pytest.mark.parametrize("diameter", [40e-9, 70e-9, 100e-9])
+def test_ensemble_stats_pull_against_quadrature(diameter):
+    particle = Nanoparticle(diameter, 0.003)
+    mean, std, fourth = _exact_ensemble_moments(particle, 0.15)
+    n, seeds = 4096, 100
+    results = [ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                      BUDGETS, n_samples=n, seed=seed)
+               for seed in range(seeds)]
+    mean_pulls = np.array([(r.mean - mean) / (std / math.sqrt(n))
+                           for r in results])
+    # the sample std has standard error sqrt(mu4 - sigma^4) / (2 sigma
+    # sqrt(n)) to leading order; its O(1/n) bias is far below that here
+    std_error = math.sqrt(fourth - std**4) / (2.0 * std * math.sqrt(n))
+    std_pulls = np.array([(r.std - std) / std_error for r in results])
+    for pulls in (mean_pulls, std_pulls):
+        # the average pull of 100 seeds has standard error 1/10; the
+        # pulls' spread is 1 with standard error about 1/sqrt(200)
+        assert abs(np.mean(pulls)) < 4.0 / math.sqrt(seeds)
+        assert abs(np.std(pulls, ddof=1) - 1.0) < 4.0 / math.sqrt(2 * seeds)
+
+
+def test_ensemble_block_advances_its_stream_by_two_doubles_per_sample(
+        monkeypatch):
+    # each block draws its count orientation uniforms, then its count
+    # height uniforms, and nothing else from its Philox stream
+    streams = []
+    keyed_rng = ensemble._rng
+
+    def recording_rng(seed, domain, index):
+        generator = keyed_rng(seed, domain, index)
+        streams.append(((seed, domain, index), generator))
+        return generator
+
+    n_samples = 2 * 4096 + 1000
+    monkeypatch.setattr(ensemble, "_rng", recording_rng)
+    ensemble_purcell_stats(Nanoparticle(70e-9, 0.003), GEOMETRY,
+                           [T580, T611], BUDGETS, n_samples=n_samples,
+                           seed=9)
+    assert [key for key, _ in streams] == [(9, 0, 0), (9, 0, 1), (9, 0, 2)]
+    for (key, generator), count in zip(streams, (4096, 4096, 1000)):
+        reference = keyed_rng(*key).random(2 * count + 1)
+        assert generator.random() == reference[-1]
+
+
+def test_single_block_stats_from_the_streams_uniforms():
+    particle = Nanoparticle(70e-9, 0.003)
+    n = 1000
+    result = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                    BUDGETS, n_samples=n, seed=5)
+    u = ensemble._rng(5, 0, 0).random(2 * n)
+    orientation = u[:n] * u[:n]
+    heights = 70e-9 * (0.5 + np.sin(np.arcsin(2.0 * u[n:] - 1.0) / 3.0))
+    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
+    position = sum(standing_wave_factor(heights, c.wavelength,
+                                        0.15 * c.wavelength) * c.strength
+                   for c in channels)
+    samples = position * orientation
+    mean = float(np.sum(samples)) / n
+    variance = (float(np.sum(samples * samples)) - n * mean * mean) / (n - 1)
+    assert (result.mean, result.std) == (mean, math.sqrt(variance))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_ensemble_layer_rejects_non_finite_inputs(value):
+    # each used to return NaN, or mean=nan with std=0.0 from the ensemble
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="diameter must be finite"):
+        sample_height(value, rng, size=3)
+    with pytest.raises(ValueError, match="wavelength must be finite"):
+        standing_wave_factor(np.zeros(3), value, 0.0)
+    with pytest.raises(ValueError,
+                       match="antinode_offset_fraction must be finite"):
+        ensemble_purcell_stats(Nanoparticle(70e-9, 0.003), GEOMETRY,
+                               [T580, T611], BUDGETS, n_samples=10,
+                               antinode_offset_fraction=value)
 
 
 def test_ensemble_stats_structure():
@@ -175,8 +305,9 @@ def test_ensemble_partial_block_sizes():
 def test_total_ion_count():
     assert total_ion_count(Nanoparticle(60e-9, 0.003)) == 18118
     assert total_ion_count(Nanoparticle(90e-9, 0.003)) == 61149
-    # the volume overflows a float from about 1e102 m
-    with pytest.raises(ValueError, match="overflows a float"):
+    # the particle itself refuses a diameter past MAX_DIAMETER, so the
+    # volume can no longer overflow a float
+    with pytest.raises(ValueError, match=r"diameter must be in \(0, 1e-06\]"):
         total_ion_count(Nanoparticle(1e200, 0.003))
 
 
