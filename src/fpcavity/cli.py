@@ -21,8 +21,10 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,23 +87,15 @@ _TIME_UNITS = ((1.0, "s"), (1e-3, "ms"), (1e-6, "us"), (1e-9, "ns"))
 
 
 def _scaled(value: float, units, digits: int = 4) -> str:
-    for scale, suffix in units:
-        if abs(value) >= scale:
-            return f"{value / scale:.{digits}g} {suffix}"
-    scale, suffix = units[-1]
+    """``value`` in the first of ``units`` it reaches, else the last."""
+    scale, suffix = next((unit for unit in units if abs(value) >= unit[0]),
+                         units[-1])
     return f"{value / scale:.{digits}g} {suffix}"
 
 
-def _hz(value: float) -> str:
-    return _scaled(value, _HZ_UNITS)
-
-
-def _length(value: float) -> str:
-    return _scaled(value, _LENGTH_UNITS)
-
-
-def _time(value: float) -> str:
-    return _scaled(value, _TIME_UNITS)
+_hz = functools.partial(_scaled, units=_HZ_UNITS)
+_length = functools.partial(_scaled, units=_LENGTH_UNITS)
+_time = functools.partial(_scaled, units=_TIME_UNITS)
 
 
 def _loaded_budgets(config: RunConfig):
@@ -173,6 +167,18 @@ def _cmd_cavity(args, config: RunConfig, seed: int):
     return report, lines, []
 
 
+def _population(particle: Nanoparticle, inhomogeneous_fwhm: float,
+                path: str) -> SpectralPopulation:
+    """The particle's ions over the line; no ion at all is an error at path."""
+    try:
+        return SpectralPopulation(
+            total_ions=total_ion_count(particle),
+            inhomogeneous_fwhm=inhomogeneous_fwhm,
+            hyperfine_offsets=default_hyperfine_classes())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _cmd_purcell(args, config: RunConfig, seed: int):
     geometry = config.geometry
     particle = config.nanoparticle
@@ -189,18 +195,9 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
         n_samples=config.mc_samples, seed=seed,
         antinode_offset_fraction=config.antinode_offset_fraction)
 
-    ion_particle = Nanoparticle(
-        diameter=config.ion_diameter,
-        dopant_concentration=particle.dopant_concentration,
-        cation_density=particle.cation_density)
-    try:
-        ions_total = total_ion_count(ion_particle)
-        population = SpectralPopulation(
-            total_ions=ions_total,
-            inhomogeneous_fwhm=config.ion_inhomogeneous_fwhm,
-            hyperfine_offsets=default_hyperfine_classes())
-    except ValueError as exc:  # too few ions, or more than a draw takes
-        raise ConfigError(f"ion_estimate.diameter: {exc}") from None
+    population = _population(replace(particle, diameter=config.ion_diameter),
+                             config.ion_inhomogeneous_fwhm,
+                             "ion_estimate.diameter")
     addressed = ions_in_bandwidth(
         population, 0.0, config.ion_probe_bandwidth,
         seed=seed, n_draws=config.ion_draws)
@@ -211,7 +208,7 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
         "ensemble": stats.to_dict(),
         "ions": {
             "particle_diameter": config.ion_diameter,
-            "total": ions_total,
+            "total": population.total_ions,
             "probe_bandwidth": config.ion_probe_bandwidth,
             "addressed": addressed.to_dict(),
         },
@@ -230,7 +227,8 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
         f"({stats.n_samples} ions, seed {stats.seed}): "
         f"mean {stats.mean:.3f}, std {stats.std:.3f}, max {stats.max:.3f}")
     lines.append(
-        f"ions in {_length(config.ion_diameter)} particle: {ions_total}; "
+        f"ions in {_length(config.ion_diameter)} particle: "
+        f"{population.total_ions}; "
         f"addressed in {_hz(config.ion_probe_bandwidth)} probe: "
         f"{addressed.mean:.1f} +/- {addressed.std:.1f} "
         f"({addressed.n_draws} draws)")
@@ -245,11 +243,9 @@ def _simulate_trace(kind: str, config: RunConfig, seed: int):
         grid = np.linspace(-0.5 * span, 0.5 * span, params["points"])
         population = None
         if params.get("use_population"):
-            particle = config.nanoparticle
-            population = SpectralPopulation(
-                total_ions=total_ion_count(particle),
-                inhomogeneous_fwhm=params["inhomogeneous_fwhm"],
-                hyperfine_offsets=default_hyperfine_classes())
+            population = _population(config.nanoparticle,
+                                     params["inhomogeneous_fwhm"],
+                                     "nanoparticle.diameter")
         trace = ple_scan(
             params["inhomogeneous_fwhm"], 0.0, params["amplitude"],
             params["background"], grid, population=population,
@@ -489,16 +485,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except TraceFormatError as exc:
+    except (TraceFormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except np.linalg.LinAlgError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

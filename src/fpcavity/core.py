@@ -29,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 YTTRIA_CATION_DENSITY = 5.34e28  # m^-3
 # largest particle diameter (m): the Rayleigh D^6 loss needs D << lambda
 MAX_DIAMETER = 1e-6
+# largest cation site density (m^-3), above that of any solid
+MAX_CATION_DENSITY = 1e30
 
 
 class NumericalError(RuntimeError):
@@ -82,6 +84,12 @@ def _require_positive(name: str, value: float) -> None:
     """Reject a value that is not a finite number above zero (NaN too)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive")
+
+
+def _require_non_negative(name: str, value: float) -> None:
+    """Reject a value that is not a finite number >= 0 (NaN too)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,8 @@ class Nanoparticle(_JsonRecord):
 
     diameter: m, at most ``MAX_DIAMETER``
     dopant_concentration: dopant fraction of cation sites, in (0, 1)
-    cation_density: host cation site density (m^-3)
+    cation_density: host cation site density (m^-3), at most
+    ``MAX_CATION_DENSITY``
     refractive_index: bulk index of the particle host
     """
 
@@ -167,7 +176,9 @@ class Nanoparticle(_JsonRecord):
             raise ValueError(f"diameter must be in (0, {MAX_DIAMETER:g}] m")
         if not 0.0 < self.dopant_concentration < 1.0:
             raise ValueError("dopant_concentration must be in (0, 1)")
-        _require_positive("cation_density", self.cation_density)
+        if not 0.0 < self.cation_density <= MAX_CATION_DENSITY:
+            raise ValueError("cation_density must be in "
+                             f"(0, {MAX_CATION_DENSITY:g}] m^-3")
         if self.refractive_index < 1.0:
             raise ValueError("refractive_index must be >= 1")
 

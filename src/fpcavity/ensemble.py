@@ -6,7 +6,8 @@ mirror, which turns the best-case Purcell factor into an ensemble
 distribution.  The spectral one: how many ions of an inhomogeneously
 broadened, hyperfine-split population fall inside a probe window (drawn
 from its exact binomial distribution), and the statistical fine structure
-a narrow probe sees when scanned across the line.
+a narrow probe sees when scanned across the line (all windows' counts
+drawn at once from their exact multinomial law, not ion by ion).
 
 Sampling uses a counter-based generator (Philox) keyed on (seed, domain,
 block).  The ensemble draws its samples in fixed blocks of 4096, one stream
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CavityGeometry, Nanoparticle, _JsonRecord, _require_positive
+from .core import (CavityGeometry, Nanoparticle, _JsonRecord,
+                   _require_non_negative, _require_positive)
 from .optics import loaded_budget
 from .purcell import coupling_report
 from .trace import Trace
@@ -226,13 +228,9 @@ def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
         (0.478, (0.0, 30e6, 75e6), (0.0, 35e6, 80e6)),
         (0.522, (0.0, 75e6, 190e6), (0.0, 90e6, 200e6)),
     )
-    classes = []
-    for abundance, ground, excited in isotopes:
-        weight = abundance / (len(ground) * len(excited))
-        for g in ground:
-            for e in excited:
-                classes.append((e - g, weight))
-    return tuple(classes)
+    return tuple((e - g, abundance / (len(ground) * len(excited)))
+                 for abundance, ground, excited in isotopes
+                 for g in ground for e in excited)
 
 
 # the largest trial count numpy's binomial draw takes, a C int64
@@ -273,20 +271,17 @@ class SpectralPopulation(_JsonRecord):
         object.__setattr__(self, "hyperfine_offsets", classes)
 
 
-def _draw_ion_frequencies(population: SpectralPopulation,
-                          rng: np.random.Generator) -> np.ndarray:
-    offsets = np.array([off for off, _ in population.hyperfine_offsets])
-    weights = np.array([w for _, w in population.hyperfine_offsets])
-    edges = np.cumsum(weights)
-    edges[-1] = 1.0  # guard the top edge against rounding
-    classes = np.searchsorted(edges, rng.random(population.total_ions),
-                              side="right")
-    # Lorentzian inhomogeneous profile via inverse CDF
-    u = rng.random(population.total_ions)
-    centers = (population.center_frequency + offsets[classes]
-               + 0.5 * population.inhomogeneous_fwhm
-               * np.tan(math.pi * (u - 0.5)))
-    return centers
+def _class_cdfs(population: SpectralPopulation, frequencies):
+    """``(weight, cdf)`` of each hyperfine class in order: the Lorentzian line
+    CDF 1/2 + atan((f - c) / (FWHM / 2)) / pi at ``frequencies`` about the
+    class center c, each element through ``math.atan``, the scalar bits."""
+    half = 0.5 * population.inhomogeneous_fwhm
+    frequencies = np.asarray(frequencies, dtype=float)
+    for offset, weight in population.hyperfine_offsets:
+        scaled = (frequencies - (population.center_frequency + offset)) / half
+        angles = np.fromiter(map(math.atan, scaled.tolist()), float,
+                             scaled.size)
+        yield weight, 0.5 + angles / math.pi
 
 
 def expected_ions_in_bandwidth(population: SpectralPopulation,
@@ -294,17 +289,14 @@ def expected_ions_in_bandwidth(population: SpectralPopulation,
                                bandwidth: float) -> float:
     """Analytic expectation of the ion count inside the probe window."""
     _require_positive("bandwidth", bandwidth)
-    half = 0.5 * population.inhomogeneous_fwhm
-    lo = probe_frequency - 0.5 * bandwidth
-    hi = probe_frequency + 0.5 * bandwidth
-
-    def cdf(delta):
-        return 0.5 + math.atan(delta / half) / math.pi
-
+    if not math.isfinite(probe_frequency):
+        raise ValueError("probe_frequency must be finite")
+    window = (probe_frequency - 0.5 * bandwidth,
+              probe_frequency + 0.5 * bandwidth)
     expectation = 0.0
-    for offset, weight in population.hyperfine_offsets:
-        center = population.center_frequency + offset
-        expectation += weight * (cdf(hi - center) - cdf(lo - center))
+    for weight, cdf in _class_cdfs(population, window):
+        below, above = cdf.tolist()
+        expectation += weight * (above - below)
     return population.total_ions * expectation
 
 
@@ -341,23 +333,45 @@ def ions_in_bandwidth(population: SpectralPopulation, probe_frequency: float,
                          n_draws=n_draws, seed=seed)
 
 
+def _window_counts(population: SpectralPopulation, probe_fwhm: float, grid,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded ion counts and their expectations in the probe windows.
+
+    The counts of N iid ions between the windows' sorted edges are exactly
+    Multinomial(N, p), p the line CDF's increments (Feller, An Introduction
+    to Probability Theory, vol. 1, ch. VI).  A window's count is the
+    difference of its edges' cumulative counts, and its expectation N times
+    the CDF's increment across it."""
+    _require_positive("probe_fwhm", probe_fwhm)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a 1-d array of finite frequencies")
+    half = 0.5 * probe_fwhm
+    edges, index = np.unique(np.concatenate((grid - half, grid + half)),
+                             return_inverse=True)
+    lo, hi = index[:grid.size], index[grid.size:]
+    cdf = sum(weight * class_cdf for weight, class_cdf
+              in _class_cdfs(population, edges))
+    cdf /= math.fsum(weight for _, weight in population.hyperfine_offsets)
+    # rounding must not make an interval's probability negative
+    np.maximum.accumulate(np.clip(cdf, 0.0, 1.0, out=cdf), out=cdf)
+    n = population.total_ions
+    counts = _rng(seed, _DOMAIN_SFS, 0).multinomial(
+        n, np.diff(cdf, prepend=0.0, append=1.0))
+    below = np.cumsum(counts[:-1])
+    return (below[hi] - below[lo]).astype(float), n * (cdf[hi] - cdf[lo])
+
+
 def sfs_spectrum(population: SpectralPopulation, probe_fwhm: float,
                  grid, rate_per_ion: float = 1.0, seed: int = 0) -> Trace:
     """Statistical fine structure of a fixed ion placement.
 
-    One seeded placement of all ions; the trace value at each grid point is
-    ``rate_per_ion`` times the number of ions within half a probe width of
-    that frequency.  The same seed always reproduces the same structure.
-    """
-    _require_positive("probe_fwhm", probe_fwhm)
-    if rate_per_ion < 0.0:
-        raise ValueError("rate_per_ion must be >= 0")
-    grid = np.asarray(grid, dtype=float)
-    rng = _rng(seed, _DOMAIN_SFS, 0)
-    centers = np.sort(_draw_ion_frequencies(population, rng))
-    half = 0.5 * probe_fwhm
-    left = np.searchsorted(centers, grid - half, side="left")
-    right = np.searchsorted(centers, grid + half, side="right")
-    counts = (right - left).astype(float)
-    return Trace(x=grid, y=rate_per_ion * counts,
+    The trace value at each grid point is ``rate_per_ion`` times the number
+    of ions within half a probe width of that frequency.  All windows'
+    counts are one seeded draw from their exact multinomial law, so time
+    and memory grow with the grid, not the ion count, and a seed gives the
+    same structure whatever the grid's order."""
+    _require_non_negative("rate_per_ion", rate_per_ion)
+    counts, _ = _window_counts(population, probe_fwhm, grid, seed)
+    return Trace(x=np.asarray(grid, dtype=float), y=rate_per_ion * counts,
                  noise_model="ion-placement", seed=seed)

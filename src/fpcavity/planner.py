@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CavityGeometry, Nanoparticle, _JsonRecord, _require_finite
+from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_finite,
+                   _require_non_negative, _require_positive)
 from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
@@ -105,17 +106,11 @@ def photon_path_efficiency(outcoupling: float,
 def snr(signal_rate: float, dark_rate: float,
         integration_time: float = 1.0) -> float:
     """Shot-noise signal-to-noise of a rate against detector dark counts."""
-    for name, rate in (("signal_rate", signal_rate), ("dark_rate", dark_rate)):
-        if not (math.isfinite(rate) and rate >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0")
-    _check_integration_time(integration_time)
+    _require_non_negative("signal_rate", signal_rate)
+    _require_non_negative("dark_rate", dark_rate)
+    _require_positive("integration_time", integration_time)
     return float(_snrs(np.array([signal_rate], dtype=float), dark_rate,
                        integration_time)[0])
-
-
-def _check_integration_time(integration_time: float) -> None:
-    if not (math.isfinite(integration_time) and integration_time > 0.0):
-        raise ValueError("integration_time must be finite and positive")
 
 
 def _snrs(signal_rates: np.ndarray, dark_rate: float,
@@ -368,7 +363,7 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     # states the rules on excitation time and population, and the windows
     # are checked below
     PulseScheme(excitation_time, 1.0, excited_population)
-    _check_integration_time(integration_time)
+    _require_positive("integration_time", integration_time)
     # both are read once: every mode iterates them again
     diameters = list(diameters)
     repetition_rates = list(repetition_rates)

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .ensemble import SpectralPopulation, expected_ions_in_bandwidth, sfs_spectrum
+from .core import _require_non_negative, _require_positive
+from .ensemble import SpectralPopulation, _window_counts
 from .trace import Trace
 
 NOISE_MODELS = ("none", "poisson")
@@ -34,8 +35,7 @@ def _apply_noise(mean: np.ndarray, noise: str, seed: int | None) -> np.ndarray:
 
 def lorentzian_profile(x, center: float, fwhm: float):
     """Unit-peak Lorentzian 1 / (1 + (2 (x - c) / fwhm)^2)."""
-    if fwhm <= 0.0:
-        raise ValueError("fwhm must be positive")
+    _require_positive("fwhm", fwhm)
     u = 2.0 * (np.asarray(x, dtype=float) - center) / fwhm
     return 1.0 / (1.0 + u * u)
 
@@ -49,29 +49,24 @@ def ple_scan(inhomogeneous_fwhm: float, center_frequency: float,
 
     The smooth part is a Lorentzian of the given width on a flat
     background.  With a ``population`` (and a ``probe_fwhm``), the curve is
-    additionally modulated by the relative fluctuation of the finite ion
-    count inside the probe window, i.e. the statistical fine structure that
-    a real scan over a fixed ion ensemble shows.
+    additionally multiplied by each probe window's ion count over its
+    expectation: the statistical fine structure a real scan over a fixed
+    ion ensemble shows, drawn as in :func:`~fpcavity.ensemble.sfs_spectrum`.
+    The expectations come from the same line CDF, so the factor has mean 1.
     """
     _check_noise(noise)
-    if amplitude < 0.0 or background < 0.0:
-        raise ValueError("amplitude and background must be >= 0")
+    _require_non_negative("amplitude", amplitude)
+    _require_non_negative("background", background)
     grid = np.asarray(grid, dtype=float)
     mean = amplitude * lorentzian_profile(grid, center_frequency,
                                           inhomogeneous_fwhm)
     if population is not None:
         if probe_fwhm is None:
             raise ValueError("probe_fwhm is required with a population")
-        placed = sfs_spectrum(population, probe_fwhm, grid,
-                              seed=0 if seed is None else seed)
-        expected = np.array([
-            expected_ions_in_bandwidth(population, f, probe_fwhm)
-            for f in grid])
-        fluctuation = np.where(expected > 0.0,
-                               placed.y / np.where(expected > 0.0,
-                                                   expected, 1.0),
-                               1.0)
-        mean = mean * fluctuation
+        counts, expected = _window_counts(population, probe_fwhm, grid,
+                                          0 if seed is None else seed)
+        mean = mean * np.divide(counts, expected, out=np.ones_like(counts),
+                                where=expected > 0.0)
     mean = mean + background
     return Trace(x=grid, y=_apply_noise(mean, noise, seed),
                  noise_model=noise, seed=seed)
@@ -91,8 +86,8 @@ def saturation_curve(powers, scale: float, exponent: float,
         raise ValueError("powers must be positive")
     if not 0.0 < exponent <= 1.0:
         raise ValueError("exponent must be in (0, 1]")
-    if scale < 0.0 or background < 0.0:
-        raise ValueError("scale and background must be >= 0")
+    _require_non_negative("scale", scale)
+    _require_non_negative("background", background)
     mean = scale * powers**exponent + background
     return Trace(x=powers, y=_apply_noise(mean, noise, seed),
                  noise_model=noise, seed=seed)
@@ -112,10 +107,8 @@ def hole_spectrum(detunings, n_teeth: int, tooth_power: float,
     _check_noise(noise)
     if n_teeth < 1:
         raise ValueError("n_teeth must be >= 1")
-    if tooth_power <= 0.0:
-        raise ValueError("tooth_power must be positive")
-    if rate_scale < 0.0:
-        raise ValueError("rate_scale must be >= 0")
+    _require_positive("tooth_power", tooth_power)
+    _require_non_negative("rate_scale", rate_scale)
     detunings = np.asarray(detunings, dtype=float)
     baseline = rate_scale * n_teeth * math.sqrt(tooth_power)
     floor = rate_scale * math.sqrt(n_teeth * tooth_power)
@@ -133,10 +126,8 @@ def hole_width_to_homogeneous(hole_fwhm: float,
     side: Gamma_h = hole/2 - laser.  The hole must be wider than twice the
     laser linewidth for the conversion to make sense.
     """
-    if hole_fwhm <= 0.0:
-        raise ValueError("hole_fwhm must be positive")
-    if laser_fwhm < 0.0:
-        raise ValueError("laser_fwhm must be >= 0")
+    _require_positive("hole_fwhm", hole_fwhm)
+    _require_non_negative("laser_fwhm", laser_fwhm)
     if hole_fwhm <= 2.0 * laser_fwhm:
         raise ValueError("hole width must exceed twice the laser linewidth")
     return 0.5 * hole_fwhm - laser_fwhm
@@ -148,8 +139,8 @@ def power_broadening(power, sqrt_coefficient: float,
     power = np.asarray(power, dtype=float)
     if np.any(power < 0.0):
         raise ValueError("power must be >= 0")
-    if sqrt_coefficient < 0.0 or zero_power_fwhm < 0.0:
-        raise ValueError("coefficients must be >= 0")
+    _require_non_negative("sqrt_coefficient", sqrt_coefficient)
+    _require_non_negative("zero_power_fwhm", zero_power_fwhm)
     out = sqrt_coefficient * np.sqrt(power) + zero_power_fwhm
     return float(out) if out.ndim == 0 else out
 
@@ -165,12 +156,11 @@ def decay_histogram(effective_lifetime: float, time_bins, shots: int,
     draw, matching a counting experiment of ``shots`` repetitions.
     """
     _check_noise(noise)
-    if effective_lifetime <= 0.0:
-        raise ValueError("effective_lifetime must be positive")
+    _require_positive("effective_lifetime", effective_lifetime)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if amplitude < 0.0 or background < 0.0:
-        raise ValueError("amplitude and background must be >= 0")
+    _require_non_negative("amplitude", amplitude)
+    _require_non_negative("background", background)
     time_bins = np.asarray(time_bins, dtype=float)
     if np.any(time_bins < 0.0):
         raise ValueError("time bins must be >= 0")

@@ -340,6 +340,44 @@ def test_diameter_past_the_rayleigh_ceiling_exits_2_with_its_path(
     RunConfig.from_file(config)
 
 
+@pytest.mark.parametrize("command", ["purcell", "simulate ple"])
+def test_cation_density_past_its_ceiling_exits_2_under_nanoparticle(
+        tmp_path, capsys, command):
+    # 1e45 m^-3 once put the ion count past the binomial draw's int64 and
+    # was reported against ion_estimate.diameter, a key in range
+    data = RunConfig.default().data
+    data["nanoparticle"]["cation_density"] = 1e45
+    data["simulate"]["ple"]["use_population"] = True
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "trace.csv"
+    assert main([*command.split(), "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: nanoparticle: cation_density must be in "
+        "(0, 1e+30] m^-3\n")
+    assert not out.exists()
+
+
+def test_simulate_ple_population_without_ions_names_the_diameter(
+        tmp_path, capsys):
+    # exited 2 with "error: total_ions must be >= 1", naming no key
+    data = RunConfig.default().data
+    data["nanoparticle"]["diameter"] = 1e-12
+    data["simulate"]["ple"]["use_population"] = True
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "ple", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: nanoparticle.diameter: total_ions must be >= 1\n")
+    assert not out.exists()
+    # the other kinds never count ions, so the same particle runs
+    assert main(["simulate", "decay", "--config", str(config),
+                 "--out", str(out)]) == 0
+
+
 def test_fit_bundled_dataset(capsys):
     dataset = Path(fpcavity.__file__).parent / "data" \
         / "hole_width_vs_power.csv"

@@ -152,6 +152,9 @@ def config_file(tmp_path_factory):
 @example(document=_replaced(("ion_estimate", "diameter"), 1e200))
 @example(document=_replaced(("nanoparticle", "diameter"), 1e200))
 @example(document=_replaced(("plan", "diameters", 0), 1e200))
+# a cation density above any solid once put the ion count past the
+# binomial draw's int64 and was reported against ion_estimate.diameter
+@example(document=_replaced(("nanoparticle", "cation_density"), 1e45))
 def test_cli_exits_0_or_2_on_fuzzed_config(config_file, command, document):
     config_file.write_text(json.dumps(document))
     argv = [*command.split(), "--config", str(config_file)]

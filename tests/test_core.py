@@ -13,7 +13,8 @@ from fpcavity import (
     linewidth_to_coherence_time,
     wavelength_to_frequency,
 )
-from fpcavity.core import MAX_DIAMETER, TWO_PI, hz_to_angular
+from fpcavity.core import (MAX_CATION_DENSITY, MAX_DIAMETER, TWO_PI,
+                           hz_to_angular)
 from fpcavity.optics import (
     LossBudget,
     free_spectral_range,
@@ -141,6 +142,22 @@ def test_nanoparticle_validation():
         Nanoparticle(diameter=60e-9, dopant_concentration=0.0)
     with pytest.raises(ValueError):
         Nanoparticle(diameter=60e-9, dopant_concentration=1.0)
+
+
+def test_nanoparticle_cation_density_ceiling():
+    # above any solid, and low enough that a 1 um particle holds at most
+    # about 5e11 ions, far inside the binomial draw's int64 trial count
+    assert MAX_CATION_DENSITY == 1e30
+    Nanoparticle(diameter=MAX_DIAMETER, dopant_concentration=0.999,
+                 cation_density=MAX_CATION_DENSITY)
+    for density in (math.nextafter(MAX_CATION_DENSITY, math.inf), 1e45):
+        with pytest.raises(ValueError, match=r"^cation_density must be in "
+                           r"\(0, 1e\+30\] m\^-3$"):
+            Nanoparticle(diameter=60e-9, dopant_concentration=0.003,
+                         cation_density=density)
+    with pytest.raises(ValueError):
+        Nanoparticle(diameter=60e-9, dopant_concentration=0.003,
+                     cation_density=0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],

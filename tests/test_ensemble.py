@@ -1,5 +1,6 @@
 """Monte Carlo ensemble statistics and spectral ion-count sampling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,3 +415,186 @@ def test_sfs_spectrum():
     assert not np.array_equal(trace.y, different.y)
     with pytest.raises(ValueError):
         sfs_spectrum(population, 0.0, grid)
+
+
+def _placed_counts(population, probe_fwhm, grid, rng):
+    """Per-ion oracle: place every ion, then count each window's ions.
+
+    Each ion draws its hyperfine class from the class weights and its
+    frequency from the class's Lorentzian by the inverse CDF, two uniforms
+    per ion; memory and time grow with the ion count.
+    """
+    offsets = np.array([off for off, _ in population.hyperfine_offsets])
+    edges = np.cumsum([w for _, w in population.hyperfine_offsets])
+    edges[-1] = 1.0
+    classes = np.searchsorted(edges, rng.random(population.total_ions),
+                              side="right")
+    u = rng.random(population.total_ions)
+    centers = np.sort(population.center_frequency + offsets[classes]
+                      + 0.5 * population.inhomogeneous_fwhm
+                      * np.tan(math.pi * (u - 0.5)))
+    grid = np.asarray(grid, dtype=float)
+    half = 0.5 * probe_fwhm
+    return (np.searchsorted(centers, grid + half, side="right")
+            - np.searchsorted(centers, grid - half, side="left"))
+
+
+def _moments(counts):
+    """Window means, variances and adjacent covariances with their SEs."""
+    n = len(counts)
+    dev = counts - counts.mean(axis=0)
+    var = np.mean(dev**2, axis=0)
+    cross = dev[:, :-1] * dev[:, 1:]
+    return {
+        "mean": (counts.mean(axis=0), np.sqrt(var / n)),
+        "var": (var, np.sqrt((np.mean(dev**4, axis=0) - var**2) / n)),
+        "cov": (cross.mean(axis=0), cross.std(axis=0) / math.sqrt(n)),
+    }
+
+
+def test_sfs_moments_match_per_ion_placement_and_the_exact_law():
+    # overlapping 13 MHz windows 6.5 MHz apart at the line center; the bin
+    # counts of iid ions are Multinomial(N, p) (Feller, An Introduction to
+    # Probability Theory, vol. 1, ch. VI), so a window holds N p ions on
+    # average with variance N p (1 - p), and two windows overlapping in a
+    # band of probability q covary by N (q - p_a p_b)
+    population = SpectralPopulation(
+        total_ions=18118, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=default_hyperfine_classes())
+    n = population.total_ions
+    grid = np.arange(-2, 3) * 6.5e6
+    seeds = range(1000)
+    drawn = np.array([sfs_spectrum(population, 13e6, grid, seed=s).y
+                      for s in seeds])
+    placed = np.array([
+        _placed_counts(population, 13e6, grid, np.random.default_rng(s))
+        for s in seeds], dtype=float)
+    p = np.array([expected_ions_in_bandwidth(population, f, 13e6)
+                  for f in grid]) / n
+    q = np.array([expected_ions_in_bandwidth(population, f, 6.5e6)
+                  for f in 0.5 * (grid[:-1] + grid[1:])]) / n
+    exact = {"mean": n * p, "var": n * p * (1.0 - p),
+             "cov": n * (q - p[:-1] * p[1:])}
+    ours, oracle = _moments(drawn), _moments(placed)
+    for name, value in exact.items():
+        ours_value, ours_se = ours[name]
+        oracle_value, oracle_se = oracle[name]
+        assert np.all(np.abs(ours_value - value) <= 4.0 * ours_se), name
+        assert np.all(np.abs(oracle_value - value) <= 4.0 * oracle_se), name
+        assert np.all(np.abs(ours_value - oracle_value)
+                      <= 4.0 * np.hypot(ours_se, oracle_se)), name
+    # the overlap is real: adjacent windows covary strongly
+    assert np.all(exact["cov"] > 0.4 * exact["var"][:-1])
+
+
+def test_sfs_window_means_equal_the_expected_ion_count():
+    population = SpectralPopulation(
+        total_ions=28771, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=default_hyperfine_classes())
+    grid = np.linspace(-68e9, 68e9, 401)
+    counts, expected = ensemble._window_counts(population, 13e6, grid, 0)
+    scalar = [expected_ions_in_bandwidth(population, f, 13e6) for f in grid]
+    assert np.allclose(expected, scalar, rtol=1e-9, atol=0.0)
+    assert np.all(counts == np.floor(counts))
+    assert np.all(counts >= 0.0)
+
+
+def test_sfs_takes_an_unsorted_grid_with_repeated_points():
+    population = SpectralPopulation(total_ions=20000,
+                                    inhomogeneous_fwhm=34e9)
+    grid = np.linspace(-50e6, 50e6, 41)
+    order = np.concatenate((np.random.default_rng(0).permutation(41),
+                            [3, 3, 17, 40]))
+    sorted_trace = sfs_spectrum(population, 13e6, grid, seed=5)
+    shuffled = sfs_spectrum(population, 13e6, grid[order], seed=5)
+    assert np.array_equal(shuffled.y, sorted_trace.y[order])
+    assert np.array_equal(shuffled.x, grid[order])
+
+
+def test_sfs_at_the_int64_ion_limit():
+    # per-ion placement raised MemoryError here
+    population = SpectralPopulation(
+        total_ions=ensemble._MAX_IONS, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=default_hyperfine_classes())
+    grid = np.linspace(-68e9, 68e9, 401)
+    counts, expected = ensemble._window_counts(population, 13e6, grid, 0)
+    # the relative spread of a count of 1e15 ions is about 3e-8
+    assert np.allclose(counts, expected, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("total_ions", [10**6, 10**12])
+def test_sfs_memory_does_not_grow_with_the_ion_count(total_ions):
+    population = SpectralPopulation(
+        total_ions=total_ions, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=default_hyperfine_classes())
+    grid = np.linspace(-68e9, 68e9, 401)
+    sfs_spectrum(population, 13e6, grid, seed=1)
+    tracemalloc.start()
+    try:
+        sfs_spectrum(population, 13e6, grid, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _parent_expected_ions(population, probe_frequency, bandwidth):
+    """The scalar expectation, one class at a time, as first written."""
+    half = 0.5 * population.inhomogeneous_fwhm
+    lo = probe_frequency - 0.5 * bandwidth
+    hi = probe_frequency + 0.5 * bandwidth
+
+    def cdf(delta):
+        return 0.5 + math.atan(delta / half) / math.pi
+
+    expectation = 0.0
+    for offset, weight in population.hyperfine_offsets:
+        center = population.center_frequency + offset
+        expectation += weight * (cdf(hi - center) - cdf(lo - center))
+    return population.total_ions * expectation
+
+
+@pytest.mark.parametrize("total_ions, fwhm, center, classes", [
+    (61149, 34e9, 0.0, ((0.0, 1.0),)),
+    (18118, 30.5e9, 0.0, default_hyperfine_classes()),
+    (28771, 1e6, 5.2e14, default_hyperfine_classes()),
+    (1000, 34e9, -3e9, ((0.0, 0.5), (1e6, 0.5 + 5e-7))),
+])
+def test_expected_ions_in_bandwidth_keeps_the_scalar_bits(
+        total_ions, fwhm, center, classes):
+    # it feeds the seeded binomial draw of purcell and the demos
+    population = SpectralPopulation(total_ions=total_ions,
+                                    inhomogeneous_fwhm=fwhm,
+                                    center_frequency=center,
+                                    hyperfine_offsets=classes)
+    # numpy's arctan differs from math.atan in the last bit for about one
+    # argument in a thousand, so the probes sweep the line densely
+    probes = center + np.linspace(-3.0, 3.0, 301) * fwhm
+    for probe in (*probes.tolist(), center + 1.3e6, center + 1e12):
+        for bandwidth in (13e6, 1e3, 5e9, 1e30):
+            ours = expected_ions_in_bandwidth(population, probe, bandwidth)
+            assert type(ours) is float
+            assert ours.hex() == _parent_expected_ions(
+                population, probe, bandwidth).hex()
+
+
+def test_spectral_boundaries_reject_non_finite_numbers():
+    population = SpectralPopulation(total_ions=20000,
+                                    inhomogeneous_fwhm=34e9)
+    grid = np.linspace(-50e6, 50e6, 11)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate_per_ion must be finite"):
+            sfs_spectrum(population, 13e6, grid, rate_per_ion=rate)
+    with pytest.raises(ValueError, match="grid must be a 1-d array"):
+        sfs_spectrum(population, 13e6, grid.reshape(1, -1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid must be a 1-d array"):
+            sfs_spectrum(population, 13e6, np.append(grid, bad))
+        with pytest.raises(ValueError, match="probe_fwhm must be finite"):
+            sfs_spectrum(population, bad, grid)
+        with pytest.raises(ValueError,
+                           match="probe_frequency must be finite"):
+            expected_ions_in_bandwidth(population, bad, 13e6)
+        with pytest.raises(ValueError,
+                           match="probe_frequency must be finite"):
+            ions_in_bandwidth(population, bad, 13e6)

@@ -152,3 +152,42 @@ def test_unknown_noise_model():
     with pytest.raises(ValueError):
         ple_scan(34e9, 0.0, 1000.0, 50.0, np.linspace(-1, 1, 11),
                  noise="gaussian")
+
+
+def test_ple_scan_rejects_non_finite_levels_and_grid():
+    # amplitude=nan gave a NaN trace and background=inf an infinite one
+    population = SpectralPopulation(total_ions=5000,
+                                    inhomogeneous_fwhm=34e9)
+    grid = np.linspace(-1e9, 1e9, 11)
+    for amplitude, background, name in ((math.nan, 0.0, "amplitude"),
+                                        (math.inf, 0.0, "amplitude"),
+                                        (1000.0, math.inf, "background"),
+                                        (1000.0, math.nan, "background")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ple_scan(34e9, 0.0, amplitude, background, grid)
+    # a NaN grid point counted 0 ions
+    with pytest.raises(ValueError, match="grid must be a 1-d array"):
+        ple_scan(34e9, 0.0, 1000.0, 0.0, np.append(grid, math.nan),
+                 population=population, probe_fwhm=13e6)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: lorentzian_profile([0.0], 0.0, bad), "fwhm"),
+    (lambda bad: saturation_curve([1.0], bad, 0.5), "scale"),
+    (lambda bad: saturation_curve([1.0], 1.0, 0.5, background=bad),
+     "background"),
+    (lambda bad: hole_spectrum([0.0], 4, bad, 1e6, 1.0), "tooth_power"),
+    (lambda bad: hole_spectrum([0.0], 4, 1.0, 1e6, bad), "rate_scale"),
+    (lambda bad: hole_width_to_homogeneous(bad), "hole_fwhm"),
+    (lambda bad: hole_width_to_homogeneous(1e6, bad), "laser_fwhm"),
+    (lambda bad: power_broadening(1.0, bad, 1e6), "sqrt_coefficient"),
+    (lambda bad: power_broadening(1.0, 1e3, bad), "zero_power_fwhm"),
+    (lambda bad: decay_histogram(bad, [0.0], 10, 1.0), "effective_lifetime"),
+    (lambda bad: decay_histogram(1e-3, [0.0], 10, bad), "amplitude"),
+    (lambda bad: decay_histogram(1e-3, [0.0], 10, 1.0, background=bad),
+     "background"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_generators_reject_non_finite_parameters(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(bad)
