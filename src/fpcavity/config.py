@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .core import (
     Nanoparticle,
     Transition,
     _JsonRecord,
+    record,
 )
 from .optics import LossBudget
 from .planner import PLAN_MODES, DetectionChain
@@ -419,7 +420,7 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
+@record
 class RunManifest(_JsonRecord):
     """Provenance record of one command invocation.
 

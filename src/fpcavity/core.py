@@ -11,13 +11,13 @@ Unit conventions used across the package:
   million (ppm)
 
 All types are immutable and serialize to JSON with the field names below,
-verbatim.
+verbatim.  They are dataclasses whose methods come from :class:`_Record`.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -60,10 +60,92 @@ def linewidth_to_coherence_time(fwhm: float) -> float:
     return 1.0 / (math.pi * fwhm)
 
 
-class _JsonRecord:
-    """JSON serialization helpers shared by the value types."""
+class _Record:
+    """Methods of a frozen dataclass, written once for every :func:`record`
+    class instead of compiled for each; ``__match_args__`` names the
+    fields.  Unpickling and copying rebuild a record through ``__init__``."""
 
     # Empty, so a subclass that declares slots carries no ``__dict__``.
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), args, kwargs)
+        if hasattr(self, "__dict__"):
+            self.__dict__.update(zip(names, args))
+        else:  # slotted
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """Field values in order: the arguments, else the field defaults."""
+    names = cls.__match_args__
+    if not args and len(kwargs) == len(names):
+        try:  # every field by keyword
+            return [kwargs[name] for name in names]
+        except KeyError:
+            pass
+    values = list(args)
+    for name in names[len(args):]:
+        field = cls.__dataclass_fields__[name]
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif field.default_factory is not MISSING:
+            values.append(field.default_factory())
+        elif field.default is not MISSING:
+            values.append(field.default)
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments")
+    if kwargs:
+        raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated "
+                        f"argument {next(iter(kwargs))!r}")
+    return values
+
+
+def record(cls=None, /, *, eq=True, slots=False):
+    """Make a :class:`_Record` subclass a frozen dataclass that takes every
+    method from :class:`_Record`; ``eq=False`` keeps identity equality."""
+    def wrap(cls):
+        cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        return cls
+    return wrap if cls is None else wrap(cls)
+
+
+class _JsonRecord(_Record):
+    """JSON serialization helpers shared by the value types."""
+
     __slots__ = ()
 
     def to_dict(self) -> dict:
@@ -92,7 +174,7 @@ def _require_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class Transition(_JsonRecord):
     """One optical transition of the emitter.
 
@@ -125,7 +207,7 @@ class Transition(_JsonRecord):
         return wavelength_to_frequency(self.wavelength)
 
 
-@dataclass(frozen=True)
+@record
 class CavityGeometry(_JsonRecord):
     """Plano-concave cavity geometry.
 
@@ -154,7 +236,7 @@ class CavityGeometry(_JsonRecord):
             raise ValueError("rms_length_jitter must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class Nanoparticle(_JsonRecord):
     """Doped dielectric nanosphere resting on the flat mirror.
 

@@ -17,12 +17,11 @@ statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord,
-                   _require_non_negative, _require_positive)
+                   _require_non_negative, _require_positive, record)
 from .optics import loaded_budget
 from .purcell import coupling_report
 from .trace import Trace
@@ -85,7 +84,7 @@ def standing_wave_factor(height, wavelength: float, antinode_offset: float):
                   / wavelength) ** 2
 
 
-@dataclass(frozen=True)
+@record
 class ChannelStrength(_JsonRecord):
     """Deterministic part of one transition's Purcell factor.
 
@@ -130,7 +129,7 @@ def _loaded_channel_strengths(geometry: CavityGeometry, transitions, loaded,
     return channels
 
 
-@dataclass(frozen=True)
+@record
 class EnsembleStats(_JsonRecord):
     """Effective-Purcell distribution over ions in one particle."""
 
@@ -237,7 +236,7 @@ def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
 _MAX_IONS = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@record
 class SpectralPopulation(_JsonRecord):
     """Ion population over the inhomogeneous line.
 
@@ -300,7 +299,7 @@ def expected_ions_in_bandwidth(population: SpectralPopulation,
     return population.total_ions * expectation
 
 
-@dataclass(frozen=True)
+@record
 class IonCountStats(_JsonRecord):
     """Distribution of ions addressed inside a probe window."""
 

@@ -16,11 +16,11 @@ cap on clean and noisy data alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .core import _Record, record
 from .trace import Trace
 
 # parameter kinds set the scale of a parameter whose current value is near
@@ -30,8 +30,10 @@ from .trace import Trace
 _KINDS = ("y", "x", "unit", "slope")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+@record
+class ModelSpec(_Record):
+    """A registered fit model: parameters, function, Jacobian, guess."""
+
     name: str
     parameters: tuple[str, ...]
     kinds: tuple[str, ...]
@@ -270,8 +272,8 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
 
-@dataclass(frozen=True)
-class FitResult:
+@record
+class FitResult(_Record):
     """Outcome of a least-squares fit.
 
     ``residual_sum_of_squares`` is the weighted sum entering the cost

@@ -8,10 +8,10 @@ mirror.  Linewidths are FWHM in Hz, losses are ppm per round trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_finite,
-                   _require_positive)
+                   _require_positive, record)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -23,7 +23,7 @@ RAYLEIGH_WAVELENGTH_EXPONENT = -4.0
 MAX_MODE_ORDER = 200  # highest longitudinal order double_resonance accepts
 
 
-@dataclass(frozen=True)
+@record
 class LossBudget(_JsonRecord):
     """Round-trip loss budget of the cavity in ppm.
 
@@ -58,7 +58,7 @@ class LossBudget(_JsonRecord):
         return self.total * 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class DoubleResonance(_JsonRecord):
     """Joint resonance of two wavelengths in the same cavity.
 

@@ -25,14 +25,13 @@ import math
 import operator
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_finite,
-                   _require_non_negative, _require_positive)
+                   _require_non_negative, _require_positive, record)
 from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
@@ -46,7 +45,7 @@ OPEN_JITTER = 2.5e-12
 SWEEP_COLUMNS = ("d_np_nm", "f_rep_hz", "mode", "rate_cps", "snr")
 
 
-@dataclass(frozen=True)
+@record
 class DetectionChain(_JsonRecord):
     """Photon path from the cavity output to counted clicks.
 
@@ -69,7 +68,7 @@ class DetectionChain(_JsonRecord):
             raise ValueError("dark_rate must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class PulseScheme(_JsonRecord):
     """Excite-then-collect timing of one detection cycle.
 
@@ -122,7 +121,7 @@ def _snrs(signal_rates: np.ndarray, dark_rate: float,
             / math.sqrt(dark_rate * integration_time))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class SweepRow(_JsonRecord):
     """One operating point of the design sweep.
 
@@ -140,14 +139,13 @@ class SweepRow(_JsonRecord):
     def to_dict(self) -> dict:
         # the fields hold numbers and a string, so a shallow dict equals
         # the deep copy dataclasses.asdict makes
-        return dict(zip(_ROW_FIELDS, _row_values(self)))
+        return dict(zip(self.__match_args__, self._values()))
 
 
-_ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
-_row_values = operator.attrgetter(*_ROW_FIELDS)
 # SweepRow has no __post_init__, so a row is nothing but its six slots:
 # these are their setters, in field order
-_ROW_SETTERS = tuple(getattr(SweepRow, name).__set__ for name in _ROW_FIELDS)
+_ROW_SETTERS = tuple(getattr(SweepRow, name).__set__
+                     for name in SweepRow.__match_args__)
 
 
 def _block_rows(diameter, repetition_rates: list, mode: str, rates: list,

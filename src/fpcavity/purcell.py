@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .core import (
     HBAR,
@@ -23,6 +22,7 @@ from .core import (
     _JsonRecord,
     _require_positive,
     hz_to_angular,
+    record,
 )
 from .optics import LossBudget, cavity_linewidth, finesse, mode_waist
 
@@ -101,7 +101,7 @@ def bad_emitter_factor(cavity_linewidth_fwhm: float,
                                     + homogeneous_linewidth_fwhm)
 
 
-@dataclass(frozen=True)
+@record
 class CouplingDegradation(_JsonRecord):
     """Multiplicative degradations of the ideal Purcell factor.
 
@@ -295,7 +295,7 @@ def saturation_power(intensity: float, waist: float) -> float:
     return intensity * math.pi * waist**2 / 2.0
 
 
-@dataclass(frozen=True)
+@record
 class CouplingReport(_JsonRecord):
     """Coupling summary of one transition in one cavity configuration."""
 

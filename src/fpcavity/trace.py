@@ -21,10 +21,11 @@ file, header included.  There is no quoting and no comment syntax.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .core import _Record, record
 
 
 class TraceFormatError(ValueError):
@@ -35,8 +36,8 @@ class TraceFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+@record(eq=False)
+class Trace(_Record):
     """An (x, y) data trace plus the noise model and seed that produced it."""
 
     x: np.ndarray
@@ -45,8 +46,9 @@ class Trace:
     seed: int | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        # read-only views, so the caller's own arrays stay writeable
+        x = np.asarray(self.x, dtype=float).view()
+        y = np.asarray(self.y, dtype=float).view()
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if x.size == 0:

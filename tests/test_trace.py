@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fpcavity import trace as trace_module
+from fpcavity.spectra import ple_scan
 from fpcavity.trace import (
     Trace,
     TraceFormatError,
@@ -116,6 +117,24 @@ def test_returned_columns_are_contiguous_read_only_float64(tmp_path, text):
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 1.0
+
+
+def test_trace_freezes_views_and_leaves_the_callers_arrays_writeable():
+    grid = np.linspace(-1e9, 1e9, 5)
+    trace = ple_scan(34e9, 0.0, 1.0, 0.0, grid)
+    grid[0] = 1.0  # raised ValueError while the trace froze the grid itself
+    assert trace.x[0] == 1.0  # a view, not a copy
+    y = np.arange(5.0)
+    direct = Trace(x=grid, y=y)
+    y[1] = 7.0
+    for column, given in ((trace.x, grid), (direct.x, grid), (direct.y, y)):
+        assert np.shares_memory(column, given)
+        assert column.dtype == np.float64
+        assert column.flags.c_contiguous
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    assert direct.y[1] == 7.0
 
 
 def test_canonical_file_takes_the_bulk_parse(tmp_path, monkeypatch):
