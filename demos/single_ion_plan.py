@@ -30,17 +30,21 @@ REPETITION_RATES = tuple(float(f) for f in range(500, 6001, 500))
 MODES = ("contact", "open_single", "open_double")
 
 
-def main() -> None:
-    rows = sweep_grid(DIAMETERS, REPETITION_RATES, MODES, [T_BLUE, T_RED],
+def _sweep(modes):
+    return sweep_grid(DIAMETERS, REPETITION_RATES, modes, [T_BLUE, T_RED],
                       BUDGETS, 25e-6, CHAIN, excitation_time=1e-6,
                       excited_population=0.5)
+
+
+def main() -> None:
+    rows = _sweep(MODES)
     print(f"swept {len(rows)} operating points "
           f"({len(DIAMETERS)} diameters x {len(REPETITION_RATES)} "
           f"repetition rates x {len(MODES)} modes)\n")
 
     print("best operating point per mode:")
     for mode in MODES:
-        best = best_operating_point(r for r in rows if r.mode == mode)
+        best = best_operating_point(_sweep(mode))
         print(f"  {mode:<12} {best.diameter * 1e9:3.0f} nm at "
               f"{best.repetition_rate / 1e3:.1f} kHz -> "
               f"{best.rate:6.1f} counts/s  (F_eff "

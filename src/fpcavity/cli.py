@@ -355,27 +355,27 @@ def _cmd_fit(args, config: RunConfig, seed: int):
 
 
 def _cmd_plan(args, config: RunConfig, seed: int):
-    rows = sweep_grid(
+    sweep = sweep_grid(
         config.plan_diameters, config.plan_repetition_rates,
         config.plan_modes, config.transitions, config.loss_budgets,
         config.geometry.radius_of_curvature, config.detection,
         config.excitation_time, config.excited_population,
         integration_time=config.plan_integration_time)
     try:
-        best = best_operating_point(rows)
+        best = best_operating_point(sweep)
     except ValueError as exc:
         raise _CliError(2, f"plan error: {exc}") from None
     report = None
     if args.json:  # only --json prints the report, and its rows are costly
         report = {
-            "n_rows": len(rows),
+            "n_rows": len(sweep),
             "modes": list(config.plan_modes),
             "integration_time": config.plan_integration_time,
             "best": best.to_dict(),
-            "rows": [row.to_dict() for row in rows],
+            "rows": [row.to_dict() for row in sweep],
         }
     lines = [
-        f"swept {len(rows)} operating points "
+        f"swept {len(sweep)} operating points "
         f"({', '.join(config.plan_modes)})",
         f"best: {best.mode}, {_length(best.diameter)} particle at "
         f"{_hz(best.repetition_rate)} -> {best.rate:.1f} counts/s, "
@@ -384,7 +384,7 @@ def _cmd_plan(args, config: RunConfig, seed: int):
     ]
     outputs = []
     if args.out:
-        out = write_sweep_csv(rows, args.out)
+        out = write_sweep_csv(sweep, args.out)
         lines.append(f"wrote sweep to {out}")
         outputs.append(out)
     return report, lines, outputs

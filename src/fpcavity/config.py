@@ -36,7 +36,8 @@ from .core import (
     record,
 )
 from .optics import LossBudget
-from .planner import PLAN_MODES, DetectionChain
+from .planner import (PLAN_MODES, DetectionChain, _check_mode,
+                      _detection_window)
 from .spectra import NOISE_MODELS
 
 SCHEMA_VERSION = 1
@@ -358,6 +359,16 @@ class RunConfig:
         doc = _DOCUMENT(data, "")
         if len(doc["loss_budgets"]) != len(doc["transitions"]):
             raise ConfigError("loss_budgets: need one budget per transition")
+        excitation_time = doc["pulse"]["excitation_time"]
+        for key, check in (
+                ("repetition_rates",
+                 lambda f_rep: _detection_window(f_rep, excitation_time)),
+                ("modes", lambda mode: _check_mode(mode, doc["transitions"]))):
+            for i, value in enumerate(doc["plan"][key]):
+                try:
+                    check(value)
+                except ValueError as exc:
+                    raise ConfigError(f"plan.{key}[{i}]: {exc}") from None
         self.data = data  # as written; hashed and recorded verbatim
         self.seed: int = doc.get("seed", 0)
         self.transitions = doc["transitions"]

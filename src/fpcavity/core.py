@@ -65,18 +65,11 @@ class _Record:
     class instead of compiled for each; ``__match_args__`` names the
     fields.  Unpickling and copying rebuild a record through ``__init__``."""
 
-    # Empty, so a subclass that declares slots carries no ``__dict__``.
-    __slots__ = ()
-
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
         if kwargs or len(args) != len(names):
             args = _bind(type(self), args, kwargs)
-        if hasattr(self, "__dict__"):
-            self.__dict__.update(zip(names, args))
-        else:  # slotted
-            for name, value in zip(names, args):
-                object.__setattr__(self, name, value)
+        self.__dict__.update(zip(names, args))
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
@@ -108,11 +101,6 @@ class _Record:
 def _bind(cls, args: tuple, kwargs: dict) -> list:
     """Field values in order: the arguments, else the field defaults."""
     names = cls.__match_args__
-    if not args and len(kwargs) == len(names):
-        try:  # every field by keyword
-            return [kwargs[name] for name in names]
-        except KeyError:
-            pass
     values = list(args)
     for name in names[len(args):]:
         field = cls.__dataclass_fields__[name]
@@ -132,11 +120,11 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
     return values
 
 
-def record(cls=None, /, *, eq=True, slots=False):
+def record(cls=None, /, *, eq=True):
     """Make a :class:`_Record` subclass a frozen dataclass that takes every
     method from :class:`_Record`; ``eq=False`` keeps identity equality."""
     def wrap(cls):
-        cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+        cls = dataclass(cls, init=False, repr=False, eq=False)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         return cls
@@ -145,8 +133,6 @@ def record(cls=None, /, *, eq=True, slots=False):
 
 class _JsonRecord(_Record):
     """JSON serialization helpers shared by the value types."""
-
-    __slots__ = ()
 
     def to_dict(self) -> dict:
         return asdict(self)

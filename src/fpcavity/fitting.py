@@ -319,8 +319,8 @@ def _resolve_weights(weights, y) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != y.shape:
         raise ValueError("weights must match the data length")
-    if np.any(weights < 0.0):
-        raise ValueError("weights must be >= 0")
+    if not np.all((weights >= 0.0) & (weights < math.inf)):
+        raise ValueError("weights must be finite and >= 0")
     return weights
 
 
@@ -332,8 +332,8 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     Accepts either a :class:`~fpcavity.trace.Trace` or separate x and y
     arrays.  ``initial_guess`` may be a full or partial parameter dict
     (missing entries fall back to the automatic guess) or a plain sequence
-    in registry order.  ``weights`` is None, "poisson" (1/max(y, 1)), or an
-    explicit array; ``x_range`` restricts the fit window.
+    in registry order.  ``weights`` is None, "poisson" (1/max(y, 1)), or a
+    finite array; x and y must be finite inside the ``x_range`` window.
     """
     spec = _model(model)
     if isinstance(trace_or_x, Trace):
@@ -352,6 +352,8 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         lo, hi = x_range
         keep = (x >= lo) & (x <= hi)
         x, y = x[keep], y[keep]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite inside the fit window")
 
     k = len(spec.parameters)
     if len(x) < k:

@@ -18,15 +18,9 @@ collected channel in contact and open_single modes.
 """
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import math
-import operator
-from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,7 +115,7 @@ def _snrs(signal_rates: np.ndarray, dark_rate: float,
             / math.sqrt(dark_rate * integration_time))
 
 
-@record(slots=True)
+@record
 class SweepRow(_JsonRecord):
     """One operating point of the design sweep.
 
@@ -142,27 +136,6 @@ class SweepRow(_JsonRecord):
         return dict(zip(self.__match_args__, self._values()))
 
 
-# SweepRow has no __post_init__, so a row is nothing but its six slots:
-# these are their setters, in field order
-_ROW_SETTERS = tuple(getattr(SweepRow, name).__set__
-                     for name in SweepRow.__match_args__)
-
-
-def _block_rows(diameter, repetition_rates: list, mode: str, rates: list,
-                snrs: list, effective_purcell: float) -> list[SweepRow]:
-    """``SweepRow(diameter, f_rep, mode, rate, snr, effective_purcell)``
-    for each repetition rate and its rate and SNR, built column by
-    column."""
-    rows = list(map(object.__new__,
-                    itertools.repeat(SweepRow, len(repetition_rates))))
-    columns = (itertools.repeat(diameter), repetition_rates,
-               itertools.repeat(mode), rates, snrs,
-               itertools.repeat(effective_purcell))
-    for setter, column in zip(_ROW_SETTERS, columns):
-        deque(map(setter, rows, column), maxlen=0)
-    return rows
-
-
 def _shared_lifetime(transitions) -> float:
     lifetimes = {t.free_space_lifetime for t in transitions}
     first = next(iter(lifetimes))
@@ -171,19 +144,34 @@ def _shared_lifetime(transitions) -> float:
     return first
 
 
+def _check_mode(mode: str, transitions) -> None:
+    """Reject a mode that is unknown or that ``transitions`` cannot fill."""
+    if mode not in PLAN_MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
+    if mode in _OPEN_MODES and len(transitions) != 2:
+        raise ValueError(f"mode {mode!r} needs exactly two transitions")
+
+
+def _detection_window(repetition_rate: float,
+                      excitation_time: float) -> float:
+    """What the excitation pulse leaves of one repetition period."""
+    _require_positive("repetition_rates", repetition_rate)
+    window = 1.0 / repetition_rate - excitation_time
+    if not window > 0.0:
+        raise ValueError("repetition period must exceed the excitation time")
+    return window
+
+
 def _cavity(mode: str, transitions, budgets, radius_of_curvature: float):
     """Geometry of one mode's cavity, with the transitions it enhances and
     their bare budgets; both open modes share one cavity."""
+    _check_mode(mode, transitions)
     if mode == "contact":
         pumped = transitions[0]
         order = max(1, round(2.0 * CONTACT_LENGTH / pumped.wavelength))
         geometry = CavityGeometry(radius_of_curvature, CONTACT_LENGTH,
                                   order, CONTACT_JITTER)
         return geometry, [pumped], [budgets[0]]
-    if mode not in _OPEN_MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
-    if len(transitions) != 2:
-        raise ValueError(f"mode {mode!r} needs exactly two transitions")
     resonance = double_resonance(transitions[0].wavelength,
                                  transitions[1].wavelength)
     geometry = CavityGeometry(radius_of_curvature, resonance.cavity_length,
@@ -260,82 +248,42 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
         scheme.excited_population, free_space_lifetime, chain)[0])
 
 
-class _Block(NamedTuple):
-    """Sweep rows of one (mode, diameter) pair, with their repetition
-    rates as a list and their rates and SNRs as arrays."""
-
-    mode: str
-    diameter: float
-    rows: list[SweepRow]
-    repetition_rates: list
-    rates: np.ndarray
-    snrs: np.ndarray
-
-    @classmethod
-    def of_rows(cls, rows: list[SweepRow]) -> _Block:
-        return cls(rows[0].mode, rows[0].diameter, rows,
-                   [row.repetition_rate for row in rows],
-                   np.array([float(row.rate) for row in rows]),
-                   np.array([float(row.snr) for row in rows]))
-
-
 class Sweep(Sequence):
     """Read-only sequence of :class:`SweepRow`, as :func:`sweep_grid`
-    returns it.
+    returns it, held as columns: a row is built only when it is read.
 
-    Next to the rows it keeps each (mode, diameter) block's rates and SNRs
-    as arrays, which :func:`best_operating_point` and
-    :func:`write_sweep_csv` work on; ``list(sweep)`` gives a mutable copy.
+    ``blocks`` holds one ``(mode, diameter, effective_purcell)`` key per
+    (mode, diameter) pair, ``repetition_rates`` the caller's rates, and
+    ``rates`` and ``snrs`` one row per block and one column per
+    repetition rate.  ``list(sweep)`` gives the rows as a list.
     """
 
-    __slots__ = ("_blocks", "_rows")
-
-    def __init__(self, blocks: list[_Block]):
-        self._blocks = blocks
-        self._rows = list(itertools.chain.from_iterable(
-            block.rows for block in blocks))
+    def __init__(self, blocks: list, repetition_rates: list,
+                 rates: np.ndarray, snrs: np.ndarray):
+        self.blocks, self.repetition_rates = blocks, repetition_rates
+        self.rates, self.snrs = rates, snrs
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.blocks) * len(self.repetition_rates)
 
-    def __getitem__(self, index):
-        return self._rows[index]
+    def _row(self, block: int, column: int) -> SweepRow:
+        mode, diameter, purcell = self.blocks[block]
+        return SweepRow(diameter, self.repetition_rates[column], mode,
+                        float(self.rates[block, column]),
+                        float(self.snrs[block, column]), purcell)
+
+    def __getitem__(self, index: int) -> SweepRow:
+        if not -len(self) <= index < len(self):
+            raise IndexError("sweep index out of range")
+        return self._row(*divmod(index % len(self),
+                                 len(self.repetition_rates)))
 
     def __iter__(self):
-        return iter(self._rows)
-
-    def __eq__(self, other):
-        if isinstance(other, Sweep):
-            other = other._rows
-        if not isinstance(other, list):
-            return NotImplemented
-        return self._rows == other
-
-    def __repr__(self) -> str:
-        return f"<Sweep of {len(self)} rows>"
-
-
-def _as_blocks(rows):
-    """``rows`` in block form, one block at a time: a sweep's own blocks,
-    or for any other iterable of :class:`SweepRow` one block per run of
-    consecutive rows holding the same mode, diameter and effective
-    Purcell objects, so that ``list(sweep)`` gives the sweep's blocks."""
-    if isinstance(rows, Sweep):
-        yield from rows._blocks
-        return
-    run = []
-    diameter = mode = purcell = None
-    for row in rows:
-        if not (row.diameter is diameter and row.mode is mode
-                and row.effective_purcell is purcell):
-            if run:
-                yield _Block.of_rows(run)
-            run = []
-            diameter, mode, purcell = (row.diameter, row.mode,
-                                       row.effective_purcell)
-        run.append(row)
-    if run:
-        yield _Block.of_rows(run)
+        for (mode, diameter, purcell), rates, snrs in zip(
+                self.blocks, self.rates, self.snrs):
+            for f_rep, rate, row_snr in zip(self.repetition_rates,
+                                            rates.tolist(), snrs.tolist()):
+                yield SweepRow(diameter, f_rep, mode, rate, row_snr, purcell)
 
 
 def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
@@ -347,7 +295,7 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     ``budgets`` are bare-cavity budgets in transition order; each grid
     point loads them with that diameter's scattering loss.  Repetition
     rates must be finite and leave a positive detection window after the
-    excitation pulse.  Every diameter is checked before any row is built.
+    excitation pulse.  Every diameter is checked before any set-up.
     Each diameter's channels are set up once per cavity, the two open
     modes sharing one, and the rates of every (mode, diameter) block at
     every repetition rate come from one array pass.  Rows come in mode,
@@ -357,7 +305,7 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     """
     if isinstance(modes, str):
         modes = (modes,)
-    # each rule is checked once, before any row is built: PulseScheme
+    # each rule is checked once, before any channel is set up: PulseScheme
     # states the rules on excitation time and population, and the windows
     # are checked below
     PulseScheme(excitation_time, 1.0, excited_population)
@@ -365,12 +313,8 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     # both are read once: every mode iterates them again
     diameters = list(diameters)
     repetition_rates = list(repetition_rates)
-    f_reps = np.array(repetition_rates, dtype=float)
-    if not (np.isfinite(f_reps) & (f_reps > 0.0)).all():
-        raise ValueError("repetition_rates must be finite and positive")
-    windows = 1.0 / f_reps - excitation_time
-    if (windows <= 0.0).any():
-        raise ValueError("repetition period must exceed the excitation time")
+    windows = [_detection_window(f_rep, excitation_time)
+               for f_rep in repetition_rates]
     lifetime = _shared_lifetime(transitions)
     # only the diameter enters the rate; doping is a placeholder
     particles = [Nanoparticle(diameter=diameter, dopant_concentration=0.5)
@@ -396,71 +340,47 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     rates = _detected_rates(
         np.array(totals).reshape(-1, 1), np.array(collects).reshape(-1, 1),
         excitation_time, windows, excited_population, lifetime, chain)
-    snrs = _snrs(rates, chain.dark_rate, integration_time)
-    return Sweep([
-        _Block(mode, diameter,
-               _block_rows(diameter, repetition_rates, mode,
-                           block_rates.tolist(), block_snrs.tolist(), total),
-               repetition_rates, block_rates, block_snrs)
-        for (mode, diameter, total), block_rates, block_snrs
-        in zip(keys, rates, snrs)])
+    return Sweep(keys, repetition_rates, rates,
+                 _snrs(rates, chain.dark_rate, integration_time))
 
 
-def best_operating_point(rows) -> SweepRow:
+def best_operating_point(sweep: Sweep) -> SweepRow:
     """Row with the highest rate; ties go to the gentlest settings.
 
-    Each block offers its highest rate at its lowest repetition rate, the
-    first of equal ones; those rows compete under the key (-rate,
-    repetition rate, diameter, mode), the first one winning ties.  The
-    result is the row that key picks over all rows.
+    Of the rows holding the highest rate, the one with the lowest
+    (repetition rate, diameter, mode) wins, the first in sweep order
+    among equal ones.
     """
-    winners = []
-    for block in _as_blocks(rows):
-        if len(block.rates):
-            top = block.rates.max()
-            if math.isnan(top):
-                raise ValueError("sweep rates must not be NaN")
-            tied = np.flatnonzero(block.rates == top).tolist()
-            winners.append(block.rows[
-                min(tied, key=block.repetition_rates.__getitem__)])
-    if not winners:
+    if not sweep.rates.size:
         raise ValueError("no sweep rows to choose from")
-    best = min(winners, key=lambda r: (-r.rate, r.repetition_rate,
-                                       r.diameter, r.mode))
-    if best.rate <= 0.0:
+    top = sweep.rates.max()
+    if math.isnan(top):
+        raise ValueError("sweep rates must not be NaN")
+    if top <= 0.0:
         raise ValueError("sweep produced no usable operating point")
-    return best
+    tied = np.argwhere(sweep.rates == top).tolist()  # in sweep order
+    block, column = min(tied, key=lambda at: (
+        sweep.repetition_rates[at[1]], sweep.blocks[at[0]][1],
+        sweep.blocks[at[0]][0]))
+    return sweep._row(block, column)
 
 
-def _csv_field(value) -> str:
-    """One field as ``csv.writer`` renders it inside a row."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
-    return buffer.getvalue()[:-2]
+def write_sweep_csv(sweep: Sweep, path) -> Path:
+    """Write a sweep as CSV with the canonical column set.
 
-
-def write_sweep_csv(rows, path) -> Path:
-    """Write sweep rows as CSV with the canonical column set.
-
-    Each block's diameter and mode are formatted once, and so are the
-    repetition rates that consecutive blocks share; the lines stream to
-    the file one block at a time.
+    The repetition rates are formatted once and each block's diameter
+    once; the lines go to the file one block at a time.  Modes are
+    written unquoted: :func:`sweep_grid` admits only ``PLAN_MODES``.
     """
     path = Path(path)
-    shared = rate_texts = None
+    rate_texts = [repr(round(f, 9)) for f in sweep.repetition_rates]
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(SWEEP_COLUMNS) + "\n")
-        for block in _as_blocks(rows):
-            f_reps = block.repetition_rates
-            if not (f_reps is shared
-                    or (shared is not None and len(f_reps) == len(shared)
-                        and all(map(operator.is_, f_reps, shared)))):
-                shared = f_reps
-                rate_texts = [repr(round(f, 9)) for f in f_reps]
-            diameter = repr(round(block.diameter * 1e9, 9))
-            mode = _csv_field(block.mode)
+        for (mode, diameter, _), rates, snrs in zip(
+                sweep.blocks, sweep.rates, sweep.snrs):
+            diameter = repr(round(diameter * 1e9, 9))
             handle.write("".join([
                 f"{diameter},{f_rep},{mode},{rate!r},{row_snr!r}\n"
                 for f_rep, rate, row_snr in zip(
-                    rate_texts, block.rates.tolist(), block.snrs.tolist())]))
+                    rate_texts, rates.tolist(), snrs.tolist())]))
     return path

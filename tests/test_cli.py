@@ -400,6 +400,52 @@ def test_fit_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["linear", "exp_decay", "lorentzian"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_fit_rejects_non_finite_trace_values(tmp_path, capsys, model, bad):
+    # these used to exit 0 and write "NaN", which is not JSON
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"x,y\n0,1\n1,{bad}\n2,3\n3,4\n4,5\n5,7\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", model, str(trace), "--json", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("input error: x and y must be finite inside "
+                            "the fit window\n")
+    assert captured.out == "" and not out.exists()
+    # a fit window that leaves the value out still fits
+    assert main(["fit", "linear", str(trace), "--range", "2", "5"]) == 0
+
+
+@pytest.mark.parametrize("command", ["cavity", "plan"])
+@pytest.mark.parametrize("edit, message", [
+    ({"plan": {"repetition_rates": [1000.0, 2e6]}},
+     "plan.repetition_rates[1]: repetition period must exceed the "
+     "excitation time"),
+    ({"plan": {"modes": ["contact", "open_single"]}, "transitions": 1},
+     "plan.modes[1]: mode 'open_single' needs exactly two transitions"),
+], ids=["period-below-excitation", "open-mode-one-transition"])
+def test_plan_rules_are_checked_at_load(tmp_path, capsys, command, edit,
+                                        message):
+    # both used to pass cavity and purcell and fail only plan, unnamed
+    data = RunConfig.default().data
+    data["plan"].update(edit["plan"])
+    if "transitions" in edit:
+        data["transitions"] = data["transitions"][:1]
+        data["loss_budgets"] = data["loss_budgets"][:1]
+    with pytest.raises(ConfigError) as info:
+        RunConfig(data)
+    assert str(info.value) == message
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    # without the offending entry the same config runs
+    data["plan"] = RunConfig.default().data["plan"]
+    data["plan"]["modes"] = ["contact"]
+    config.write_text(json.dumps(data))
+    assert main([command, "--config", str(config)]) == 0
+
+
 def test_plan_sweep_output(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.csv"
     report = _json_run(capsys, ["plan", "--json", "--out", str(out)])

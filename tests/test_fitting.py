@@ -249,3 +249,22 @@ def test_trace_input_and_evaluate():
     assert np.allclose(result.evaluate(x), y, rtol=0.0, atol=1e-9)
     with pytest.raises(ValueError):
         fit("linear", trace, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_in_the_fit_window_is_rejected(bad):
+    x, y, _ = _clean_case("linear")
+    for data in (x, y):
+        corrupted = data.copy()
+        corrupted[10] = bad
+        args = (corrupted, y) if data is x else (x, corrupted)
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            fit("linear", *args)
+    # outside the window the point is ignored
+    corrupted = y.copy()
+    corrupted[-1] = bad
+    assert fit("linear", x, corrupted, x_range=(-5.0, 4.0)).converged
+    weights = np.ones_like(y)
+    weights[3] = bad
+    with pytest.raises(ValueError, match="weights must be finite"):
+        fit("linear", x, y, weights=weights)

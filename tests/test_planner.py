@@ -2,11 +2,13 @@
 import copy
 import csv
 import dataclasses
+import inspect
 import io
 import math
 import pickle
 import warnings
 
+import numpy as np
 import pytest
 
 from fpcavity import (
@@ -22,10 +24,12 @@ from fpcavity import (
     write_sweep_csv,
 )
 from fpcavity import ensemble, planner
-from fpcavity.core import Nanoparticle
+from fpcavity.cli import main
+from fpcavity.core import Nanoparticle, _Record, record
 from fpcavity.ensemble import channel_strengths
 from fpcavity.optics import LossBudget, loaded_budget, outcoupling_efficiency
 from fpcavity.planner import (
+    Sweep,
     _cavity,
     _channel_setup,
     _collected,
@@ -151,19 +155,28 @@ def test_open_double_beats_open_single():
         assert partner.rate > row.rate
 
 
+def _columns(blocks, repetition_rates, rates, snrs=None):
+    """A sweep built by hand from its columns, one row of ``rates`` per
+    ``(mode, diameter, effective_purcell)`` block."""
+    rates = np.array(rates, dtype=float).reshape(len(blocks),
+                                                 len(repetition_rates))
+    snrs = rates / 10.0 if snrs is None else np.array(snrs, dtype=float)
+    return Sweep(list(blocks), list(repetition_rates), rates,
+                 snrs.reshape(rates.shape))
+
+
 def test_best_operating_point_tie_breaks():
-    rows = [
-        SweepRow(70e-9, 4000.0, "contact", 100.0, 10.0, 5.0),
-        SweepRow(70e-9, 2000.0, "contact", 100.0, 10.0, 5.0),
-        SweepRow(40e-9, 6000.0, "contact", 90.0, 9.0, 5.7),
-    ]
-    best = best_operating_point(rows)
+    sweep = _columns([("contact", 70e-9, 5.0), ("contact", 40e-9, 5.7)],
+                     (2000.0, 4000.0, 6000.0),
+                     [[100.0, 100.0, 50.0], [60.0, 70.0, 90.0]])
+    best = best_operating_point(sweep)
     assert best.repetition_rate == 2000.0  # gentler clock at equal rate
+    assert best == SweepRow(70e-9, 2000.0, "contact", 100.0, 10.0, 5.0)
     with pytest.raises(ValueError):
-        best_operating_point([])
+        best_operating_point(_columns([], (1000.0,), []))
     with pytest.raises(ValueError):
-        best_operating_point([SweepRow(70e-9, 1000.0, "contact", 0.0, 0.0,
-                                       5.0)])
+        best_operating_point(_columns([("contact", 70e-9, 5.0)], (1000.0,),
+                                      [[0.0]]))
 
 
 def test_sweep_is_a_read_only_sequence_of_rows():
@@ -172,24 +185,34 @@ def test_sweep_is_a_read_only_sequence_of_rows():
     sweep = _sweep(diameters, rates, ("contact", "open_double"))
     rows = list(sweep)
     assert len(sweep) == len(rows) == 2 * 2 * 2
-    assert sweep and not _sweep((), rates, "contact")
-    assert not _sweep(diameters, (), "contact")
+    assert sweep.rates.shape == sweep.snrs.shape == (4, 2)
+    assert [key[:2] for key in sweep.blocks] == [
+        ("contact", 40e-9), ("contact", 70e-9),
+        ("open_double", 40e-9), ("open_double", 70e-9)]
+    assert sweep and list(reversed(sweep)) == rows[::-1]
+    for empty in (_sweep((), rates, "contact"),
+                  _sweep(diameters, (), "contact"),
+                  _sweep(diameters, rates, ())):
+        assert not empty and list(empty) == []
+        with pytest.raises(IndexError):
+            empty[0]
     assert list(iter(sweep)) == [sweep[i] for i in range(len(sweep))]
-    assert all(row is sweep[i] for i, row in enumerate(rows))
+    # each read builds a new row
+    assert sweep[0] == sweep[0] and sweep[0] is not sweep[0]
     assert [sweep[-i] for i in range(1, 9)] == rows[::-1]
     for index in (8, -9):
         with pytest.raises(IndexError):
             sweep[index]
-    for part in (slice(None), slice(1, 6, 2), slice(-3, None),
-                 slice(None, None, -3), slice(9, 20)):
-        assert sweep[part] == rows[part]
+    for part in (slice(None), slice(1, 6, 2)):
+        with pytest.raises(TypeError):
+            sweep[part]
     # rows run over modes, then diameters, then repetition rates
     assert sweep[3] == SweepRow(70e-9, 5000.0, "contact", sweep[3].rate,
                                 sweep[3].snr, sweep[3].effective_purcell)
-    assert sweep == _sweep(list(diameters), list(rates),
-                           ("contact", "open_double"))
-    assert sweep == rows and sweep != rows[:-1] and sweep != tuple(rows)
-    assert sweep != _sweep(diameters, rates, "contact")
+    assert rows == list(_sweep(list(diameters), list(rates),
+                               ("contact", "open_double")))
+    # equality is identity: compare list(sweep)
+    assert sweep != rows and sweep == sweep
     for row in sweep:
         assert any(row.diameter is d for d in diameters)
         assert any(row.repetition_rate is f for f in rates)
@@ -199,19 +222,14 @@ def test_sweep_is_a_read_only_sequence_of_rows():
         sweep[0] = rows[1]
 
 
-def test_sweep_rows_are_slotted_frozen_records():
+def test_sweep_rows_are_frozen_records():
     row = SweepRow(diameter=6e-8, repetition_rate=4000, mode="contact",
                    rate=12.5, snr=-0.0, effective_purcell=0.82)
-    assert not hasattr(row, "__dict__")
-    assert hasattr(T580, "__dict__")  # records without slots keep theirs
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        row.rate = 1.0
+    for name in ("rate", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         del row.rate
-    # a name that is no field: FrozenInstanceError before, and on Python
-    # 3.10-3.11 a TypeError from the class that slots=True recreates
-    with pytest.raises((AttributeError, TypeError)):
-        row.extra = 1.0
     assert copy.deepcopy(row) == row
     assert pickle.loads(pickle.dumps(row)) == row
     fields = {"diameter": 6e-8, "repetition_rate": 4000, "mode": "contact",
@@ -228,12 +246,12 @@ def test_sweep_rows_are_slotted_frozen_records():
     assert repr(row) == (
         "SweepRow(diameter=6e-08, repetition_rate=4000, mode='contact', "
         "rate=12.5, snr=-0.0, effective_purcell=0.82)")
+    # no record type is slotted, and record() has no option for it
+    assert "slots" not in inspect.signature(record).parameters
+    assert "__slots__" not in vars(SweepRow)
 
 
 def test_sweep_rows_equal_constructor_built_rows():
-    # rows are filled slot by slot, which holds only while SweepRow's
-    # __init__ does nothing but set its fields
-    assert not hasattr(SweepRow, "__post_init__")
     diameters = (40e-9, 70e-9, float("7e-08"))
     rates = (4000, 5000.0, 4000.0)
     modes = ("contact", "open_single", "open_double")
@@ -253,9 +271,9 @@ def test_sweep_rows_equal_constructor_built_rows():
                 assert row.mode == mode and type(row.mode) is str
                 for value in (row.rate, row.snr, row.effective_purcell):
                     assert type(value) is float
-                assert not hasattr(row, "__dict__")
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     row.rate = 0.0
+    assert next(rows, None) is None
 
 
 @pytest.mark.parametrize("values", [
@@ -271,36 +289,52 @@ def test_sweep_row_to_dict_matches_asdict(values):
         assert repr(shallow[key]) == repr(deep[key])
 
 
+def _gentlest(rows):
+    """The row with the highest rate, ties going to the lowest
+    (repetition rate, diameter, mode), the first of equal ones."""
+    return min(rows, key=lambda r: (-r.rate, r.repetition_rate, r.diameter,
+                                    r.mode))
+
+
 def test_best_operating_point_matches_min_over_rows():
     # equal diameters and equal repetition rates of another type tie
     diameters = (70e-9, 40e-9, float("4e-08"))
     rates = (2000.0, 4000, 4000.0)
     sweep = _sweep(diameters, rates, ("open_double", "contact"))
-    expected = min(list(sweep), key=lambda r: (-r.rate, r.repetition_rate,
-                                               r.diameter, r.mode))
-    for rows in (sweep, list(sweep), iter(sweep)):
-        best = best_operating_point(rows)
-        assert best is expected
-        assert best.diameter is diameters[1]
-        assert best.repetition_rate is rates[1]
-    # equal rates at different repetition rates, in one run of rows that
-    # hold the same diameter, mode and effective Purcell objects
-    diameter, purcell = 40e-9, 5.0
-    tied = [SweepRow(diameter, f_rep, "contact", rate, row_snr, purcell)
-            for f_rep, rate, row_snr in ((3000.0, 5.0, 1.0), (4000, 7.0, 2.0),
-                                         (2000.0, 7.0, 3.0), (2000, 7.0, 4.0))]
-    assert best_operating_point(tied) is tied[2]
+    best = best_operating_point(sweep)
+    assert best == _gentlest(list(sweep))
+    assert best.diameter is diameters[1]
+    assert best.repetition_rate is rates[1]
+    # equal rates at different repetition rates, the lowest one twice
+    f_reps = (3000.0, 4000, 2000.0, 2000)
+    tied = _columns([("contact", 40e-9, 5.0)], f_reps,
+                    [[5.0, 7.0, 7.0, 7.0]], [[1.0, 2.0, 3.0, 4.0]])
+    best = best_operating_point(tied)
+    assert best == list(tied)[2] and best.repetition_rate is f_reps[2]
+    # modes tie by name, not by sweep order
+    modes = _columns([("open_double", 40e-9, 5.0), ("contact", 40e-9, 5.0)],
+                     (1000.0,), [[7.0], [7.0]])
+    assert best_operating_point(modes).mode == "contact"
+    # many ties: small integer rates against the search over every row
+    rng = np.random.default_rng(14)
+    blocks = [(mode, d, 5.0) for mode in ("open_single", "contact")
+              for d in (70e-9, 40e-9, float("4e-08"))]
+    for _ in range(200):
+        sweep = _columns(blocks, (2000.0, 1000.0, 1000),
+                         rng.integers(1, 4, (len(blocks), 3)),
+                         rng.random((len(blocks), 3)))
+        assert best_operating_point(sweep) == _gentlest(list(sweep))
     with pytest.raises(ValueError, match="no sweep rows to choose from"):
         best_operating_point(_sweep((), rates, "contact"))
+    with pytest.raises(ValueError, match="no sweep rows to choose from"):
+        best_operating_point(_sweep(diameters, (), "contact"))
     with pytest.raises(ValueError, match="NaN"):
-        best_operating_point([SweepRow(70e-9, 1000.0, "contact", 5.0, 1.0,
-                                       5.0),
-                              SweepRow(70e-9, 2000.0, "contact", math.nan,
-                                       1.0, 5.0)])
+        best_operating_point(_columns([("contact", 70e-9, 5.0)],
+                                      (1000.0, 2000.0), [[5.0, math.nan]]))
     with pytest.raises(ValueError,
                        match="sweep produced no usable operating point"):
-        best_operating_point([SweepRow(70e-9, 1000.0, "contact", 0.0, 0.0,
-                                       5.0)])
+        best_operating_point(_columns([("contact", 70e-9, 5.0)], (1000.0,),
+                                      [[0.0]]))
 
 
 def test_sweep_rejects_impossible_window():
@@ -386,9 +420,10 @@ def test_sweep_reads_diameter_generator_once():
     diameters = (40e-9, 70e-9, 100e-9)
     modes = ("contact", "open_single", "open_double")
     listed = _sweep(list(diameters), (4000.0, 5000.0), modes)
-    generated = _sweep((d for d in diameters), (4000.0, 5000.0), modes)
+    generated = _sweep((d for d in diameters),
+                       (f for f in (4000.0, 5000.0)), modes)
     assert len(listed) == 3 * 3 * 2
-    assert generated == listed
+    assert list(generated) == list(listed)
 
 
 def test_channel_setup_loads_each_budget_once(monkeypatch):
@@ -482,23 +517,46 @@ def _reference_csv(rows) -> str:
 
 
 def test_write_sweep_csv_bytes_match_reference(tmp_path):
-    sweep = _sweep((40e-9, 70e-9), (4000, 5000.0, 6000),
-                   ("contact", "open_single", "open_double"))
-    rows = [
-        SweepRow(70e-9, 4000.0, "contact", 240.8, 53.8, 5.24),
-        SweepRow(70e-9, 6000.0, "contact", 1e-05, 2.5e+16, 5.24),
-        SweepRow(40e-9, 4000.0, "open_double", 2.5e+16, math.inf, 5.69),
-        SweepRow(40e-9, 6000.0, "open_single", 0.0, 0.0, 5.69),
-        SweepRow(57.123456789123e-9, 1e-05, "contact", 1.0 / 3.0, 1e-300,
-                 1.0),
+    edges = _columns(
+        [("contact", 70e-9, 5.24), ("open_double", 57.123456789123e-9, 1.0),
+         ("open_single", 0.0, 5.69), ("contact", -0.0, 5.69)],
         # equal values of another type or sign print differently
-        SweepRow(70e-9, 4000, "contact", 1.0, 2.0, 5.24),
-        SweepRow(0.0, 0.0, "contact", 1.0, 2.0, 5.24),
-        SweepRow(-0.0, -0.0, "contact", 1.0, 2.0, 5.24),
-        SweepRow(70e-9, 4000.0, "needs,quoting", 1.0, 2.0, 5.24),
-        SweepRow(70e-9, 4000.0, "contact", 240.8, 53.8, 5.24),
-    ]
-    for source, expected in (((row for row in rows), rows),
-                             (sweep, list(sweep)), (list(sweep), list(sweep))):
-        path = write_sweep_csv(source, tmp_path / "sweep.csv")
-        assert path.read_bytes() == _reference_csv(expected).encode()
+        (4000.0, 4000, 1e-05, 0.0, -0.0),
+        [[240.8, 1e-05, 2.5e+16, 0.0, 1.0 / 3.0],
+         [1.0, 2.0, 3.0, 4.0, 5.0],
+         [0.0, -0.0, 1e-300, 7.0, 8.0],
+         [9.0, 10.0, 11.0, 12.0, 13.0]],
+        [[53.8, 2.5e+16, math.inf, 0.0, 1e-300],
+         [-0.0, 1.0, 2.0, 3.0, 4.0],
+         [5.0, 6.0, 7.0, 8.0, 9.0],
+         [10.0, 11.0, 12.0, 13.0, math.inf]])
+    for sweep in (_sweep((40e-9, 70e-9), (4000, 5000.0, 6000),
+                         ("contact", "open_single", "open_double")),
+                  _sweep((40e-9, float("7e-08")), [4000.0, 6000.0],
+                         "contact"),
+                  _sweep((), (4000.0,), "contact"), edges):
+        path = write_sweep_csv(sweep, tmp_path / "sweep.csv")
+        assert path.read_bytes() == _reference_csv(list(sweep)).encode()
+
+
+def test_sweep_builds_only_the_rows_that_are_read(tmp_path, monkeypatch,
+                                                  capsys):
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        _Record.__init__(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepRow, "__init__", counted)
+    sweep = _sweep((40e-9, 70e-9, 100e-9), (1000.0, 4000.0, 6000.0),
+                   ("contact", "open_single", "open_double"))
+    best = best_operating_point(sweep)
+    write_sweep_csv(sweep, tmp_path / "sweep.csv")
+    assert built == [best._values()]
+    built.clear()
+    assert len(list(sweep)) == len(built) == 27
+    built.clear()
+    # plan without --json reads its best row only
+    assert main(["plan", "--out", str(tmp_path / "plan.csv")]) == 0
+    assert len(built) == 1
+    assert "swept 252 operating points" in capsys.readouterr().out
