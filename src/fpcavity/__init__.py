@@ -35,7 +35,6 @@ from .optics import (
     resonance_length,
 )
 from .purcell import (
-    CouplingDegradation,
     CouplingReport,
     bad_emitter_factor,
     cavity_branching,
@@ -43,8 +42,6 @@ from .purcell import (
     cooperativity,
     coupling_rate,
     coupling_report,
-    degradation_factors,
-    effective_purcell,
     ideal_purcell_from_effective,
     jitter_suppression,
     multimodal_sum,

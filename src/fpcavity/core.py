@@ -160,6 +160,12 @@ def _require_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
+def _require_branching_ratio(value: float) -> None:
+    """Reject a branching ratio outside (0, 1] (NaN too)."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError("branching_ratio must be in (0, 1]")
+
+
 @record
 class Transition(_JsonRecord):
     """One optical transition of the emitter.
@@ -178,8 +184,7 @@ class Transition(_JsonRecord):
     def __post_init__(self):
         _require_finite(self)
         _require_positive("wavelength", self.wavelength)
-        if not 0.0 < self.branching_ratio <= 1.0:
-            raise ValueError("branching_ratio must be in (0, 1]")
+        _require_branching_ratio(self.branching_ratio)
         _require_positive("free_space_lifetime", self.free_space_lifetime)
         floor = 1.0 / (TWO_PI * self.free_space_lifetime)
         if self.homogeneous_linewidth < floor:
@@ -230,13 +235,11 @@ class Nanoparticle(_JsonRecord):
     dopant_concentration: dopant fraction of cation sites, in (0, 1)
     cation_density: host cation site density (m^-3), at most
     ``MAX_CATION_DENSITY``
-    refractive_index: bulk index of the particle host
     """
 
     diameter: float
     dopant_concentration: float
     cation_density: float = YTTRIA_CATION_DENSITY
-    refractive_index: float = 1.93
 
     def __post_init__(self):
         _require_finite(self)
@@ -247,8 +250,6 @@ class Nanoparticle(_JsonRecord):
         if not 0.0 < self.cation_density <= MAX_CATION_DENSITY:
             raise ValueError("cation_density must be in "
                              f"(0, {MAX_CATION_DENSITY:g}] m^-3")
-        if self.refractive_index < 1.0:
-            raise ValueError("refractive_index must be >= 1")
 
     @property
     def volume(self) -> float:

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord,
-                   _require_non_negative, _require_positive, record)
+                   _require_finite, _require_non_negative, _require_positive,
+                   record)
 from .optics import loaded_budget
 from .purcell import coupling_report
 from .trace import Trace
@@ -97,33 +98,26 @@ class ChannelStrength(_JsonRecord):
 
 
 def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
-                      transitions, budgets, jitter_sigma: float | None = None,
-                      refractive_index: float = 1.0) -> list[ChannelStrength]:
+                      transitions, budgets) -> list[ChannelStrength]:
     """Per-transition deterministic Purcell prefactors.
 
     Budgets are the bare-cavity budgets in transition order; the particle's
-    own scattering loss is added here before the finesse is taken.  With
-    ``jitter_sigma=None`` the geometry's rms length jitter applies.
+    own scattering loss is added here before the finesse is taken.  The
+    geometry's rms length jitter applies.
     """
     loaded = [loaded_budget(bare, particle.diameter, transition.wavelength)
               for transition, bare in zip(transitions, budgets, strict=True)]
-    return _loaded_channel_strengths(geometry, transitions, loaded,
-                                     jitter_sigma, refractive_index)
+    return _loaded_channel_strengths(geometry, transitions, loaded)
 
 
-def _loaded_channel_strengths(geometry: CavityGeometry, transitions, loaded,
-                              jitter_sigma: float | None = None,
-                              refractive_index: float = 1.0
-                              ) -> list[ChannelStrength]:
+def _loaded_channel_strengths(geometry: CavityGeometry, transitions,
+                              loaded) -> list[ChannelStrength]:
     """``channel_strengths`` from budgets that already hold the particle's
     scattering loss, for a caller that needs those budgets too."""
-    if jitter_sigma is None:
-        jitter_sigma = geometry.rms_length_jitter
     channels = []
     for transition, budget in zip(transitions, loaded):
         report = coupling_report(transition, geometry, budget,
-                                 jitter_sigma=jitter_sigma,
-                                 refractive_index=refractive_index)
+                                 jitter_sigma=geometry.rms_length_jitter)
         channels.append(ChannelStrength(wavelength=transition.wavelength,
                                         strength=report.effective_purcell))
     return channels
@@ -160,9 +154,9 @@ def _ensemble_block(seed: int, block: int, count: int, diameter: float,
 
 def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
                            transitions, budgets, n_samples: int = 20000,
-                           seed: int = 0, jitter_sigma: float | None = None,
-                           antinode_offset_fraction: float = 0.15,
-                           refractive_index: float = 1.0) -> EnsembleStats:
+                           seed: int = 0,
+                           antinode_offset_fraction: float = 0.15
+                           ) -> EnsembleStats:
     """Monte Carlo distribution of the summed effective Purcell factor.
 
     Each sample is one ion: a shared random dipole orientation and a shared
@@ -170,7 +164,9 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     strength (jitter and bad-emitter factors are deterministic).  Both are
     inverse-CDF draws from their exact marginals, one uniform each.  The
     ``max`` field is the analytic ceiling with orientation and position
-    factors set to 1, not a sample maximum.
+    factors set to 1, not a sample maximum.  The jitter factor takes
+    ``geometry.rms_length_jitter``; to change it, pass a geometry built
+    with ``dataclasses.replace``.
 
     The sample range is split into fixed blocks of 4096 samples, each on
     its own counter-based stream keyed on (seed, block) that yields the
@@ -182,9 +178,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
         raise ValueError("n_samples must be >= 2")
     if not math.isfinite(antinode_offset_fraction):
         raise ValueError("antinode_offset_fraction must be finite")
-    channels = channel_strengths(particle, geometry, transitions, budgets,
-                                 jitter_sigma=jitter_sigma,
-                                 refractive_index=refractive_index)
+    channels = channel_strengths(particle, geometry, transitions, budgets)
     offsets = [antinode_offset_fraction * c.wavelength for c in channels]
     n_blocks = (n_samples + _BLOCK - 1) // _BLOCK
     partials = [
@@ -253,6 +247,7 @@ class SpectralPopulation(_JsonRecord):
     hyperfine_offsets: tuple = ((0.0, 1.0),)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.total_ions < 1:
             raise ValueError("total_ions must be >= 1")
         if self.total_ions > _MAX_IONS:
@@ -263,7 +258,9 @@ class SpectralPopulation(_JsonRecord):
                         for off, w in self.hyperfine_offsets)
         if not classes:
             raise ValueError("hyperfine_offsets must not be empty")
-        if any(w <= 0.0 for _, w in classes):
+        if not all(math.isfinite(off) for off, _ in classes):
+            raise ValueError("hyperfine class offsets must be finite")
+        if not all(w > 0.0 for _, w in classes):
             raise ValueError("hyperfine class weights must be positive")
         if abs(math.fsum(w for _, w in classes) - 1.0) > 1e-6:
             raise ValueError("hyperfine class weights must sum to 1")

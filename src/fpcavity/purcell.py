@@ -1,9 +1,11 @@
 """Emitter-cavity coupling figures of merit.
 
 The chain runs from the lossless single-mode Purcell factor through the
-degradations a real emitter sees (branching, a cavity line much narrower
-than the emitter line, residual length jitter, dipole orientation, standing
-wave position) to the coupling rate, cooperativity and saturation scales.
+degradations every ion of a transition shares (branching, a cavity line
+much narrower than the emitter line, residual length jitter) to the
+coupling rate, cooperativity and saturation scales; :func:`coupling_report`
+states it once.  Dipole orientation and standing-wave position differ from
+ion to ion and are drawn in ``ensemble``.
 
 Linewidths enter and leave in ordinary-frequency Hz (FWHM); conversions to
 angular rates happen inside the formulas that need them.
@@ -20,6 +22,8 @@ from .core import (
     CavityGeometry,
     Transition,
     _JsonRecord,
+    _require_branching_ratio,
+    _require_non_negative,
     _require_positive,
     hz_to_angular,
     record,
@@ -27,23 +31,23 @@ from .core import (
 from .optics import LossBudget, cavity_linewidth, finesse, mode_waist
 
 
+def _require_effective(effective: float) -> None:
+    """Reject an effective Purcell factor that is not finite and >= 0."""
+    if not 0.0 <= effective < math.inf:
+        raise ValueError("effective Purcell factor must be >= 0")
+
+
 def nominal_purcell(wavelength: float, finesse_value: float,
-                    waist: float, refractive_index: float = 1.0) -> float:
+                    waist: float) -> float:
     """Ideal single-mode Purcell factor for an emitter at a field antinode.
 
-    F_P = (6 / pi^3) (lambda / n)^2 finesse / w0^2
-
-    ``refractive_index`` rescales the emission wavelength for an emitter
-    embedded in a bulk host; the default 1 describes coupling to the
-    vacuum standing-wave field at the particle location.
+    F_P = (6 / pi^3) lambda^2 finesse / w0^2, with the vacuum wavelength:
+    the emitter couples to the vacuum standing-wave field at the particle.
     """
-    if wavelength <= 0.0 or waist <= 0.0:
-        raise ValueError("wavelength and waist must be positive")
+    _require_positive("wavelength", wavelength)
     _require_positive("finesse", finesse_value)
-    if refractive_index < 1.0:
-        raise ValueError("refractive_index must be >= 1")
-    reduced = wavelength / refractive_index
-    return 6.0 / math.pi**3 * reduced**2 * finesse_value / waist**2
+    _require_positive("waist", waist)
+    return 6.0 / math.pi**3 * wavelength**2 * finesse_value / waist**2
 
 
 def _erfcx(x: float) -> float:
@@ -73,10 +77,9 @@ def jitter_suppression(sigma_rms: float, wavelength: float,
     the closed form sqrt(pi/2) / r * erfcx(1 / (sqrt(2) r)) for
     r = sigma_rms / x_hw.
     """
-    if sigma_rms < 0.0:
-        raise ValueError("sigma_rms must be >= 0")
-    if wavelength <= 0.0 or finesse_value <= 0.0:
-        raise ValueError("wavelength and finesse must be positive")
+    _require_non_negative("sigma_rms", sigma_rms)
+    _require_positive("wavelength", wavelength)
+    _require_positive("finesse", finesse_value)
     if sigma_rms == 0.0:
         return 1.0
     half_width = wavelength / (4.0 * finesse_value)
@@ -95,79 +98,10 @@ def bad_emitter_factor(cavity_linewidth_fwhm: float,
     enhancement once the emitter line outgrows it.
     """
     _require_positive("cavity_linewidth_fwhm", cavity_linewidth_fwhm)
-    if homogeneous_linewidth_fwhm < 0.0:
-        raise ValueError("homogeneous_linewidth_fwhm must be >= 0")
+    _require_non_negative("homogeneous_linewidth_fwhm",
+                          homogeneous_linewidth_fwhm)
     return cavity_linewidth_fwhm / (cavity_linewidth_fwhm
                                     + homogeneous_linewidth_fwhm)
-
-
-@record
-class CouplingDegradation(_JsonRecord):
-    """Multiplicative degradations of the ideal Purcell factor.
-
-    Each factor lives in [0, 1]; ``total`` is their product.  Build via
-    :func:`degradation_factors` to fill the jitter and bad-emitter entries
-    consistently from cavity parameters.
-    """
-
-    jitter_factor: float = 1.0
-    bad_emitter_factor: float = 1.0
-    orientation_factor: float = 1.0
-    position_factor: float = 1.0
-
-    def __post_init__(self):
-        for name in ("jitter_factor", "bad_emitter_factor",
-                     "orientation_factor", "position_factor"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-
-    @property
-    def total(self) -> float:
-        return (self.jitter_factor * self.bad_emitter_factor
-                * self.orientation_factor * self.position_factor)
-
-
-def degradation_factors(transition: Transition,
-                        cavity_linewidth_fwhm: float,
-                        finesse_value: float | None = None,
-                        jitter_sigma: float = 0.0,
-                        orientation_factor: float = 1.0,
-                        position_factor: float = 1.0) -> CouplingDegradation:
-    """Assemble the degradation record for one transition.
-
-    The bad-emitter factor comes from the cavity linewidth and the
-    transition's homogeneous linewidth; the jitter factor needs the finesse
-    to fix the resonance half width in length units.
-    """
-    if jitter_sigma > 0.0:
-        if finesse_value is None:
-            raise ValueError("finesse_value is required when jitter_sigma > 0")
-        jitter = jitter_suppression(jitter_sigma, transition.wavelength,
-                                    finesse_value)
-    else:
-        jitter = 1.0
-    return CouplingDegradation(
-        jitter_factor=jitter,
-        bad_emitter_factor=bad_emitter_factor(
-            cavity_linewidth_fwhm, transition.homogeneous_linewidth),
-        orientation_factor=orientation_factor,
-        position_factor=position_factor,
-    )
-
-
-def effective_purcell(transition: Transition, nominal: float,
-                      degradation: CouplingDegradation | None = None) -> float:
-    """Effective Purcell factor of one transition.
-
-    branching_ratio * F_P * jitter * bad-emitter * orientation * position.
-    With no degradation record the emitter is assumed ideal except for
-    branching.
-    """
-    if nominal < 0.0:
-        raise ValueError("nominal Purcell factor must be >= 0")
-    factor = 1.0 if degradation is None else degradation.total
-    return transition.branching_ratio * nominal * factor
 
 
 def multimodal_sum(effective_values) -> float:
@@ -177,8 +111,8 @@ def multimodal_sum(effective_values) -> float:
     result does not depend on ordering.
     """
     values = list(effective_values)
-    if any(v < 0.0 for v in values):
-        raise ValueError("effective Purcell factors must be >= 0")
+    for value in values:
+        _require_effective(value)
     return math.fsum(values)
 
 
@@ -190,8 +124,8 @@ def purcell_from_lifetimes(free_lifetime: float,
     free-space one yields a negative value and a warning; that is a
     measurement inconsistency, not a valid operating point.
     """
-    if free_lifetime <= 0.0 or cavity_lifetime <= 0.0:
-        raise ValueError("lifetimes must be positive")
+    _require_positive("free_lifetime", free_lifetime)
+    _require_positive("cavity_lifetime", cavity_lifetime)
     value = free_lifetime / cavity_lifetime - 1.0
     if value < 0.0:
         warnings.warn("cavity lifetime exceeds free-space lifetime; "
@@ -202,18 +136,15 @@ def purcell_from_lifetimes(free_lifetime: float,
 def cavity_lifetime(free_lifetime: float, effective: float) -> float:
     """Shortened excited-state lifetime T1 / (F_eff + 1)."""
     _require_positive("free_lifetime", free_lifetime)
-    if effective < 0.0:
-        raise ValueError("effective Purcell factor must be >= 0")
+    _require_effective(effective)
     return free_lifetime / (effective + 1.0)
 
 
 def ideal_purcell_from_effective(effective: float,
                                  branching_ratio: float) -> float:
     """Back out the ideal Purcell factor a measured F_eff corresponds to."""
-    if effective < 0.0:
-        raise ValueError("effective Purcell factor must be >= 0")
-    if not 0.0 < branching_ratio <= 1.0:
-        raise ValueError("branching_ratio must be in (0, 1]")
+    _require_effective(effective)
+    _require_branching_ratio(branching_ratio)
     return effective / branching_ratio
 
 
@@ -223,10 +154,8 @@ def cavity_branching(effective: float, branching_ratio: float) -> float:
     (F_eff + zeta) / (F_eff + 1): cavity-stimulated decays plus the free
     branching of the same line, over the total enhanced decay rate.
     """
-    if effective < 0.0:
-        raise ValueError("effective Purcell factor must be >= 0")
-    if not 0.0 < branching_ratio <= 1.0:
-        raise ValueError("branching_ratio must be in (0, 1]")
+    _require_effective(effective)
+    _require_branching_ratio(branching_ratio)
     return (effective + branching_ratio) / (effective + 1.0)
 
 
@@ -238,13 +167,13 @@ def coupling_rate(effective: float, cavity_linewidth_fwhm: float,
     g^2 = F_eff * gamma * (kappa + Gamma_h) / 4 with gamma = 1 / T1 and
     kappa, Gamma_h as angular rates; the result is converted back to Hz.
     """
-    if effective < 0.0:
-        raise ValueError("effective Purcell factor must be >= 0")
+    _require_effective(effective)
+    _require_positive("cavity_linewidth_fwhm", cavity_linewidth_fwhm)
+    _require_non_negative("homogeneous_linewidth_fwhm",
+                          homogeneous_linewidth_fwhm)
     _require_positive("free_lifetime", free_lifetime)
     kappa_ang = hz_to_angular(cavity_linewidth_fwhm)
     gamma_h_ang = hz_to_angular(homogeneous_linewidth_fwhm)
-    if kappa_ang <= 0.0 or gamma_h_ang < 0.0:
-        raise ValueError("linewidths must be positive")
     g_ang = math.sqrt(effective / free_lifetime
                       * (kappa_ang + gamma_h_ang) / 4.0)
     return g_ang / TWO_PI
@@ -256,13 +185,13 @@ def cooperativity(coupling_rate_hz: float, cavity_linewidth_fwhm: float,
 
     All three rates are converted to angular units before combining.
     """
-    if coupling_rate_hz < 0.0:
-        raise ValueError("coupling rate must be >= 0")
+    _require_non_negative("coupling_rate_hz", coupling_rate_hz)
+    _require_positive("cavity_linewidth_fwhm", cavity_linewidth_fwhm)
+    _require_positive("homogeneous_linewidth_fwhm",
+                      homogeneous_linewidth_fwhm)
     g_ang = hz_to_angular(coupling_rate_hz)
     kappa_ang = hz_to_angular(cavity_linewidth_fwhm)
     gamma_h_ang = hz_to_angular(homogeneous_linewidth_fwhm)
-    if kappa_ang <= 0.0 or gamma_h_ang <= 0.0:
-        raise ValueError("linewidths must be positive")
     return 4.0 * g_ang**2 / ((kappa_ang + gamma_h_ang) * gamma_h_ang)
 
 
@@ -276,8 +205,7 @@ def saturation_intensity(homogeneous_linewidth_fwhm: float,
     """
     _require_positive("homogeneous_linewidth_fwhm",
                       homogeneous_linewidth_fwhm)
-    if not 0.0 < branching_ratio <= 1.0:
-        raise ValueError("branching_ratio must be in (0, 1]")
+    _require_branching_ratio(branching_ratio)
     _require_positive("wavelength", wavelength)
     gamma_h_ang = hz_to_angular(homogeneous_linewidth_fwhm)
     return (4.0 * math.pi**3 / 3.0 * HBAR * SPEED_OF_LIGHT * gamma_h_ang
@@ -289,8 +217,7 @@ def saturation_power(intensity: float, waist: float) -> float:
 
     P = I * pi w0^2 / 2.
     """
-    if intensity < 0.0:
-        raise ValueError("intensity must be >= 0")
+    _require_non_negative("intensity", intensity)
     _require_positive("waist", waist)
     return intensity * math.pi * waist**2 / 2.0
 
@@ -327,30 +254,24 @@ class CouplingReport(_JsonRecord):
 
 
 def coupling_report(transition: Transition, geometry: CavityGeometry,
-                    budget: LossBudget, jitter_sigma: float = 0.0,
-                    orientation_factor: float = 1.0,
-                    position_factor: float = 1.0,
-                    refractive_index: float = 1.0) -> CouplingReport:
+                    budget: LossBudget,
+                    jitter_sigma: float = 0.0) -> CouplingReport:
     """Compose the full coupling chain for one transition.
 
-    The default arguments describe a best-case emitter: dipole aligned,
-    sitting at an antinode, no length jitter.  Pass ``jitter_sigma`` to
-    include the lock residual of a running cavity.
+    F_eff = branching * F_P * (jitter * bad-emitter) for an ion at a field
+    antinode with its dipole on the cavity polarization; orientation and
+    position are ensemble draws (see ``ensemble``).  The default
+    ``jitter_sigma`` 0 is the best case; pass the geometry's
+    ``rms_length_jitter`` for the lock residual of a running cavity.
     """
     finesse_value = finesse(budget)
     waist = mode_waist(transition.wavelength, geometry.radius_of_curvature,
                        geometry.cavity_length)
     kappa = cavity_linewidth(geometry.cavity_length, budget)
-    nominal = nominal_purcell(transition.wavelength, finesse_value, waist,
-                              refractive_index)
-    degradation = degradation_factors(
-        transition, kappa, finesse_value=finesse_value,
-        jitter_sigma=jitter_sigma, orientation_factor=orientation_factor,
-        position_factor=position_factor)
-    effective = effective_purcell(transition, nominal, degradation)
-    ceiling = transition.branching_ratio * nominal
-    if effective > ceiling * (1.0 + 1e-12):
-        raise ValueError("effective Purcell factor exceeds its ceiling")
+    nominal = nominal_purcell(transition.wavelength, finesse_value, waist)
+    effective = transition.branching_ratio * nominal * (
+        jitter_suppression(jitter_sigma, transition.wavelength, finesse_value)
+        * bad_emitter_factor(kappa, transition.homogeneous_linewidth))
     g = coupling_rate(effective, kappa, transition.homogeneous_linewidth,
                       transition.free_space_lifetime)
     return CouplingReport(

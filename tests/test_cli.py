@@ -293,6 +293,21 @@ def test_every_config_key_is_checked_at_load(tmp_path, capsys, kind, leaf,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cavity", "purcell"])
+def test_nanoparticle_refractive_index_is_an_unknown_key(tmp_path, capsys,
+                                                         command):
+    # the key used to be accepted and read by nothing: reports at 1.0 and
+    # at 3.5 were byte-identical
+    data = RunConfig.default().data
+    data["nanoparticle"]["refractive_index"] = 1.93
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: nanoparticle.refractive_index: unknown key\n")
+
+
 @pytest.mark.parametrize("diameter, message", [
     pytest.param(1000.0, "must be a positive number <= 1e-06",
                  id="1000.0-past-the-ceiling"),

@@ -1,6 +1,7 @@
 """Monte Carlo ensemble statistics and spectral ion-count sampling."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,11 +101,28 @@ def test_channel_strengths_values():
 def test_channel_strengths_jitter_override():
     particle = Nanoparticle(60e-9, 0.003)
     with_lock = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
-    frozen = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS,
-                               jitter_sigma=0.0)
+    frozen = channel_strengths(particle,
+                               replace(GEOMETRY, rms_length_jitter=0.0),
+                               [T580, T611], BUDGETS)
     assert frozen[0].strength > with_lock[0].strength
     with pytest.raises(ValueError):
         channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS[:1])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_spectral_population_rejects_non_finite_frequencies(value):
+    # each used to give a population whose expected ion count was NaN
+    with pytest.raises(ValueError, match="^center_frequency must be finite$"):
+        SpectralPopulation(1000, 34e9, center_frequency=value)
+    with pytest.raises(ValueError,
+                       match="^hyperfine class offsets must be finite$"):
+        SpectralPopulation(1000, 34e9,
+                           hyperfine_offsets=((0.0, 0.5), (value, 0.5)))
+    with pytest.raises(ValueError,
+                       match="^hyperfine class weights must be positive$"):
+        SpectralPopulation(1000, 34e9,
+                           hyperfine_offsets=((0.0, math.nan), (0.0, 1.0)))
 
 
 def test_ensemble_determinism_and_block_layout():

@@ -11,7 +11,6 @@ from scipy.special import erfcx
 
 from fpcavity import (
     CavityGeometry,
-    CouplingDegradation,
     LossBudget,
     Transition,
     bad_emitter_factor,
@@ -20,8 +19,6 @@ from fpcavity import (
     cooperativity,
     coupling_rate,
     coupling_report,
-    degradation_factors,
-    effective_purcell,
     ideal_purcell_from_effective,
     jitter_suppression,
     mode_waist,
@@ -51,12 +48,6 @@ def test_nominal_purcell_values():
         585.2517756911926, rel=1e-12)
     assert nominal_purcell(611e-9, 9500.0, 1.44e-6) == pytest.approx(
         330.96546099044104, rel=1e-12)
-
-
-def test_nominal_purcell_index_scaling():
-    base = nominal_purcell(580.8e-9, 17500.0, 1.41e-6)
-    dense = nominal_purcell(580.8e-9, 17500.0, 1.41e-6, refractive_index=1.93)
-    assert dense == pytest.approx(base / 1.93**2, rel=1e-12)
 
 
 def test_jitter_suppression_against_closed_form():
@@ -121,32 +112,58 @@ def test_bad_emitter_factor():
         2.8e9 / 682.8e9, rel=1e-12)
 
 
-def test_degradation_record():
-    record = CouplingDegradation(jitter_factor=0.67, bad_emitter_factor=0.99,
-                                 orientation_factor=1.0 / 3.0,
-                                 position_factor=0.5)
-    assert record.total == pytest.approx(0.67 * 0.99 / 3.0 * 0.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        CouplingDegradation(jitter_factor=1.2)
-
-
-def test_degradation_factors_requires_finesse_for_jitter():
-    with pytest.raises(ValueError):
-        degradation_factors(T580, 1.5e9, jitter_sigma=8e-12)
-    record = degradation_factors(T580, 1.5e9)
-    assert record.jitter_factor == 1.0
-    assert record.bad_emitter_factor == pytest.approx(
-        1.5e9 / (1.5e9 + 3.3e6), rel=1e-15)
-
-
-def test_effective_purcell_ideal_emitter_keeps_branching_only():
-    # zeta = 1 and no degradation collapses F_eff to F_P
+def test_coupling_report_ideal_emitter_keeps_bad_emitter_only():
+    # zeta = 1 and no jitter collapses F_eff to F_P times the bad-emitter
+    # factor; zeta = 0.007 scales that by the branching ratio alone
     ideal = Transition(wavelength=580.8e-9, branching_ratio=1.0,
                        homogeneous_linewidth=3.3e6,
                        free_space_lifetime=2.0e-3)
-    assert effective_purcell(ideal, 574.0) == 574.0
-    assert effective_purcell(T580, 574.0) == pytest.approx(0.007 * 574.0,
-                                                           rel=1e-15)
+    report = coupling_report(ideal, GEOMETRY, BARE_580)
+    overlap = bad_emitter_factor(report.cavity_linewidth, 3.3e6)
+    assert report.effective_purcell == report.nominal_purcell * overlap
+    branched = coupling_report(T580, GEOMETRY, BARE_580)
+    assert branched.effective_purcell == pytest.approx(
+        0.007 * report.effective_purcell, rel=1e-15)
+
+
+def _sum_of_two(first, second):
+    return multimodal_sum([first, second])
+
+
+# (function, valid arguments): each argument must be finite
+_FINITE_ARGUMENTS = [
+    (nominal_purcell, (580.8e-9, 17500.0, 1.41e-6)),
+    (jitter_suppression, (8e-12, 580.8e-9, 17500.0)),
+    (bad_emitter_factor, (1.5e9, 3.3e6)),
+    (_sum_of_two, (2.5, 0.47)),
+    (purcell_from_lifetimes, (2.0e-3, 1.0e-3)),
+    (cavity_lifetime, (2.0e-3, 0.82)),
+    (ideal_purcell_from_effective, (1.0, 0.007)),
+    (cavity_branching, (1.0, 0.007)),
+    (coupling_rate, (3.7, 1.6e9, 3.3e6, 2.0e-3)),
+    (cooperativity, (3.5e5, 1.6e9, 3.3e6)),
+    (saturation_intensity, (3.3e6, 0.007, 580.8e-9)),
+    (saturation_power, (2.0e4, 1.41e-6)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("function, args, position", [
+    pytest.param(function, args, position,
+                 id=f"{function.__name__.strip('_')}-{position}")
+    for function, args in _FINITE_ARGUMENTS
+    for position in range(len(args))
+])
+def test_purcell_helpers_reject_non_finite_arguments(function, args,
+                                                     position, value):
+    # NaN passed every `< 0` check and came back as a NaN result, and an
+    # infinite jitter sigma gave a suppression of 0.0
+    function(*args)
+    bad = list(args)
+    bad[position] = value
+    with pytest.raises(ValueError):
+        function(*bad)
 
 
 def test_multimodal_sum():

@@ -24,7 +24,7 @@ from fpcavity.ensemble import (ChannelStrength, EnsembleStats, IonCountStats,
 from fpcavity.fitting import MODELS, FitResult, ModelSpec
 from fpcavity.optics import DoubleResonance, LossBudget
 from fpcavity.planner import DetectionChain, PulseScheme, SweepRow
-from fpcavity.purcell import CouplingDegradation, CouplingReport
+from fpcavity.purcell import CouplingReport
 from fpcavity.trace import Trace
 
 _SPEC = MODELS["exp_decay"]
@@ -50,7 +50,6 @@ _SAMPLES = [
     (DetectionChain, (0.8, 0.65, 20.0), {"dark_rate": -1.0}),
     (PulseScheme, (1e-6, 1e-3, 0.5), {"detection_time": 0.0}),
     (SweepRow, (6e-8, 4000, "contact", 12.5, -0.0, 0.82), None),
-    (CouplingDegradation, (0.9, 0.5), {"position_factor": 2.0}),
     (CouplingReport, (580.8e-9, 1.2, 0.8, 1e8, 1.5e9, 3.3e6, 0.4, 0.45),
      {"cooperativity": -1.0}),
     (Trace, (np.linspace(0.0, 1.0, 3), np.arange(3.0), "poisson", 5),
