@@ -30,21 +30,17 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    SIMULATIONS,
     ConfigError,
     RunConfig,
+    _population,
     build_manifest,
     manifest_path_for,
     valid_seed,
     write_manifest,
 )
-from .core import TOOLKIT_VERSION, Nanoparticle, NumericalError
-from .ensemble import (
-    SpectralPopulation,
-    default_hyperfine_classes,
-    ensemble_purcell_stats,
-    ions_in_bandwidth,
-    total_ion_count,
-)
+from .core import TOOLKIT_VERSION, NumericalError
+from .ensemble import ensemble_purcell_stats, ions_in_bandwidth
 from .fitting import MODELS, fit
 from .optics import (
     cavity_linewidth,
@@ -60,16 +56,8 @@ from .planner import (
     sweep_grid,
     write_sweep_csv,
 )
-from .purcell import cavity_lifetime, coupling_report, multimodal_sum
-from .spectra import (
-    decay_histogram,
-    hole_spectrum,
-    ple_scan,
-    saturation_curve,
-)
+from .purcell import coupling_report, multimodal_sum
 from .trace import TraceFormatError, read_trace_csv, write_trace
-
-SIMULATE_KINDS = ("ple", "saturation", "hole", "decay")
 
 
 class _CliError(Exception):
@@ -167,18 +155,6 @@ def _cmd_cavity(args, config: RunConfig, seed: int):
     return report, lines, []
 
 
-def _population(particle: Nanoparticle, inhomogeneous_fwhm: float,
-                path: str) -> SpectralPopulation:
-    """The particle's ions over the line; no ion at all is an error at path."""
-    try:
-        return SpectralPopulation(
-            total_ions=total_ion_count(particle),
-            inhomogeneous_fwhm=inhomogeneous_fwhm,
-            hyperfine_offsets=default_hyperfine_classes())
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def _cmd_purcell(args, config: RunConfig, seed: int):
     geometry = config.geometry
     particle = config.nanoparticle
@@ -235,64 +211,11 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
     return report, lines, []
 
 
-def _simulate_trace(kind: str, config: RunConfig, seed: int):
-    params = config.simulate_params(kind)
-    transition = config.transitions[0]
-    if kind == "ple":
-        span = params["span_multiple"] * params["inhomogeneous_fwhm"]
-        grid = np.linspace(-0.5 * span, 0.5 * span, params["points"])
-        population = None
-        if params.get("use_population"):
-            population = _population(config.nanoparticle,
-                                     params["inhomogeneous_fwhm"],
-                                     "nanoparticle.diameter")
-        trace = ple_scan(
-            params["inhomogeneous_fwhm"], 0.0, params["amplitude"],
-            params["background"], grid, population=population,
-            probe_fwhm=params.get("probe_fwhm"),
-            noise=params.get("noise", "none"), seed=seed)
-        derived = {"span": span}
-    elif kind == "saturation":
-        powers = np.geomspace(params["min_power"], params["max_power"],
-                              params["points"])
-        trace = saturation_curve(
-            powers, params["scale"], params["exponent"],
-            params.get("background", 0.0),
-            noise=params.get("noise", "none"), seed=seed)
-        derived = {}
-    elif kind == "hole":
-        span = params["span_multiple"] * params["hole_fwhm"]
-        grid = np.linspace(-0.5 * span, 0.5 * span, params["points"])
-        trace = hole_spectrum(
-            grid, params["n_teeth"], params["tooth_power"],
-            params["hole_fwhm"], params["rate_scale"],
-            noise=params.get("noise", "none"), seed=seed)
-        derived = {"span": span}
-    else:  # decay; argparse admits only SIMULATE_KINDS
-        lifetime = transition.free_space_lifetime
-        try:
-            effective = cavity_lifetime(lifetime,
-                                        params["effective_purcell"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"simulate.decay.effective_purcell: {exc}") from None
-        grid = np.linspace(0.0, params["time_span_multiple"] * effective,
-                           params["points"])
-        trace = decay_histogram(
-            effective, grid, params["shots"], params["amplitude"],
-            params.get("background", 0.0),
-            noise=params.get("noise", "poisson"), seed=seed)
-        derived = {
-            "effective_lifetime": effective,
-            "free_space_lifetime": lifetime,
-        }
-    return trace, params, derived
-
-
 def _cmd_simulate(args, config: RunConfig, seed: int):
     if not args.out:
         raise _CliError(2, "simulate writes a trace file; pass --out PATH")
-    trace, params, derived = _simulate_trace(args.kind, config, seed)
+    params = config.simulate_params(args.kind)
+    trace, derived = SIMULATIONS[args.kind].run(params, config, seed)
     out = Path(args.out)
     sidecar = write_trace(trace, out, metadata={
         "kind": args.kind,
@@ -430,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling table, ensemble stats, ion estimate")
     simulate = sub.add_parser("simulate", parents=[common],
                               help="generate a synthetic measurement trace")
-    simulate.add_argument("kind", choices=SIMULATE_KINDS)
+    simulate.add_argument("kind", choices=tuple(SIMULATIONS))
     fit_cmd = sub.add_parser("fit", parents=[common],
                              help="fit a trace CSV with a named model")
     fit_cmd.add_argument("model", choices=sorted(MODELS))

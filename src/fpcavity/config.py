@@ -22,9 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     MAX_DIAMETER,
@@ -35,10 +38,14 @@ from .core import (
     _JsonRecord,
     record,
 )
+from .ensemble import (SpectralPopulation, default_hyperfine_classes,
+                       total_ion_count)
 from .optics import LossBudget
 from .planner import (PLAN_MODES, DetectionChain, _check_mode,
                       _detection_window)
-from .spectra import NOISE_MODELS
+from .purcell import _require_effective, cavity_lifetime
+from .spectra import (NOISE_MODELS, decay_histogram, hole_spectrum, ple_scan,
+                      saturation_curve)
 
 SCHEMA_VERSION = 1
 
@@ -119,46 +126,22 @@ def default_config_data() -> dict:
             "modes": list(PLAN_MODES),
             "integration_time": 1.0,
         },
-        "simulate": {
-            "ple": {
-                "inhomogeneous_fwhm": 34e9,
-                "amplitude": 1000.0,
-                "background": 50.0,
-                "span_multiple": 4.0,
-                "points": 401,
-                "use_population": False,
-                "probe_fwhm": 13e6,
-            },
-            "saturation": {
-                "scale": 1000.0,
-                "exponent": 0.5,
-                "background": 0.0,
-                "min_power": 1e-9,
-                "max_power": 1e-5,
-                "points": 25,
-            },
-            "hole": {
-                "n_teeth": 200,
-                "tooth_power": 1e-7,
-                "hole_fwhm": 12e6,
-                "rate_scale": 100.0,
-                "span_multiple": 10.0,
-                "points": 401,
-            },
-            "decay": {
-                "effective_purcell": 0.82,
-                "shots": 20000,
-                "amplitude": 0.05,
-                "background": 0.002,
-                "time_span_multiple": 5.0,
-                "points": 120,
-            },
-        },
+        "simulate": {kind: dict(simulation.bundled)
+                     for kind, simulation in SIMULATIONS.items()},
     }
 
 
 # A rule takes a value and its path in the document, and returns the value
 # to keep or raises ConfigError naming the path.
+
+@contextmanager
+def _reported_at(path: str):
+    """Re-raise a domain check's ValueError as a ConfigError at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
 
 def _number(value, path: str):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -288,44 +271,125 @@ def _record(cls):
 
     def rule(value, path: str):
         checked = check(value, path)
-        try:
+        with _reported_at(path):
             return cls(**checked)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
     return rule
 
 
-def _simulation(rules: dict, optional=()):
-    """A ``simulate.<kind>`` block: the kind's own ``rules``, which state
-    the domain its simulator needs, plus ``points`` in [1, MAX_COUNT] and
-    an optional ``noise`` model.  Values are kept as written, since the
-    trace's sidecar records them.  The optional keys are the ones
-    ``cli._simulate_trace`` gives a default."""
-    return _object({**rules, "points": _count(1),
-                    "noise": _choice(NOISE_MODELS)},
-                   optional=("noise", *optional))
+def _accepted_by(check):
+    """A number that ``check`` accepts: the domain rule of a library
+    function, stated there once and reported here with the path."""
+    def rule(value, path: str):
+        _number(value, path)
+        with _reported_at(path):
+            check(value)
+        return value
+    return rule
 
 
-_SIMULATE = {
-    "ple": _simulation({"inhomogeneous_fwhm": _positive,
-                        "amplitude": _non_negative,
-                        "background": _non_negative,
-                        "span_multiple": _positive, "use_population": _flag,
-                        "probe_fwhm": _positive},
-                       ("use_population", "probe_fwhm")),
-    "saturation": _simulation({"scale": _non_negative, "exponent": _fraction,
-                               "background": _non_negative,
-                               "min_power": _positive, "max_power": _positive},
-                              ("background",)),
-    "hole": _simulation({"n_teeth": _int_at_least(1), "tooth_power": _positive,
-                         "hole_fwhm": _positive, "rate_scale": _non_negative,
-                         "span_multiple": _positive}),
-    # the Purcell factor's domain is cavity_lifetime's, checked in the CLI
-    "decay": _simulation({"effective_purcell": _number,
-                          "shots": _int_at_least(1),
-                          "amplitude": _non_negative,
-                          "background": _non_negative,
-                          "time_span_multiple": _positive}, ("background",)),
+def _population(particle: Nanoparticle, inhomogeneous_fwhm: float,
+                path: str) -> SpectralPopulation:
+    """The particle's ions over the line; no ion at all is an error at path."""
+    with _reported_at(path):
+        return SpectralPopulation(
+            total_ions=total_ion_count(particle),
+            inhomogeneous_fwhm=inhomogeneous_fwhm,
+            hyperfine_offsets=default_hyperfine_classes())
+
+
+def _centered(span: float, points: int):
+    return np.linspace(-0.5 * span, 0.5 * span, points)
+
+
+def _ple(p: dict, config: "RunConfig", seed: int):
+    span = p["span_multiple"] * p["inhomogeneous_fwhm"]
+    population = None
+    if p["use_population"]:
+        population = _population(config.nanoparticle,
+                                 p["inhomogeneous_fwhm"],
+                                 "nanoparticle.diameter")
+    trace = ple_scan(p["inhomogeneous_fwhm"], 0.0, p["amplitude"],
+                     p["background"], _centered(span, p["points"]),
+                     population=population, probe_fwhm=p["probe_fwhm"],
+                     noise=p["noise"], seed=seed)
+    return trace, {"span": span}
+
+
+def _saturation(p: dict, config: "RunConfig", seed: int):
+    powers = np.geomspace(p["min_power"], p["max_power"], p["points"])
+    trace = saturation_curve(powers, p["scale"], p["exponent"],
+                             p["background"], noise=p["noise"], seed=seed)
+    return trace, {}
+
+
+def _hole(p: dict, config: "RunConfig", seed: int):
+    span = p["span_multiple"] * p["hole_fwhm"]
+    trace = hole_spectrum(_centered(span, p["points"]), p["n_teeth"],
+                          p["tooth_power"], p["hole_fwhm"], p["rate_scale"],
+                          noise=p["noise"], seed=seed)
+    return trace, {"span": span}
+
+
+def _decay(p: dict, config: "RunConfig", seed: int):
+    free = config.transitions[0].free_space_lifetime
+    lifetime = cavity_lifetime(free, p["effective_purcell"])
+    grid = np.linspace(0.0, p["time_span_multiple"] * lifetime, p["points"])
+    trace = decay_histogram(lifetime, grid, p["shots"], p["amplitude"],
+                            p["background"], noise=p["noise"], seed=seed)
+    return trace, {"effective_lifetime": lifetime,
+                   "free_space_lifetime": free}
+
+
+class Simulation:
+    """One ``simulate`` kind, declared once.
+
+    Each keyword names a parameter of the ``simulate.<kind>`` block as
+    ``(rule, bundled)``, or ``(rule, bundled, value when left out)`` if it
+    may be left out; a ``bundled`` of None keeps the key out of the bundled
+    config.  ``generate(params, config, seed)`` builds the grid, calls the
+    generator and returns the trace with its derived values.
+    """
+
+    def __init__(self, generate, **keys):
+        self.generate = generate
+        self.bundled = {key: spec[1] for key, spec in keys.items()
+                        if spec[1] is not None}
+        self.omitted = {key: spec[2] for key, spec in keys.items()
+                        if len(spec) == 3}
+        # values are kept as written, since the trace's sidecar records them
+        self.rule = _object({key: spec[0] for key, spec in keys.items()},
+                            optional=self.omitted)
+
+    def run(self, params: dict, config: "RunConfig", seed: int):
+        """(trace, derived values) of the checked ``params``."""
+        return self.generate({**self.omitted, **params}, config, seed)
+
+
+_noise = _choice(NOISE_MODELS)
+
+SIMULATIONS = {
+    "ple": Simulation(
+        _ple, inhomogeneous_fwhm=(_positive, 34e9),
+        amplitude=(_non_negative, 1000.0), background=(_non_negative, 50.0),
+        span_multiple=(_positive, 4.0), points=(_count(1), 401),
+        use_population=(_flag, False, False),
+        probe_fwhm=(_positive, 13e6, None), noise=(_noise, None, "none")),
+    "saturation": Simulation(
+        _saturation, scale=(_non_negative, 1000.0),
+        exponent=(_fraction, 0.5), background=(_non_negative, 0.0, 0.0),
+        min_power=(_positive, 1e-9), max_power=(_positive, 1e-5),
+        points=(_count(1), 25), noise=(_noise, None, "none")),
+    "hole": Simulation(
+        _hole, n_teeth=(_int_at_least(1), 200),
+        tooth_power=(_positive, 1e-7), hole_fwhm=(_positive, 12e6),
+        rate_scale=(_non_negative, 100.0), span_multiple=(_positive, 10.0),
+        points=(_count(1), 401), noise=(_noise, None, "none")),
+    "decay": Simulation(
+        _decay, effective_purcell=(_accepted_by(_require_effective), 0.82),
+        shots=(_int_at_least(1), 20000), amplitude=(_non_negative, 0.05),
+        background=(_non_negative, 0.002, 0.0),
+        time_span_multiple=(_positive, 5.0), points=(_count(1), 120),
+        noise=(_noise, None, "poisson")),
 }
 
 _DOCUMENT = _object({
@@ -347,7 +411,9 @@ _DOCUMENT = _object({
                      "repetition_rates": _list(_positive_number),
                      "modes": _list(_choice(PLAN_MODES)),
                      "integration_time": _positive_number}),
-    "simulate": _object(_SIMULATE, optional=_SIMULATE),
+    "simulate": _object({kind: simulation.rule
+                         for kind, simulation in SIMULATIONS.items()},
+                        optional=SIMULATIONS),
 }, optional=("seed",))
 
 
@@ -365,10 +431,8 @@ class RunConfig:
                  lambda f_rep: _detection_window(f_rep, excitation_time)),
                 ("modes", lambda mode: _check_mode(mode, doc["transitions"]))):
             for i, value in enumerate(doc["plan"][key]):
-                try:
+                with _reported_at(f"plan.{key}[{i}]"):
                     check(value)
-                except ValueError as exc:
-                    raise ConfigError(f"plan.{key}[{i}]: {exc}") from None
         self.data = data  # as written; hashed and recorded verbatim
         self.seed: int = doc.get("seed", 0)
         self.transitions = doc["transitions"]

@@ -141,9 +141,10 @@ class _JsonRecord(_Record):
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
 
-def _require_finite(record) -> None:
-    """Reject a NaN or infinite number in any field of a value type."""
-    for name, value in vars(record).items():
+def _require_finite(**values) -> None:
+    """Reject a NaN or infinite number among the named values; a value
+    type passes its fields as ``**vars(self)``."""
+    for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
 
@@ -182,7 +183,7 @@ class Transition(_JsonRecord):
     free_space_lifetime: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         _require_positive("wavelength", self.wavelength)
         _require_branching_ratio(self.branching_ratio)
         _require_positive("free_space_lifetime", self.free_space_lifetime)
@@ -214,7 +215,7 @@ class CavityGeometry(_JsonRecord):
     rms_length_jitter: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         _require_positive("radius_of_curvature", self.radius_of_curvature)
         if not 0.0 < self.cavity_length < self.radius_of_curvature:
             raise ValueError(
@@ -242,7 +243,7 @@ class Nanoparticle(_JsonRecord):
     cation_density: float = YTTRIA_CATION_DENSITY
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         if not 0.0 < self.diameter <= MAX_DIAMETER:
             raise ValueError(f"diameter must be in (0, {MAX_DIAMETER:g}] m")
         if not 0.0 < self.dopant_concentration < 1.0:

@@ -81,6 +81,7 @@ def sample_height(diameter: float, rng: np.random.Generator,
 def standing_wave_factor(height, wavelength: float, antinode_offset: float):
     """Intensity factor sin^2(2 pi (z + z0) / lambda) of the standing wave."""
     _require_positive("wavelength", wavelength)
+    _require_finite(antinode_offset=antinode_offset)
     return np.sin(2.0 * math.pi * (np.asarray(height) + antinode_offset)
                   / wavelength) ** 2
 
@@ -247,7 +248,7 @@ class SpectralPopulation(_JsonRecord):
     hyperfine_offsets: tuple = ((0.0, 1.0),)
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         if self.total_ions < 1:
             raise ValueError("total_ions must be >= 1")
         if self.total_ions > _MAX_IONS:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _Record, record
+from .core import _Record, _require_finite, record
 from .trace import Trace
 
 # parameter kinds set the scale of a parameter whose current value is near
@@ -378,6 +378,8 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
                              f"{spec.parameters}")
         params_map = dict(zip(spec.parameters, values))
     params = np.array([float(params_map[n]) for n in spec.parameters])
+    _require_finite(**{f"initial {name}": value for name, value
+                       in zip(spec.parameters, params.tolist())})
     for name in spec.positive:
         if params[spec.parameters.index(name)] <= 0.0:
             raise ValueError(f"initial {name} must be positive")

@@ -39,7 +39,7 @@ class LossBudget(_JsonRecord):
     particle_scatter: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         for name in ("transmission_in", "transmission_out",
                      "absorption_scatter", "particle_scatter"):
             if getattr(self, name) < 0.0:
@@ -185,4 +185,5 @@ def outcoupling_efficiency(budget: LossBudget) -> float:
 
 def lorentzian_suppression(detuning_in_hwhm: float) -> float:
     """Lorentzian response 1 / (1 + x^2) at x half-widths of detuning."""
+    _require_finite(detuning_in_hwhm=detuning_in_hwhm)
     return 1.0 / (1.0 + detuning_in_hwhm**2)

@@ -53,7 +53,7 @@ class DetectionChain(_JsonRecord):
     dark_rate: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         if not 0.0 < self.path_transmission <= 1.0:
             raise ValueError("path_transmission must be in (0, 1]")
         if not 0.0 < self.detector_efficiency <= 1.0:
@@ -76,7 +76,7 @@ class PulseScheme(_JsonRecord):
     excited_population: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         for name in ("excitation_time", "detection_time"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import _require_non_negative, _require_positive
+from .core import _require_finite, _require_non_negative, _require_positive
 from .ensemble import SpectralPopulation, _window_counts
 from .trace import Trace
 
@@ -26,6 +26,13 @@ def _check_noise(noise: str) -> None:
                          f"choose from {NOISE_MODELS}")
 
 
+def _require_each(rule, name: str, values: np.ndarray) -> None:
+    """A scalar ``core._require_*`` rule on every entry: the extremes carry
+    any NaN, infinite or out-of-domain one, and 1.0 passes either rule."""
+    for extreme in (values.min(initial=1.0), values.max(initial=1.0)):
+        rule(name, extreme)
+
+
 def _apply_noise(mean: np.ndarray, noise: str, seed: int | None) -> np.ndarray:
     if noise == "none":
         return mean
@@ -35,6 +42,7 @@ def _apply_noise(mean: np.ndarray, noise: str, seed: int | None) -> np.ndarray:
 
 def lorentzian_profile(x, center: float, fwhm: float):
     """Unit-peak Lorentzian 1 / (1 + (2 (x - c) / fwhm)^2)."""
+    _require_finite(center=center)
     _require_positive("fwhm", fwhm)
     u = 2.0 * (np.asarray(x, dtype=float) - center) / fwhm
     return 1.0 / (1.0 + u * u)
@@ -82,8 +90,7 @@ def saturation_curve(powers, scale: float, exponent: float,
     """
     _check_noise(noise)
     powers = np.asarray(powers, dtype=float)
-    if np.any(powers <= 0.0):
-        raise ValueError("powers must be positive")
+    _require_each(_require_positive, "powers", powers)
     if not 0.0 < exponent <= 1.0:
         raise ValueError("exponent must be in (0, 1]")
     _require_non_negative("scale", scale)
@@ -137,8 +144,7 @@ def power_broadening(power, sqrt_coefficient: float,
                      zero_power_fwhm: float):
     """Power-broadened linewidth coeff * sqrt(P) + Gamma_0."""
     power = np.asarray(power, dtype=float)
-    if np.any(power < 0.0):
-        raise ValueError("power must be >= 0")
+    _require_each(_require_non_negative, "power", power)
     _require_non_negative("sqrt_coefficient", sqrt_coefficient)
     _require_non_negative("zero_power_fwhm", zero_power_fwhm)
     out = sqrt_coefficient * np.sqrt(power) + zero_power_fwhm
@@ -162,8 +168,7 @@ def decay_histogram(effective_lifetime: float, time_bins, shots: int,
     _require_non_negative("amplitude", amplitude)
     _require_non_negative("background", background)
     time_bins = np.asarray(time_bins, dtype=float)
-    if np.any(time_bins < 0.0):
-        raise ValueError("time bins must be >= 0")
+    _require_each(_require_non_negative, "time_bins", time_bins)
     mean = shots * (amplitude * np.exp(-time_bins / effective_lifetime)
                     + background)
     return Trace(x=time_bins, y=_apply_noise(mean, noise, seed),

@@ -213,6 +213,23 @@ def test_simulate_decay_rejects_negative_purcell(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cavity", "plan", "simulate ple"])
+def test_decay_purcell_factor_is_checked_at_load(tmp_path, capsys, command):
+    # the rule lived in the decay branch of the CLI, so every other
+    # subcommand accepted -1 and exited 0
+    data = RunConfig.default().data
+    data["simulate"]["decay"]["effective_purcell"] = -1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    assert main([*command.split(), "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: simulate.decay.effective_purcell: effective Purcell "
+        "factor must be >= 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, key, value, message", [
     ("decay", "effective_purcell", "abc", "must be a number"),
     ("decay", "points", "12", "must be an integer"),

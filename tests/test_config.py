@@ -12,6 +12,8 @@ import dataclasses
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from fpcavity.cli import main
 from fpcavity.config import (
     MAX_COUNT,
+    SIMULATIONS,
     ConfigError,
     RunConfig,
     default_config_data,
@@ -164,3 +167,23 @@ def test_cli_exits_0_or_2_on_fuzzed_config(config_file, command, document):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2)
+
+
+def test_readme_states_each_simulate_key_as_declared():
+    # each kind's keys, bundled defaults and left-out values are declared
+    # once in SIMULATIONS; the README table is written from it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| (.+?) \| (.+?) \|$", readme,
+                      flags=re.MULTILINE)
+    expected = []
+    for kind, simulation in SIMULATIONS.items():
+        bundled, omitted = simulation.bundled, simulation.omitted
+        for key in {**bundled, **omitted}:
+            expected.append((
+                f"{kind}.{key}",
+                f"`{json.dumps(bundled[key])}`" if key in bundled
+                else "not bundled",
+                f"`{json.dumps(omitted[key])}`" if key in omitted
+                else "required"))
+    assert [(key, bundled, left_out.split(":")[0])
+            for key, bundled, left_out in rows] == expected

@@ -290,6 +290,8 @@ def test_ensemble_layer_rejects_non_finite_inputs(value):
         sample_height(value, rng, size=3)
     with pytest.raises(ValueError, match="wavelength must be finite"):
         standing_wave_factor(np.zeros(3), value, 0.0)
+    with pytest.raises(ValueError, match="antinode_offset must be finite"):
+        standing_wave_factor(np.zeros(3), 580.8e-9, value)
     with pytest.raises(ValueError,
                        match="antinode_offset_fraction must be finite"):
         ensemble_purcell_stats(Nanoparticle(70e-9, 0.003), GEOMETRY,

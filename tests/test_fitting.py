@@ -204,6 +204,27 @@ def test_sequence_guess_length():
         fit("linear", x, y, initial_guess=[-2.0, 5.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model, guess, name", [
+    ("linear", lambda bad: [bad, 1.0], "slope"),
+    ("linear", lambda bad: [np.float32(bad), 1.0], "slope"),
+    ("exp_decay", lambda bad: {"lifetime": bad}, "lifetime"),
+    ("lorentzian", lambda bad: {"amplitude": 1e3, "center": 2e6,
+                                "fwhm": 5e5, "offset": bad}, "offset"),
+], ids=["linear-sequence", "linear-float32", "exp-decay-partial",
+        "lorentzian-full"])
+def test_non_finite_initial_guess_is_rejected_before_a_step(capfd, model,
+                                                            guess, name,
+                                                            bad):
+    # a NaN guess ran 16 steps to converged=False with NaN parameters, and
+    # LAPACK printed "DLASCL parameter number 4" to stderr; the `positive`
+    # check (<= 0.0) let a NaN lifetime through
+    x, y, _ = _clean_case(model)
+    with pytest.raises(ValueError, match=f"^initial {name} must be finite"):
+        fit(model, x, y, initial_guess=guess(bad))
+    assert capfd.readouterr().err == ""
+
+
 def test_x_range_excludes_corrupted_points():
     x, y, true = _clean_case("exp_decay")
     corrupted = y.copy()

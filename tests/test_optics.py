@@ -142,3 +142,11 @@ def test_lorentzian_suppression():
     assert lorentzian_suppression(1.0) == 0.5
     assert lorentzian_suppression(6.0) == pytest.approx(1.0 / 37.0,
                                                         rel=1e-15)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_lorentzian_suppression_rejects_non_finite_detuning(value):
+    # NaN came back as NaN and an infinite detuning as a suppression of 0.0
+    with pytest.raises(ValueError, match="detuning_in_hwhm must be finite"):
+        lorentzian_suppression(value)

@@ -173,6 +173,8 @@ def test_ple_scan_rejects_non_finite_levels_and_grid():
 
 @pytest.mark.parametrize("call, name", [
     (lambda bad: lorentzian_profile([0.0], 0.0, bad), "fwhm"),
+    (lambda bad: lorentzian_profile([0.0], bad, 1e6), "center"),
+    (lambda bad: ple_scan(34e9, bad, 1000.0, 0.0, [0.0]), "center"),
     (lambda bad: saturation_curve([1.0], bad, 0.5), "scale"),
     (lambda bad: saturation_curve([1.0], 1.0, 0.5, background=bad),
      "background"),
@@ -180,9 +182,13 @@ def test_ple_scan_rejects_non_finite_levels_and_grid():
     (lambda bad: hole_spectrum([0.0], 4, 1.0, 1e6, bad), "rate_scale"),
     (lambda bad: hole_width_to_homogeneous(bad), "hole_fwhm"),
     (lambda bad: hole_width_to_homogeneous(1e6, bad), "laser_fwhm"),
+    (lambda bad: power_broadening(bad, 1e3, 1e6), "power"),
+    (lambda bad: power_broadening([1.0, bad], 1e3, 1e6), "power"),
     (lambda bad: power_broadening(1.0, bad, 1e6), "sqrt_coefficient"),
     (lambda bad: power_broadening(1.0, 1e3, bad), "zero_power_fwhm"),
+    (lambda bad: saturation_curve([1.0, bad], 1.0, 0.5), "powers"),
     (lambda bad: decay_histogram(bad, [0.0], 10, 1.0), "effective_lifetime"),
+    (lambda bad: decay_histogram(1e-3, [0.0, bad], 10, 1.0), "time_bins"),
     (lambda bad: decay_histogram(1e-3, [0.0], 10, bad), "amplitude"),
     (lambda bad: decay_histogram(1e-3, [0.0], 10, 1.0, background=bad),
      "background"),
