@@ -433,6 +433,10 @@ class RunConfig:
             for i, value in enumerate(doc["plan"][key]):
                 with _reported_at(f"plan.{key}[{i}]"):
                     check(value)
+        ple = doc["simulate"].get("ple", {})
+        if ple.get("use_population") and "probe_fwhm" not in ple:
+            raise ConfigError("simulate.ple.probe_fwhm: required key is "
+                              "missing when use_population is true")
         self.data = data  # as written; hashed and recorded verbatim
         self.seed: int = doc.get("seed", 0)
         self.transitions = doc["transitions"]

@@ -142,29 +142,55 @@ class _JsonRecord(_Record):
 
 
 def _require_finite(**values) -> None:
-    """Reject a NaN or infinite number among the named values; a value
-    type passes its fields as ``**vars(self)``."""
+    """Reject a NaN or infinite real scalar (numpy's and 0-d arrays too)
+    among the named values; a value type passes ``**vars(self)``."""
     for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
+        if not isinstance(value, float):
+            if isinstance(value, int) or getattr(value, "ndim", 0) \
+                    or not hasattr(value, "__float__"):
+                continue
+            value = float(value)
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
 
 
 def _require_positive(name: str, value: float) -> None:
-    """Reject a value that is not a finite number above zero (NaN too)."""
+    """Reject a value that is not a finite number above zero."""
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive")
+        _require_finite(**{name: value})
+        raise ValueError(f"{name} must be positive")
 
 
 def _require_non_negative(name: str, value: float) -> None:
-    """Reject a value that is not a finite number >= 0 (NaN too)."""
+    """Reject a value that is not a finite number >= 0."""
     if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0")
+        _require_finite(**{name: value})
+        raise ValueError(f"{name} must be >= 0")
 
 
-def _require_branching_ratio(value: float) -> None:
-    """Reject a branching ratio outside (0, 1] (NaN too)."""
+def _require_fraction(name: str, value: float) -> None:
+    """Reject a value outside (0, 1]."""
     if not 0.0 < value <= 1.0:
-        raise ValueError("branching_ratio must be in (0, 1]")
+        _require_finite(**{name: value})
+        raise ValueError(f"{name} must be in (0, 1]")
+
+
+def _require_each(name: str, values, rule=None) -> None:
+    """Require every entry of a numpy array to be finite and to pass the
+    scalar ``rule``, if one is given: the extremes carry any NaN, infinite
+    or out-of-domain entry, and 1.0 passes every rule."""
+    for extreme in (values.min(initial=1.0), values.max(initial=1.0)):
+        _require_finite(**{name: extreme})
+        if rule is not None:
+            rule(name, extreme)
+
+
+def _require_stable(cavity_length: float, radius_of_curvature: float) -> None:
+    """Reject a plano-concave cavity outside its stability range."""
+    _require_positive("radius_of_curvature", radius_of_curvature)
+    if not 0.0 < cavity_length < radius_of_curvature:
+        raise ValueError("cavity_length must lie in (0, radius_of_curvature) "
+                         "for a stable plano-concave resonator")
 
 
 @record
@@ -185,7 +211,7 @@ class Transition(_JsonRecord):
     def __post_init__(self):
         _require_finite(**vars(self))
         _require_positive("wavelength", self.wavelength)
-        _require_branching_ratio(self.branching_ratio)
+        _require_fraction("branching_ratio", self.branching_ratio)
         _require_positive("free_space_lifetime", self.free_space_lifetime)
         floor = 1.0 / (TWO_PI * self.free_space_lifetime)
         if self.homogeneous_linewidth < floor:
@@ -216,16 +242,10 @@ class CavityGeometry(_JsonRecord):
 
     def __post_init__(self):
         _require_finite(**vars(self))
-        _require_positive("radius_of_curvature", self.radius_of_curvature)
-        if not 0.0 < self.cavity_length < self.radius_of_curvature:
-            raise ValueError(
-                "cavity_length must lie in (0, radius_of_curvature) for a "
-                "stable plano-concave resonator"
-            )
+        _require_stable(self.cavity_length, self.radius_of_curvature)
         if int(self.mode_order) != self.mode_order or self.mode_order < 1:
             raise ValueError("mode_order must be a positive integer")
-        if self.rms_length_jitter < 0.0:
-            raise ValueError("rms_length_jitter must be >= 0")
+        _require_non_negative("rms_length_jitter", self.rms_length_jitter)
 
 
 @record

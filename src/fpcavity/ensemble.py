@@ -20,12 +20,12 @@ import math
 
 import numpy as np
 
-from .core import (CavityGeometry, Nanoparticle, _JsonRecord,
+from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_each,
                    _require_finite, _require_non_negative, _require_positive,
                    record)
 from .optics import loaded_budget
 from .purcell import coupling_report
-from .trace import Trace
+from .trace import Trace, _grid
 
 # the block layout defines the seeded numbers: changing it changes every
 # EnsembleStats for a given (seed, n_samples)
@@ -82,7 +82,9 @@ def standing_wave_factor(height, wavelength: float, antinode_offset: float):
     """Intensity factor sin^2(2 pi (z + z0) / lambda) of the standing wave."""
     _require_positive("wavelength", wavelength)
     _require_finite(antinode_offset=antinode_offset)
-    return np.sin(2.0 * math.pi * (np.asarray(height) + antinode_offset)
+    height = np.asarray(height)
+    _require_each("height", height)
+    return np.sin(2.0 * math.pi * (height + antinode_offset)
                   / wavelength) ** 2
 
 
@@ -177,8 +179,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if not math.isfinite(antinode_offset_fraction):
-        raise ValueError("antinode_offset_fraction must be finite")
+    _require_finite(antinode_offset_fraction=antinode_offset_fraction)
     channels = channel_strengths(particle, geometry, transitions, budgets)
     offsets = [antinode_offset_fraction * c.wavelength for c in channels]
     n_blocks = (n_samples + _BLOCK - 1) // _BLOCK
@@ -259,10 +260,9 @@ class SpectralPopulation(_JsonRecord):
                         for off, w in self.hyperfine_offsets)
         if not classes:
             raise ValueError("hyperfine_offsets must not be empty")
-        if not all(math.isfinite(off) for off, _ in classes):
-            raise ValueError("hyperfine class offsets must be finite")
-        if not all(w > 0.0 for _, w in classes):
-            raise ValueError("hyperfine class weights must be positive")
+        for offset, weight in classes:
+            _require_finite(**{"hyperfine class offsets": offset})
+            _require_positive("hyperfine class weights", weight)
         if abs(math.fsum(w for _, w in classes) - 1.0) > 1e-6:
             raise ValueError("hyperfine class weights must sum to 1")
         object.__setattr__(self, "hyperfine_offsets", classes)
@@ -286,8 +286,7 @@ def expected_ions_in_bandwidth(population: SpectralPopulation,
                                bandwidth: float) -> float:
     """Analytic expectation of the ion count inside the probe window."""
     _require_positive("bandwidth", bandwidth)
-    if not math.isfinite(probe_frequency):
-        raise ValueError("probe_frequency must be finite")
+    _require_finite(probe_frequency=probe_frequency)
     window = (probe_frequency - 0.5 * bandwidth,
               probe_frequency + 0.5 * bandwidth)
     expectation = 0.0
@@ -340,9 +339,7 @@ def _window_counts(population: SpectralPopulation, probe_fwhm: float, grid,
     difference of its edges' cumulative counts, and its expectation N times
     the CDF's increment across it."""
     _require_positive("probe_fwhm", probe_fwhm)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be a 1-d array of finite frequencies")
+    grid = _grid("grid", grid)
     half = 0.5 * probe_fwhm
     edges, index = np.unique(np.concatenate((grid - half, grid + half)),
                              return_inverse=True)

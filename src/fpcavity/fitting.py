@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _Record, _require_finite, record
+from .core import (_Record, _require_each, _require_finite,
+                   _require_non_negative, _require_positive, record)
 from .trace import Trace
 
 # parameter kinds set the scale of a parameter whose current value is near
@@ -161,8 +162,7 @@ def _guess_power_law(x, y):
 
 
 def _guess_sqrt_offset(x, y):
-    if np.any(x < 0.0):
-        raise ValueError("sqrt model needs x >= 0")
+    _require_each("sqrt model x", x, _require_non_negative)
     design = np.column_stack([np.sqrt(x), np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return np.asarray(coef, dtype=float)
@@ -268,6 +268,8 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     spec = _model(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _require_each("x", x)
+    _require_each("y", y)
     values = spec.guess(x, y)
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
@@ -295,18 +297,12 @@ class FitResult(_Record):
         return spec.function(np.asarray(x, dtype=float), vector)
 
     def to_dict(self) -> dict:
-        def clean(mapping):
-            return {k: (None if math.isnan(v) else v)
-                    for k, v in mapping.items()}
-
-        return {
-            "model": self.model,
-            "parameters": clean(self.parameters),
-            "standard_errors": clean(self.standard_errors),
-            "residual_sum_of_squares": self.residual_sum_of_squares,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        """The fields, each NaN estimate or error as None (JSON null)."""
+        data = dict(zip(self.__match_args__, self._values()))
+        for key in ("parameters", "standard_errors"):
+            data[key] = {name: None if math.isnan(value) else value
+                         for name, value in data[key].items()}
+        return data
 
 
 def _resolve_weights(weights, y) -> np.ndarray:
@@ -319,8 +315,7 @@ def _resolve_weights(weights, y) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != y.shape:
         raise ValueError("weights must match the data length")
-    if not np.all((weights >= 0.0) & (weights < math.inf)):
-        raise ValueError("weights must be finite and >= 0")
+    _require_each("weights", weights, _require_non_negative)
     return weights
 
 
@@ -352,8 +347,8 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         lo, hi = x_range
         keep = (x >= lo) & (x <= hi)
         x, y = x[keep], y[keep]
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("x and y must be finite inside the fit window")
+    _require_each("x inside the fit window", x)
+    _require_each("y inside the fit window", y)
 
     k = len(spec.parameters)
     if len(x) < k:
@@ -378,12 +373,12 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
                              f"{spec.parameters}")
         params_map = dict(zip(spec.parameters, values))
     params = np.array([float(params_map[n]) for n in spec.parameters])
-    _require_finite(**{f"initial {name}": value for name, value
-                       in zip(spec.parameters, params.tolist())})
-    for name in spec.positive:
-        if params[spec.parameters.index(name)] <= 0.0:
-            raise ValueError(f"initial {name} must be positive")
+    for name, value in zip(spec.parameters, params.tolist()):
+        _require_finite(**{f"initial {name}": value})
+        if name in spec.positive:
+            _require_positive(f"initial {name}", value)
 
+    _require_non_negative("tolerance", tolerance)
     w = _resolve_weights(weights, y)
     floors = _step_floors(spec, x, y)
 

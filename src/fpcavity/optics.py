@@ -11,7 +11,8 @@ import math
 from dataclasses import replace
 
 from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_finite,
-                   _require_positive, record)
+                   _require_non_negative, _require_positive, _require_stable,
+                   record)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -39,11 +40,8 @@ class LossBudget(_JsonRecord):
     particle_scatter: float = 0.0
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        for name in ("transmission_in", "transmission_out",
-                     "absorption_scatter", "particle_scatter"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0 ppm")
+        for name, value in vars(self).items():
+            _require_non_negative(name, value)
         _require_positive("total loss", self.total)
 
     @property
@@ -93,9 +91,7 @@ def mode_waist(wavelength: float, radius_of_curvature: float,
     cavity_length : mirror separation d (m)
     """
     _require_positive("wavelength", wavelength)
-    if not 0.0 < cavity_length < radius_of_curvature:
-        raise ValueError("unstable geometry: need 0 < cavity_length < "
-                         "radius_of_curvature")
+    _require_stable(cavity_length, radius_of_curvature)
     w0_sq = wavelength / math.pi * math.sqrt(
         cavity_length * (radius_of_curvature - cavity_length))
     return math.sqrt(w0_sq)
@@ -124,6 +120,7 @@ def double_resonance(wavelength_1: float,
     ``residual_detuning`` (Hz).  Orders above ``MAX_MODE_ORDER`` are
     rejected.
     """
+    _require_finite(wavelength_2=wavelength_2)
     if not 0.0 < wavelength_1 < wavelength_2:
         raise ValueError("need 0 < wavelength_1 < wavelength_2")
     q = round(wavelength_2 / (wavelength_2 - wavelength_1))

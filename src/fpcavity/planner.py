@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_finite,
-                   _require_non_negative, _require_positive, record)
+from .core import (CavityGeometry, Nanoparticle, _JsonRecord,
+                   _require_fraction, _require_non_negative, _require_positive,
+                   record)
 from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
@@ -53,13 +54,9 @@ class DetectionChain(_JsonRecord):
     dark_rate: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        if not 0.0 < self.path_transmission <= 1.0:
-            raise ValueError("path_transmission must be in (0, 1]")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ValueError("detector_efficiency must be in (0, 1]")
-        if self.dark_rate < 0.0:
-            raise ValueError("dark_rate must be >= 0")
+        _require_fraction("path_transmission", self.path_transmission)
+        _require_fraction("detector_efficiency", self.detector_efficiency)
+        _require_non_negative("dark_rate", self.dark_rate)
 
 
 @record
@@ -76,12 +73,9 @@ class PulseScheme(_JsonRecord):
     excited_population: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
-        for name in ("excitation_time", "detection_time"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.excited_population <= 1.0:
-            raise ValueError("excited_population must be in (0, 1]")
+        _require_positive("excitation_time", self.excitation_time)
+        _require_positive("detection_time", self.detection_time)
+        _require_fraction("excited_population", self.excited_population)
 
     @property
     def repetition_rate(self) -> float:
@@ -242,6 +236,9 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
     Per cycle the ion decays inside the detection window with probability
     1 - exp(-(F + 1) t / T1), F being the summed enhancement.
     """
+    _require_positive("free_space_lifetime", free_space_lifetime)
+    for outcoupling in outcouplings:
+        _require_non_negative("outcouplings", outcoupling)
     total, collect = _channel_sums(channels, outcouplings, collected)
     return float(_detected_rates(
         total, collect, scheme.excitation_time, [scheme.detection_time],

@@ -22,7 +22,7 @@ from .core import (
     CavityGeometry,
     Transition,
     _JsonRecord,
-    _require_branching_ratio,
+    _require_fraction,
     _require_non_negative,
     _require_positive,
     hz_to_angular,
@@ -32,9 +32,8 @@ from .optics import LossBudget, cavity_linewidth, finesse, mode_waist
 
 
 def _require_effective(effective: float) -> None:
-    """Reject an effective Purcell factor that is not finite and >= 0."""
-    if not 0.0 <= effective < math.inf:
-        raise ValueError("effective Purcell factor must be >= 0")
+    """The effective Purcell factor's rule, which config applies at load."""
+    _require_non_negative("effective Purcell factor", effective)
 
 
 def nominal_purcell(wavelength: float, finesse_value: float,
@@ -80,8 +79,6 @@ def jitter_suppression(sigma_rms: float, wavelength: float,
     _require_non_negative("sigma_rms", sigma_rms)
     _require_positive("wavelength", wavelength)
     _require_positive("finesse", finesse_value)
-    if sigma_rms == 0.0:
-        return 1.0
     half_width = wavelength / (4.0 * finesse_value)
     ratio = sigma_rms / half_width
     if ratio < 1e-9:
@@ -144,7 +141,7 @@ def ideal_purcell_from_effective(effective: float,
                                  branching_ratio: float) -> float:
     """Back out the ideal Purcell factor a measured F_eff corresponds to."""
     _require_effective(effective)
-    _require_branching_ratio(branching_ratio)
+    _require_fraction("branching_ratio", branching_ratio)
     return effective / branching_ratio
 
 
@@ -155,7 +152,7 @@ def cavity_branching(effective: float, branching_ratio: float) -> float:
     branching of the same line, over the total enhanced decay rate.
     """
     _require_effective(effective)
-    _require_branching_ratio(branching_ratio)
+    _require_fraction("branching_ratio", branching_ratio)
     return (effective + branching_ratio) / (effective + 1.0)
 
 
@@ -205,7 +202,7 @@ def saturation_intensity(homogeneous_linewidth_fwhm: float,
     """
     _require_positive("homogeneous_linewidth_fwhm",
                       homogeneous_linewidth_fwhm)
-    _require_branching_ratio(branching_ratio)
+    _require_fraction("branching_ratio", branching_ratio)
     _require_positive("wavelength", wavelength)
     gamma_h_ang = hz_to_angular(homogeneous_linewidth_fwhm)
     return (4.0 * math.pi**3 / 3.0 * HBAR * SPEED_OF_LIGHT * gamma_h_ang
@@ -236,10 +233,8 @@ class CouplingReport(_JsonRecord):
     cavity_branching: float
 
     def __post_init__(self):
-        if not 0.0 < self.cavity_branching <= 1.0:
-            raise ValueError("cavity_branching must be in (0, 1]")
-        if self.cooperativity < 0.0:
-            raise ValueError("cooperativity must be >= 0")
+        _require_fraction("cavity_branching", self.cavity_branching)
+        _require_non_negative("cooperativity", self.cooperativity)
 
     def to_table_row(self) -> dict:
         """Flat summary row: wavelength, g, kappa, gamma_h, f_eff, C."""

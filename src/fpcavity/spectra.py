@@ -13,38 +13,33 @@ import math
 
 import numpy as np
 
-from .core import _require_finite, _require_non_negative, _require_positive
+from .core import (_require_each, _require_finite, _require_fraction,
+                   _require_non_negative, _require_positive)
 from .ensemble import SpectralPopulation, _window_counts
-from .trace import Trace
+from .trace import Trace, _grid
 
 NOISE_MODELS = ("none", "poisson")
 
 
-def _check_noise(noise: str) -> None:
-    if noise not in NOISE_MODELS:
+def _trace(x: np.ndarray, mean: np.ndarray, noise: str,
+           seed: int | None) -> Trace:
+    """The trace of the curve ``mean`` on ``x`` under the noise model."""
+    if noise == "poisson":
+        rng = np.random.default_rng(seed)
+        mean = rng.poisson(np.clip(mean, 0.0, None)).astype(float)
+    elif noise != "none":
         raise ValueError(f"unknown noise model {noise!r}; "
                          f"choose from {NOISE_MODELS}")
-
-
-def _require_each(rule, name: str, values: np.ndarray) -> None:
-    """A scalar ``core._require_*`` rule on every entry: the extremes carry
-    any NaN, infinite or out-of-domain one, and 1.0 passes either rule."""
-    for extreme in (values.min(initial=1.0), values.max(initial=1.0)):
-        rule(name, extreme)
-
-
-def _apply_noise(mean: np.ndarray, noise: str, seed: int | None) -> np.ndarray:
-    if noise == "none":
-        return mean
-    rng = np.random.default_rng(seed)
-    return rng.poisson(np.clip(mean, 0.0, None)).astype(float)
+    return Trace(x=x, y=mean, noise_model=noise, seed=seed)
 
 
 def lorentzian_profile(x, center: float, fwhm: float):
     """Unit-peak Lorentzian 1 / (1 + (2 (x - c) / fwhm)^2)."""
+    x = np.asarray(x, dtype=float)
+    _require_each("x", x)
     _require_finite(center=center)
     _require_positive("fwhm", fwhm)
-    u = 2.0 * (np.asarray(x, dtype=float) - center) / fwhm
+    u = 2.0 * (x - center) / fwhm
     return 1.0 / (1.0 + u * u)
 
 
@@ -62,10 +57,9 @@ def ple_scan(inhomogeneous_fwhm: float, center_frequency: float,
     ion ensemble shows, drawn as in :func:`~fpcavity.ensemble.sfs_spectrum`.
     The expectations come from the same line CDF, so the factor has mean 1.
     """
-    _check_noise(noise)
     _require_non_negative("amplitude", amplitude)
     _require_non_negative("background", background)
-    grid = np.asarray(grid, dtype=float)
+    grid = _grid("grid", grid)
     mean = amplitude * lorentzian_profile(grid, center_frequency,
                                           inhomogeneous_fwhm)
     if population is not None:
@@ -76,8 +70,7 @@ def ple_scan(inhomogeneous_fwhm: float, center_frequency: float,
         mean = mean * np.divide(counts, expected, out=np.ones_like(counts),
                                 where=expected > 0.0)
     mean = mean + background
-    return Trace(x=grid, y=_apply_noise(mean, noise, seed),
-                 noise_model=noise, seed=seed)
+    return _trace(grid, mean, noise, seed)
 
 
 def saturation_curve(powers, scale: float, exponent: float,
@@ -88,16 +81,12 @@ def saturation_curve(powers, scale: float, exponent: float,
     A sub-linear exponent (0 < exponent <= 1) models the onset of
     saturation over the sampled power range.
     """
-    _check_noise(noise)
-    powers = np.asarray(powers, dtype=float)
-    _require_each(_require_positive, "powers", powers)
-    if not 0.0 < exponent <= 1.0:
-        raise ValueError("exponent must be in (0, 1]")
+    powers = _grid("powers", powers, _require_positive)
+    _require_fraction("exponent", exponent)
     _require_non_negative("scale", scale)
     _require_non_negative("background", background)
     mean = scale * powers**exponent + background
-    return Trace(x=powers, y=_apply_noise(mean, noise, seed),
-                 noise_model=noise, seed=seed)
+    return _trace(powers, mean, noise, seed)
 
 
 def hole_spectrum(detunings, n_teeth: int, tooth_power: float,
@@ -111,18 +100,16 @@ def hole_spectrum(detunings, n_teeth: int, tooth_power: float,
     their holes; the dip has a Lorentzian shape of width ``hole_fwhm``.
     The off/on ratio is sqrt(N), the comb's ensemble-averaging gain.
     """
-    _check_noise(noise)
     if n_teeth < 1:
         raise ValueError("n_teeth must be >= 1")
     _require_positive("tooth_power", tooth_power)
     _require_non_negative("rate_scale", rate_scale)
-    detunings = np.asarray(detunings, dtype=float)
+    detunings = _grid("detunings", detunings)
     baseline = rate_scale * n_teeth * math.sqrt(tooth_power)
     floor = rate_scale * math.sqrt(n_teeth * tooth_power)
     mean = baseline - (baseline - floor) * lorentzian_profile(
         detunings, 0.0, hole_fwhm)
-    return Trace(x=detunings, y=_apply_noise(mean, noise, seed),
-                 noise_model=noise, seed=seed)
+    return _trace(detunings, mean, noise, seed)
 
 
 def hole_width_to_homogeneous(hole_fwhm: float,
@@ -144,7 +131,7 @@ def power_broadening(power, sqrt_coefficient: float,
                      zero_power_fwhm: float):
     """Power-broadened linewidth coeff * sqrt(P) + Gamma_0."""
     power = np.asarray(power, dtype=float)
-    _require_each(_require_non_negative, "power", power)
+    _require_each("power", power, _require_non_negative)
     _require_non_negative("sqrt_coefficient", sqrt_coefficient)
     _require_non_negative("zero_power_fwhm", zero_power_fwhm)
     out = sqrt_coefficient * np.sqrt(power) + zero_power_fwhm
@@ -161,15 +148,12 @@ def decay_histogram(effective_lifetime: float, time_bins, shots: int,
     background); with the default Poisson noise each bin is an independent
     draw, matching a counting experiment of ``shots`` repetitions.
     """
-    _check_noise(noise)
     _require_positive("effective_lifetime", effective_lifetime)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _require_non_negative("amplitude", amplitude)
     _require_non_negative("background", background)
-    time_bins = np.asarray(time_bins, dtype=float)
-    _require_each(_require_non_negative, "time_bins", time_bins)
+    time_bins = _grid("time_bins", time_bins, _require_non_negative)
     mean = shots * (amplitude * np.exp(-time_bins / effective_lifetime)
                     + background)
-    return Trace(x=time_bins, y=_apply_noise(mean, noise, seed),
-                 noise_model=noise, seed=seed)
+    return _trace(time_bins, mean, noise, seed)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _Record, record
+from .core import _Record, _require_each, record
 
 
 class TraceFormatError(ValueError):
@@ -60,6 +60,16 @@ class Trace(_Record):
 
     def __len__(self) -> int:
         return self.x.size
+
+
+def _grid(name: str, values, rule=None) -> np.ndarray:
+    """``values`` as the 1-d array of finite floats a trace is drawn on,
+    each entry also held to ``rule`` if one is given."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array")
+    _require_each(name, values, rule)
+    return values
 
 
 # lines formatted and written at a time, so a long trace never holds its

@@ -230,6 +230,25 @@ def test_decay_purcell_factor_is_checked_at_load(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cavity", "plan", "simulate ple"])
+def test_population_without_probe_width_is_rejected_at_load(tmp_path, capsys,
+                                                           command):
+    # cavity and plan used to accept the block, and simulate ple exited 2
+    # with "error: probe_fwhm is required with a population", naming no key
+    data = RunConfig.default().data
+    data["simulate"]["ple"]["use_population"] = True
+    del data["simulate"]["ple"]["probe_fwhm"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    assert main([*command.split(), "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: simulate.ple.probe_fwhm: required key is missing "
+        "when use_population is true\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, key, value, message", [
     ("decay", "effective_purcell", "abc", "must be a number"),
     ("decay", "points", "12", "must be an integer"),
@@ -441,8 +460,8 @@ def test_fit_rejects_non_finite_trace_values(tmp_path, capsys, model, bad):
     out = tmp_path / "fit.json"
     assert main(["fit", model, str(trace), "--json", "--out", str(out)]) == 3
     captured = capsys.readouterr()
-    assert captured.err == ("input error: x and y must be finite inside "
-                            "the fit window\n")
+    assert captured.err == ("input error: y inside the fit window must be "
+                            "finite\n")
     assert captured.out == "" and not out.exists()
     # a fit window that leaves the value out still fits
     assert main(["fit", "linear", str(trace), "--range", "2", "5"]) == 0

@@ -52,16 +52,17 @@ def test_wavelength_to_frequency_rejects_nonpositive():
         frequency_to_wavelength(-1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0],
-                         ids=["nan", "inf", "-inf", "zero"])
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+    (0.0, "positive")], ids=["nan", "inf", "-inf", "zero"])
 @pytest.mark.parametrize("function", [
     wavelength_to_frequency, frequency_to_wavelength,
     linewidth_to_coherence_time, free_spectral_range,
     particle_scattering_loss])
 def test_unit_conversions_reject_non_finite_and_non_positive(function,
-                                                              value):
+                                                              value, message):
     # NaN passed the old `<= 0` check and came back as a NaN result
-    with pytest.raises(ValueError, match="must be finite and positive$"):
+    with pytest.raises(ValueError, match=f" must be {message}$"):
         function(value)
 
 

@@ -275,11 +275,12 @@ def test_trace_input_and_evaluate():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_data_in_the_fit_window_is_rejected(bad):
     x, y, _ = _clean_case("linear")
-    for data in (x, y):
+    for name, data in (("x", x), ("y", y)):
         corrupted = data.copy()
         corrupted[10] = bad
         args = (corrupted, y) if data is x else (x, corrupted)
-        with pytest.raises(ValueError, match="x and y must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} inside the fit window "
+                           "must be finite$"):
             fit("linear", *args)
     # outside the window the point is ignored
     corrupted = y.copy()

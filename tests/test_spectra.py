@@ -166,7 +166,7 @@ def test_ple_scan_rejects_non_finite_levels_and_grid():
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ple_scan(34e9, 0.0, amplitude, background, grid)
     # a NaN grid point counted 0 ions
-    with pytest.raises(ValueError, match="grid must be a 1-d array"):
+    with pytest.raises(ValueError, match="^grid must be finite$"):
         ple_scan(34e9, 0.0, 1000.0, 0.0, np.append(grid, math.nan),
                  population=population, probe_fwhm=13e6)
 
@@ -197,3 +197,19 @@ def test_ple_scan_rejects_non_finite_levels_and_grid():
 def test_generators_reject_non_finite_parameters(call, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(bad)
+
+
+@pytest.mark.parametrize("noise", ["poisson", "none"])
+@pytest.mark.parametrize("call, name", [
+    (lambda noise: decay_histogram(1e-3, 0.5, 1, 1.0, noise=noise),
+     "time_bins"),
+    (lambda noise: saturation_curve(1e-6, 1.0, 0.5, noise=noise), "powers"),
+    (lambda noise: hole_spectrum(0.0, 4, 1.0, 1e6, 1.0, noise=noise),
+     "detunings"),
+    (lambda noise: ple_scan(34e9, 0.0, 1.0, 0.0, 0.0, noise=noise), "grid"),
+], ids=["decay", "saturation", "hole", "ple"])
+def test_generators_reject_a_scalar_grid(call, name, noise):
+    # Poisson noise raised AttributeError: 'int' object has no attribute
+    # 'astype', and no noise a ValueError that named only the trace's x, y
+    with pytest.raises(ValueError, match=f"^{name} must be a 1-d array$"):
+        call(noise)
