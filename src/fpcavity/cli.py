@@ -17,6 +17,9 @@ next to them).  Exit codes: 0 success, 2 configuration or validation
 error, 3 input-data error, 4 internal numerical failure.  Human-readable
 text rounds values; the JSON output carries full precision of the same
 numbers.
+
+A subcommand imports the numpy layers it uses inside its handler, so
+``cavity`` runs without numpy and ``fit`` without the planner.
 """
 from __future__ import annotations
 
@@ -26,8 +29,6 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     SIMULATIONS,
@@ -39,9 +40,7 @@ from .config import (
     valid_seed,
     write_manifest,
 )
-from .core import TOOLKIT_VERSION, NumericalError
-from .ensemble import ensemble_purcell_stats, ions_in_bandwidth
-from .fitting import MODELS, fit
+from .core import CONTACT_LENGTH, TOOLKIT_VERSION, NumericalError
 from .optics import (
     cavity_linewidth,
     double_resonance,
@@ -50,14 +49,7 @@ from .optics import (
     loaded_budget,
     mode_waist,
 )
-from .planner import (
-    CONTACT_LENGTH,
-    best_operating_point,
-    sweep_grid,
-    write_sweep_csv,
-)
 from .purcell import coupling_report, multimodal_sum
-from .trace import TraceFormatError, read_trace_csv, write_trace
 
 
 class _CliError(Exception):
@@ -156,6 +148,7 @@ def _cmd_cavity(args, config: RunConfig, seed: int):
 
 
 def _cmd_purcell(args, config: RunConfig, seed: int):
+    from .ensemble import ensemble_purcell_stats, ions_in_bandwidth
     geometry = config.geometry
     particle = config.nanoparticle
     reports = [
@@ -212,6 +205,7 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
 
 
 def _cmd_simulate(args, config: RunConfig, seed: int):
+    from .trace import write_trace
     if not args.out:
         raise _CliError(2, "simulate writes a trace file; pass --out PATH")
     params = config.simulate_params(args.kind)
@@ -241,11 +235,17 @@ def _cmd_simulate(args, config: RunConfig, seed: int):
 
 
 def _cmd_fit(args, config: RunConfig, seed: int):
+    import numpy as np
+
+    from .fitting import fit
+    from .trace import TraceFormatError, read_trace_csv
     try:
         trace = read_trace_csv(args.input)
     except FileNotFoundError:
         raise _CliError(3, f"input error: no such file: {args.input}") \
             from None
+    except TraceFormatError as exc:
+        raise _CliError(3, f"input error: {exc}") from None
     x_range = tuple(args.range) if args.range else None
     try:
         result = fit(args.model, trace, weights=args.weights,
@@ -278,6 +278,7 @@ def _cmd_fit(args, config: RunConfig, seed: int):
 
 
 def _cmd_plan(args, config: RunConfig, seed: int):
+    from .planner import best_operating_point, sweep_grid, write_sweep_csv
     sweep = sweep_grid(
         config.plan_diameters, config.plan_repetition_rates,
         config.plan_modes, config.transitions, config.loss_budgets,
@@ -330,6 +331,17 @@ def _seed_arg(text: str) -> int:
             f"must be a non-negative integer, got {text!r}") from None
 
 
+def _model_arg(name: str) -> str:
+    """A fit model name, checked against ``fitting.MODELS`` only when
+    ``fit`` is parsed, so other subcommands do not load the fitter."""
+    from .fitting import _model
+    try:
+        _model(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -356,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("kind", choices=tuple(SIMULATIONS))
     fit_cmd = sub.add_parser("fit", parents=[common],
                              help="fit a trace CSV with a named model")
-    fit_cmd.add_argument("model", choices=sorted(MODELS))
+    fit_cmd.add_argument("model", type=_model_arg,
+                         help="model name; an unknown one lists the models")
     fit_cmd.add_argument("input", help="trace CSV file")
     fit_cmd.add_argument("--range", nargs=2, type=float,
                          metavar=("LO", "HI"),
@@ -395,6 +408,15 @@ def _run(args, argv) -> int:
     return 0
 
 
+def _numerical_failures() -> tuple:
+    """The exception types that exit 4.  numpy's ``LinAlgError`` is one
+    only once numpy is loaded: a run that never loaded it cannot raise it."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        return (NumericalError,)
+    return NumericalError, numpy.linalg.LinAlgError
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -408,10 +430,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (TraceFormatError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except _numerical_failures() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -16,6 +16,9 @@ hash, toolkit version, seed, creation time, and the output files with
 their checksums.  Re-running the same command with the same config and
 seed reproduces the data files byte for byte; the manifest's timestamp is
 the only field that differs between such runs.
+
+Loading and checking a config needs no numpy: the ``simulate`` kinds
+import numpy and their generators only when they run.
 """
 from __future__ import annotations
 
@@ -27,25 +30,22 @@ from dataclasses import MISSING, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     MAX_DIAMETER,
+    NOISE_MODELS,
+    PLAN_MODES,
     TOOLKIT_VERSION,
     CavityGeometry,
+    DetectionChain,
     Nanoparticle,
     Transition,
+    _check_mode,
+    _detection_window,
     _JsonRecord,
     record,
 )
-from .ensemble import (SpectralPopulation, default_hyperfine_classes,
-                       total_ion_count)
 from .optics import LossBudget
-from .planner import (PLAN_MODES, DetectionChain, _check_mode,
-                      _detection_window)
 from .purcell import _require_effective, cavity_lifetime
-from .spectra import (NOISE_MODELS, decay_histogram, hole_spectrum, ple_scan,
-                      saturation_curve)
 
 SCHEMA_VERSION = 1
 
@@ -288,8 +288,11 @@ def _accepted_by(check):
 
 
 def _population(particle: Nanoparticle, inhomogeneous_fwhm: float,
-                path: str) -> SpectralPopulation:
-    """The particle's ions over the line; no ion at all is an error at path."""
+                path: str):
+    """The particle's ions over the line, a ``SpectralPopulation``; no ion
+    at all is an error at path."""
+    from .ensemble import (SpectralPopulation, default_hyperfine_classes,
+                           total_ion_count)
     with _reported_at(path):
         return SpectralPopulation(
             total_ions=total_ion_count(particle),
@@ -298,10 +301,12 @@ def _population(particle: Nanoparticle, inhomogeneous_fwhm: float,
 
 
 def _centered(span: float, points: int):
+    import numpy as np
     return np.linspace(-0.5 * span, 0.5 * span, points)
 
 
 def _ple(p: dict, config: "RunConfig", seed: int):
+    from .spectra import ple_scan
     span = p["span_multiple"] * p["inhomogeneous_fwhm"]
     population = None
     if p["use_population"]:
@@ -316,6 +321,9 @@ def _ple(p: dict, config: "RunConfig", seed: int):
 
 
 def _saturation(p: dict, config: "RunConfig", seed: int):
+    import numpy as np
+
+    from .spectra import saturation_curve
     powers = np.geomspace(p["min_power"], p["max_power"], p["points"])
     trace = saturation_curve(powers, p["scale"], p["exponent"],
                              p["background"], noise=p["noise"], seed=seed)
@@ -323,6 +331,7 @@ def _saturation(p: dict, config: "RunConfig", seed: int):
 
 
 def _hole(p: dict, config: "RunConfig", seed: int):
+    from .spectra import hole_spectrum
     span = p["span_multiple"] * p["hole_fwhm"]
     trace = hole_spectrum(_centered(span, p["points"]), p["n_teeth"],
                           p["tooth_power"], p["hole_fwhm"], p["rate_scale"],
@@ -331,6 +340,9 @@ def _hole(p: dict, config: "RunConfig", seed: int):
 
 
 def _decay(p: dict, config: "RunConfig", seed: int):
+    import numpy as np
+
+    from .spectra import decay_histogram
     free = config.transitions[0].free_space_lifetime
     lifetime = cavity_lifetime(free, p["effective_purcell"])
     grid = np.linspace(0.0, p["time_span_multiple"] * lifetime, p["points"])

@@ -12,6 +12,10 @@ Unit conventions used across the package:
 
 All types are immutable and serialize to JSON with the field names below,
 verbatim.  They are dataclasses whose methods come from :class:`_Record`.
+
+The vocabulary the run configuration checks lives here too, so loading a
+config needs no numpy: the plan modes and their rules, the detection
+chain, and the noise models.  ``planner`` and ``spectra`` re-export it.
 """
 from __future__ import annotations
 
@@ -31,6 +35,15 @@ YTTRIA_CATION_DENSITY = 5.34e28  # m^-3
 MAX_DIAMETER = 1e-6
 # largest cation site density (m^-3), above that of any solid
 MAX_CATION_DENSITY = 1e30
+
+# cavity operating modes of the detection plan; see ``planner``
+PLAN_MODES = ("contact", "open_single", "open_double")
+_OPEN_MODES = ("open_single", "open_double")
+# mirror separation (m) of the contact mode
+CONTACT_LENGTH = 2.5e-6
+
+# noise models of the simulated traces; see ``spectra``
+NOISE_MODELS = ("none", "poisson")
 
 
 class NumericalError(RuntimeError):
@@ -175,6 +188,20 @@ def _require_fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in (0, 1]")
 
 
+def _require_probability(name: str, value: float) -> None:
+    """Reject a value outside [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        _require_finite(**{name: value})
+        raise ValueError(f"{name} must be in [0, 1]")
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Reject a count below ``minimum``, or one that is NaN or infinite."""
+    if not minimum <= value < math.inf:
+        _require_finite(**{name: value})
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 def _require_each(name: str, values, rule=None) -> None:
     """Require every entry of a numpy array to be finite and to pass the
     scalar ``rule``, if one is given: the extremes carry any NaN, infinite
@@ -275,3 +302,40 @@ class Nanoparticle(_JsonRecord):
     @property
     def volume(self) -> float:
         return math.pi / 6.0 * self.diameter**3
+
+
+@record
+class DetectionChain(_JsonRecord):
+    """Photon path from the cavity output to counted clicks.
+
+    path_transmission: fiber and filter transmission (fraction)
+    detector_efficiency: detector quantum efficiency (fraction)
+    dark_rate: detector dark counts (counts/s)
+    """
+
+    path_transmission: float
+    detector_efficiency: float
+    dark_rate: float
+
+    def __post_init__(self):
+        _require_fraction("path_transmission", self.path_transmission)
+        _require_fraction("detector_efficiency", self.detector_efficiency)
+        _require_non_negative("dark_rate", self.dark_rate)
+
+
+def _check_mode(mode: str, transitions) -> None:
+    """Reject a mode that is unknown or that ``transitions`` cannot fill."""
+    if mode not in PLAN_MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
+    if mode in _OPEN_MODES and len(transitions) != 2:
+        raise ValueError(f"mode {mode!r} needs exactly two transitions")
+
+
+def _detection_window(repetition_rate: float,
+                      excitation_time: float) -> float:
+    """What the excitation pulse leaves of one repetition period."""
+    _require_positive("repetition_rates", repetition_rate)
+    window = 1.0 / repetition_rate - excitation_time
+    if not window > 0.0:
+        raise ValueError("repetition period must exceed the excitation time")
+    return window

@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_each,
-                   _require_finite, _require_non_negative, _require_positive,
-                   record)
+from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
+                   _require_each, _require_finite, _require_non_negative,
+                   _require_positive, record)
 from .optics import loaded_budget
 from .purcell import coupling_report
 from .trace import Trace, _grid
@@ -177,8 +177,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     and the block-order reduction, fix the result for a given ``seed`` and
     ``n_samples`` bit for bit.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    _require_count("n_samples", n_samples, 2)
     _require_finite(antinode_offset_fraction=antinode_offset_fraction)
     channels = channel_strengths(particle, geometry, transitions, budgets)
     offsets = [antinode_offset_fraction * c.wavelength for c in channels]
@@ -250,8 +249,7 @@ class SpectralPopulation(_JsonRecord):
 
     def __post_init__(self):
         _require_finite(**vars(self))
-        if self.total_ions < 1:
-            raise ValueError("total_ions must be >= 1")
+        _require_count("total_ions", self.total_ions, 1)
         if self.total_ions > _MAX_IONS:
             raise ValueError(f"total_ions must be <= {_MAX_IONS} for the "
                              f"binomial draw, got {self.total_ions:.3g}")
@@ -317,8 +315,7 @@ def ions_in_bandwidth(population: SpectralPopulation, probe_frequency: float,
     Binomial(total_ions, p).  ``n_draws`` counts are drawn from that
     distribution and summarised by their sample mean and std.
     """
-    if n_draws < 2:
-        raise ValueError("n_draws must be >= 2")
+    _require_count("n_draws", n_draws, 2)
     n = population.total_ions
     # the class weights may sum to 1 + 1e-6, which could push p past 1
     p = min(expected_ions_in_bandwidth(population, probe_frequency,

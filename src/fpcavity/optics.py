@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_finite,
-                   _require_non_negative, _require_positive, _require_stable,
-                   record)
+from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_count,
+                   _require_finite, _require_non_negative, _require_positive,
+                   _require_stable, record)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -104,8 +104,7 @@ def resonance_length(wavelength: float, mode_order: int) -> float:
     into the coatings.
     """
     _require_positive("wavelength", wavelength)
-    if mode_order < 1:
-        raise ValueError("mode_order must be >= 1")
+    _require_count("mode_order", mode_order, 1)
     return mode_order * wavelength / 2.0
 
 

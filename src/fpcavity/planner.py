@@ -24,39 +24,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CavityGeometry, Nanoparticle, _JsonRecord,
-                   _require_fraction, _require_non_negative, _require_positive,
-                   record)
+# the plan vocabulary is stated in core, which config reads without numpy,
+# and re-exported here
+from .core import (CONTACT_LENGTH, PLAN_MODES, _OPEN_MODES, CavityGeometry,
+                   DetectionChain, Nanoparticle, _check_mode,
+                   _detection_window, _JsonRecord, _require_fraction,
+                   _require_non_negative, _require_positive,
+                   _require_probability, record)
 from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
-PLAN_MODES = ("contact", "open_single", "open_double")
-_OPEN_MODES = ("open_single", "open_double")
-
-CONTACT_LENGTH = 2.5e-6
 CONTACT_JITTER = 0.8e-12
 OPEN_JITTER = 2.5e-12
 
 SWEEP_COLUMNS = ("d_np_nm", "f_rep_hz", "mode", "rate_cps", "snr")
-
-
-@record
-class DetectionChain(_JsonRecord):
-    """Photon path from the cavity output to counted clicks.
-
-    path_transmission: fiber and filter transmission (fraction)
-    detector_efficiency: detector quantum efficiency (fraction)
-    dark_rate: detector dark counts (counts/s)
-    """
-
-    path_transmission: float
-    detector_efficiency: float
-    dark_rate: float
-
-    def __post_init__(self):
-        _require_fraction("path_transmission", self.path_transmission)
-        _require_fraction("detector_efficiency", self.detector_efficiency)
-        _require_non_negative("dark_rate", self.dark_rate)
 
 
 @record
@@ -85,8 +66,7 @@ class PulseScheme(_JsonRecord):
 def photon_path_efficiency(outcoupling: float,
                            chain: DetectionChain) -> float:
     """End-to-end probability that a cavity photon becomes a click."""
-    if not 0.0 <= outcoupling <= 1.0:
-        raise ValueError("outcoupling must be in [0, 1]")
+    _require_probability("outcoupling", outcoupling)
     return outcoupling * chain.path_transmission * chain.detector_efficiency
 
 
@@ -136,24 +116,6 @@ def _shared_lifetime(transitions) -> float:
     if any(abs(t - first) > 1e-9 * first for t in lifetimes):
         raise ValueError("transitions must share one excited-state lifetime")
     return first
-
-
-def _check_mode(mode: str, transitions) -> None:
-    """Reject a mode that is unknown or that ``transitions`` cannot fill."""
-    if mode not in PLAN_MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
-    if mode in _OPEN_MODES and len(transitions) != 2:
-        raise ValueError(f"mode {mode!r} needs exactly two transitions")
-
-
-def _detection_window(repetition_rate: float,
-                      excitation_time: float) -> float:
-    """What the excitation pulse leaves of one repetition period."""
-    _require_positive("repetition_rates", repetition_rate)
-    window = 1.0 / repetition_rate - excitation_time
-    if not window > 0.0:
-        raise ValueError("repetition period must exceed the excitation time")
-    return window
 
 
 def _cavity(mode: str, transitions, budgets, radius_of_curvature: float):
@@ -238,7 +200,7 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
     """
     _require_positive("free_space_lifetime", free_space_lifetime)
     for outcoupling in outcouplings:
-        _require_non_negative("outcouplings", outcoupling)
+        _require_probability("outcouplings", outcoupling)
     total, collect = _channel_sums(channels, outcouplings, collected)
     return float(_detected_rates(
         total, collect, scheme.excitation_time, [scheme.detection_time],

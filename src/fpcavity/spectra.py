@@ -13,12 +13,11 @@ import math
 
 import numpy as np
 
-from .core import (_require_each, _require_finite, _require_fraction,
-                   _require_non_negative, _require_positive)
+from .core import (NOISE_MODELS, _require_count, _require_each,
+                   _require_finite, _require_fraction, _require_non_negative,
+                   _require_positive)
 from .ensemble import SpectralPopulation, _window_counts
 from .trace import Trace, _grid
-
-NOISE_MODELS = ("none", "poisson")
 
 
 def _trace(x: np.ndarray, mean: np.ndarray, noise: str,
@@ -100,8 +99,7 @@ def hole_spectrum(detunings, n_teeth: int, tooth_power: float,
     their holes; the dip has a Lorentzian shape of width ``hole_fwhm``.
     The off/on ratio is sqrt(N), the comb's ensemble-averaging gain.
     """
-    if n_teeth < 1:
-        raise ValueError("n_teeth must be >= 1")
+    _require_count("n_teeth", n_teeth, 1)
     _require_positive("tooth_power", tooth_power)
     _require_non_negative("rate_scale", rate_scale)
     detunings = _grid("detunings", detunings)
@@ -149,8 +147,7 @@ def decay_histogram(effective_lifetime: float, time_bins, shots: int,
     draw, matching a counting experiment of ``shots`` repetitions.
     """
     _require_positive("effective_lifetime", effective_lifetime)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _require_count("shots", shots, 1)
     _require_non_negative("amplitude", amplitude)
     _require_non_negative("background", background)
     time_bins = _grid("time_bins", time_bins, _require_non_negative)

@@ -4,9 +4,12 @@
 every field, one valid call.  The sweep replaces each float argument of that
 call in turn by NaN, +inf and -inf, each as a Python float, as a numpy
 ``float32`` and as a 0-d array, and requires ``ValueError``; it does the
-same to the last entry of each list or array of floats.  A new public
-function must join the table, and a call must pass every parameter whose
-default is a float, so no float argument escapes the sweep.
+same to the last entry of each list or array of floats, and to each count
+argument (``n_teeth``, ``shots``, a mode order, ``n_samples``,
+``n_draws``, ``total_ions``).  A new public function must join the table,
+and a call must pass every parameter whose default is a float, so no float
+argument escapes the sweep.  The public functions are read off
+``fpcavity.__all__``, since the package loads its layers on first use.
 """
 import inspect
 import math
@@ -134,8 +137,11 @@ CALLS = {
 }
 
 PUBLIC_FUNCTIONS = sorted(
-    name for name, value in vars(fpcavity).items()
-    if not name.startswith("_") and inspect.isfunction(value))
+    name for name in fpcavity.__all__
+    if inspect.isfunction(getattr(fpcavity, name)))
+
+# integer arguments that are not counts, so not swept
+NOT_COUNTS = {("build_manifest", 2)}  # the seed, recorded as given
 
 
 @pytest.fixture(autouse=True)
@@ -145,6 +151,10 @@ def _in_tmp_path(tmp_path, monkeypatch):
 
 def _is_float(value):
     return type(value) is float
+
+
+def _is_int(value):
+    return type(value) is int
 
 
 def _is_float_list(value):
@@ -174,6 +184,13 @@ def _call_with(name, where, value):
 def test_table_covers_every_public_function():
     missing = sorted(set(PUBLIC_FUNCTIONS) - set(CALLS))
     assert not missing, f"add a valid call to CALLS for {missing}"
+
+
+def test_the_sweep_sees_every_public_function():
+    # an enumeration that misses lazily loaded names would shrink the sweep
+    functions = {name for name in CALLS if name[0].islower()}
+    assert len(functions) == 56
+    assert set(PUBLIC_FUNCTIONS) == functions
 
 
 @pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
@@ -207,6 +224,28 @@ NON_FINITE = pytest.mark.parametrize(
 def test_non_finite_float_arguments_are_rejected(name, where, value, form):
     with pytest.raises(ValueError):
         _call_with(name, where, form(value))
+
+
+@pytest.mark.parametrize("form", [float, np.float32, np.array],
+                         ids=["float", "float32", "0d"])
+@NON_FINITE
+@pytest.mark.parametrize("name, where", [
+    pytest.param(name, where, id=f"{name}-{where}")
+    for name in sorted(CALLS) for where in _arguments(name, _is_int)
+    if (name, where) not in NOT_COUNTS])
+def test_non_finite_counts_are_rejected(name, where, value, form):
+    with pytest.raises(ValueError, match="must be finite"):
+        _call_with(name, where, form(value))
+
+
+def test_the_count_sweep_covers_every_count():
+    counts = {(name, where) for name in CALLS
+              for where in _arguments(name, _is_int)} - NOT_COUNTS
+    assert counts == {
+        ("resonance_length", 1), ("CavityGeometry", 2),
+        ("hole_spectrum", 1), ("decay_histogram", 2),
+        ("ensemble_purcell_stats", "n_samples"),
+        ("ions_in_bandwidth", "n_draws"), ("SpectralPopulation", 0)}
 
 
 @NON_FINITE

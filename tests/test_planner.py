@@ -94,6 +94,17 @@ def test_detected_rate_and_path_efficiency():
         photon_path_efficiency(1.5, CHAIN)
 
 
+def test_outcoupling_above_one_is_rejected():
+    # an outcoupling of 2.0 used to double its channel's detected rate
+    scheme = PulseScheme(1e-6, 249e-6, 0.5)
+    channels = [ChannelStrength(580.8e-9, 2.0), ChannelStrength(611e-9, 1.0)]
+    with pytest.raises(ValueError, match=r"outcouplings must be in \[0, 1\]"):
+        mode_detected_rate(channels, [2.0, 0.4], [True, True], scheme, 2e-3,
+                           CHAIN)
+    with pytest.raises(ValueError, match=r"outcoupling must be in \[0, 1\]"):
+        photon_path_efficiency(2.0, CHAIN)
+
+
 def test_snr_values():
     assert snr(240.0, 20.0) == pytest.approx(53.66563145999495, rel=1e-12)
     # quadrupling the time doubles the SNR
