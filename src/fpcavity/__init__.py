@@ -3,10 +3,10 @@ narrow-line emitters in nanoparticles.
 
 The package splits into thin layers: ``core`` holds the domain value
 types, ``optics`` the mirror and mode geometry, ``purcell`` the
-emission-enhancement chain, ``ensemble`` the Monte Carlo statistics,
-``spectra``/``fitting`` the measurement simulators and their analysis,
-``planner`` the detection budget, and ``cli``/``config`` the reproducible
-run plumbing.  Everything commonly needed is re-exported here.
+emission-enhancement chain, ``ensemble`` the ensemble and ion-count
+statistics, ``spectra``/``fitting`` the measurement simulators and their
+analysis, ``planner`` the detection budget, and ``cli``/``config`` the
+reproducible run plumbing.  Everything commonly needed is re-exported here.
 
 Each layer loads on first use.  ``import fpcavity`` puts every layer but
 ``cli`` in ``sys.modules`` unexecuted, through ``importlib.util.LazyLoader``;
@@ -38,10 +38,11 @@ _EXPORTS = {
         "purcell_from_lifetimes", "saturation_intensity",
         "saturation_power"),
     "ensemble": (
-        "ChannelStrength", "EnsembleStats", "IonCountStats",
+        "ChannelStrength", "EnsembleStats", "ExactMoments", "IonCountStats",
         "SpectralPopulation", "channel_strengths",
-        "default_hyperfine_classes", "ensemble_purcell_stats",
-        "expected_ions_in_bandwidth", "ions_in_bandwidth", "sample_height",
+        "default_hyperfine_classes", "ensemble_moments",
+        "ensemble_purcell_stats", "expected_ions_in_bandwidth",
+        "ion_count_moments", "ions_in_bandwidth", "sample_height",
         "sample_orientation_factor", "sfs_spectrum", "standing_wave_factor",
         "total_ion_count"),
     "spectra": (

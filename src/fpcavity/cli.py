@@ -4,28 +4,29 @@ Five subcommands tie the library into reproducible runs:
 
 cavity     mode geometry, free spectral range, finesse, linewidth, and
            the double-resonance solution
-purcell    per-transition coupling table, ensemble statistics, and the
-           addressable-ion estimate
+purcell    per-transition coupling table, and the exact mean and std of
+           the ensemble's Purcell factor and of the addressed-ion count
 simulate   synthetic measurement traces (ple, saturation, hole, decay)
 fit        least-squares fits of a trace CSV against a named model
 plan       detected-rate sweep over diameter, repetition rate, and mode
 
 Global flags: ``--config PATH`` (JSON parameter tree, bundled defaults
-otherwise), ``--seed N`` (overrides the config seed), ``--json`` (machine
-output, full precision), ``--out PATH`` (write data files and a manifest
-next to them).  Exit codes: 0 success, 2 configuration or validation
-error, 3 input-data error, 4 internal numerical failure.  Human-readable
-text rounds values; the JSON output carries full precision of the same
-numbers.
+otherwise), ``--seed N`` (overrides the config seed of the noise draws),
+``--json`` (machine output, full precision), ``--out PATH`` (write data
+files and a manifest next to them).  Exit codes: 0 success, 2
+configuration or validation error, 3 input-data error, 4 internal
+numerical failure.  Human-readable text rounds values; the JSON output
+carries full precision of the same numbers.
 
-A subcommand imports the numpy layers it uses inside its handler, so
-``cavity`` runs without numpy and ``fit`` without the planner.
+A subcommand imports the layers it uses inside its handler, so ``cavity``
+and ``purcell`` run without numpy and ``fit`` without the planner.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -148,7 +149,8 @@ def _cmd_cavity(args, config: RunConfig, seed: int):
 
 
 def _cmd_purcell(args, config: RunConfig, seed: int):
-    from .ensemble import ensemble_purcell_stats, ions_in_bandwidth
+    from .ensemble import (channel_strengths, ensemble_moments,
+                           ion_count_moments)
     geometry = config.geometry
     particle = config.nanoparticle
     reports = [
@@ -159,22 +161,25 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
     table = [r.to_table_row() for r in reports]
     total = multimodal_sum(r.effective_purcell for r in reports)
 
-    stats = ensemble_purcell_stats(
-        particle, geometry, config.transitions, config.loss_budgets,
-        n_samples=config.mc_samples, seed=seed,
-        antinode_offset_fraction=config.antinode_offset_fraction)
+    channels = channel_strengths(particle, geometry, config.transitions,
+                                 config.loss_budgets)
+    ensemble = {
+        **ensemble_moments(channels, particle.diameter,
+                           config.antinode_offset_fraction).to_dict(),
+        # the ceiling: orientation and position factors at 1
+        "max": math.fsum(c.strength for c in channels),
+    }
 
     population = _population(replace(particle, diameter=config.ion_diameter),
                              config.ion_inhomogeneous_fwhm,
                              "ion_estimate.diameter")
-    addressed = ions_in_bandwidth(
-        population, 0.0, config.ion_probe_bandwidth,
-        seed=seed, n_draws=config.ion_draws)
+    addressed = ion_count_moments(population, 0.0,
+                                  config.ion_probe_bandwidth)
 
     report = {
         "table": table,
         "total_effective_purcell": total,
-        "ensemble": stats.to_dict(),
+        "ensemble": ensemble,
         "ions": {
             "particle_diameter": config.ion_diameter,
             "total": population.total_ions,
@@ -192,15 +197,14 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
             f"{row['f_eff']:<10.3f} {row['cooperativity']:.3g}")
     lines.append(f"summed effective Purcell factor: {total:.3f}")
     lines.append(
-        f"ensemble over {_length(particle.diameter)} particle "
-        f"({stats.n_samples} ions, seed {stats.seed}): "
-        f"mean {stats.mean:.3f}, std {stats.std:.3f}, max {stats.max:.3f}")
+        f"ensemble over {_length(particle.diameter)} particle (exact): "
+        f"mean {ensemble['mean']:.3f}, std {ensemble['std']:.3f}, "
+        f"max {ensemble['max']:.3f}")
     lines.append(
         f"ions in {_length(config.ion_diameter)} particle: "
         f"{population.total_ions}; "
         f"addressed in {_hz(config.ion_probe_bandwidth)} probe: "
-        f"{addressed.mean:.1f} +/- {addressed.std:.1f} "
-        f"({addressed.n_draws} draws)")
+        f"{addressed.mean:.1f} +/- {addressed.std:.1f} (exact)")
     return report, lines, []
 
 

@@ -459,12 +459,12 @@ class RunConfig:
         pulse, mc, ion = doc["pulse"], doc["monte_carlo"], doc["ion_estimate"]
         self.excitation_time = pulse["excitation_time"]
         self.excited_population = pulse["excited_population"]
+        # no subcommand reads it; library callers size samplers from it
         self.mc_samples = mc["n_samples"]
         self.antinode_offset_fraction = mc["antinode_offset_fraction"]
         self.ion_diameter = ion["diameter"]
         self.ion_inhomogeneous_fwhm = ion["inhomogeneous_fwhm"]
         self.ion_probe_bandwidth = ion["probe_bandwidth"]
-        self.ion_draws = ion["n_draws"]
         plan = doc["plan"]
         self.plan_diameters = plan["diameters"]
         self.plan_repetition_rates = plan["repetition_rates"]
@@ -530,6 +530,8 @@ class RunManifest(_JsonRecord):
 
 def build_manifest(command, config: RunConfig, seed: int,
                    output_paths=()) -> RunManifest:
+    """The run's manifest; ``seed`` is held to the config's seed rule."""
+    seed = valid_seed(seed, "seed")
     outputs = tuple(
         {"path": str(path), "sha256": file_sha256(path)}
         for path in output_paths)

@@ -1,31 +1,38 @@
-"""Monte Carlo statistics of emitters inside a nanoparticle.
+"""Statistics of emitters inside a nanoparticle: exact moments and seeded
+samplers.
 
-Two sampling problems live here.  The geometric one: dipole orientation and
+Two problems live here.  The geometric one: dipole orientation and
 standing-wave position of ions distributed through a sphere resting on the
 mirror, which turns the best-case Purcell factor into an ensemble
 distribution.  The spectral one: how many ions of an inhomogeneously
-broadened, hyperfine-split population fall inside a probe window (drawn
-from its exact binomial distribution), and the statistical fine structure
-a narrow probe sees when scanned across the line (all windows' counts
-drawn at once from their exact multinomial law, not ion by ion).
+broadened, hyperfine-split population fall inside a probe window (exactly
+binomial), and the statistical fine structure a narrow probe sees when
+scanned across the line (all windows' counts drawn at once from their
+exact multinomial law, not ion by ion).
 
-Sampling uses a counter-based generator (Philox) keyed on (seed, domain,
-block).  The ensemble draws its samples in fixed blocks of 4096, one stream
-per block, so a given (seed, n_samples) always gives bitwise the same
-statistics.
+``ensemble_moments`` and ``ion_count_moments`` give the exact mean and
+standard deviation of both in closed form, with ``math`` only; they are
+what the CLI reports.  The samplers draw the same distributions and import
+numpy when they run.  Sampling uses a counter-based generator (Philox)
+keyed on (seed, domain, block).  The ensemble draws its samples in fixed
+blocks of 4096, one stream per block, so a given (seed, n_samples) always
+gives bitwise the same statistics.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
                    _require_each, _require_finite, _require_non_negative,
                    _require_positive, record)
 from .optics import loaded_budget
 from .purcell import coupling_report
-from .trace import Trace, _grid
+
+if TYPE_CHECKING:  # the samplers import these when they run
+    import numpy as np
+
+    from .trace import Trace
 
 # the block layout defines the seeded numbers: changing it changes every
 # EnsembleStats for a given (seed, n_samples)
@@ -37,6 +44,7 @@ _DOMAIN_SFS = 2
 
 
 def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
+    import numpy as np
     sequence = np.random.SeedSequence(entropy=(seed, domain, index))
     return np.random.Generator(np.random.Philox(sequence))
 
@@ -65,6 +73,7 @@ def sample_height(diameter: float, rng: np.random.Generator,
     1) / 3) of one uniform u (Devroye, Non-Uniform Random Variate
     Generation, 1986, ch. II).
     """
+    import numpy as np
     _require_positive("diameter", diameter)
     n = 1 if size is None else size
     heights = rng.random(n)
@@ -80,6 +89,7 @@ def sample_height(diameter: float, rng: np.random.Generator,
 
 def standing_wave_factor(height, wavelength: float, antinode_offset: float):
     """Intensity factor sin^2(2 pi (z + z0) / lambda) of the standing wave."""
+    import numpy as np
     _require_positive("wavelength", wavelength)
     _require_finite(antinode_offset=antinode_offset)
     height = np.asarray(height)
@@ -139,6 +149,7 @@ class EnsembleStats(_JsonRecord):
 
 def _ensemble_block(seed: int, block: int, count: int, diameter: float,
                     channels, offsets) -> tuple[float, float]:
+    import numpy as np
     rng = _rng(seed, _DOMAIN_ENSEMBLE, block)
     orientation = sample_orientation_factor(rng, size=count)
     heights = sample_height(diameter, rng, size=count)
@@ -202,6 +213,87 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     )
 
 
+@record
+class ExactMoments(_JsonRecord):
+    """Exact mean and standard deviation of a distribution, in closed form
+    rather than sampled."""
+
+    mean: float
+    std: float
+    method: str = "exact"
+
+
+# E[cos(2 x U)] for U = T - 1/2, T ~ Beta(2, 2), is 3 (sin x - x cos x) / x^3
+# = 1 - x^2/10 + R(x).  Below |x| = 1 the closed form cancels, so R, the part
+# from x^4 up, is summed there from its series, (-1)^m 6 (m + 1) x^2m /
+# (2m + 3)! for m >= 2; the first of the terms left out is below 1e-26.
+_SERIES_BELOW = 1.0
+_SERIES = tuple((-1) ** m * 6 * (m + 1) / math.factorial(2 * m + 3)
+                for m in range(2, 12))
+
+
+def _quartic_rest(x: float) -> float:
+    """R(x) = E[cos(2 x U)] - 1 + x^2 / 10, the Beta(2, 2) height's
+    characteristic function past its x^2 term; even, O(x^4) at 0."""
+    x2 = x * x
+    if x2 < _SERIES_BELOW:
+        value = 0.0
+        for coefficient in reversed(_SERIES):
+            value = value * x2 + coefficient
+        return value * x2 * x2
+    return 3.0 * (math.sin(x) - x * math.cos(x)) / (x2 * x) - 1.0 + 0.1 * x2
+
+
+def ensemble_moments(channels, diameter: float,
+                     antinode_offset_fraction: float = 0.15
+                     ) -> ExactMoments:
+    """Exact mean and std of the ensemble's summed effective Purcell factor.
+
+    The distribution is the one ``ensemble_purcell_stats`` samples: X = o *
+    sum_c s_c f_c, o the orientation factor (E[o] = 1/3, E[o^2] = 1/5), s_c
+    the ``channels``' strengths and f_c = sin^2(k_c (D T + z0_c)) their
+    standing waves, T ~ Beta(2, 2) the height in units of the diameter D
+    and z0_c = fraction * lambda_c.
+
+    About the particle's center, U = T - 1/2, with a = k D and g = k (D/2 +
+    z0), f = P cos^2(a U) + Q sin^2(a U) + W sin(2 a U), where P = sin^2 g,
+    Q = cos^2 g and W = sin(2g) / 2.  U is symmetric, so the odd term drops
+    from E[f] = P + (Q - P) E[sin^2(a U)] and pairs only with itself in
+    E[f_c f_d].  Products of sines split into cosines of summed and
+    differenced phases, whose expectations are the height's characteristic
+    function; it enters through R, its part past x^2, so that no O(1)
+    terms cancel on a small particle.
+    """
+    _require_positive("diameter", diameter)
+    _require_finite(antinode_offset_fraction=antinode_offset_fraction)
+    # per channel: strength, a, R(a), sin^2 g, cos 2g, sin(2g) / 2 and
+    # E[sin^2(a U)] = a^2 / 20 - R(a) / 2
+    terms = []
+    for channel in channels:
+        k = 2.0 * math.pi / channel.wavelength
+        a = k * diameter
+        g = k * (0.5 * diameter
+                 + antinode_offset_fraction * channel.wavelength)
+        rest = _quartic_rest(a)
+        terms.append((channel.strength, a, rest, math.sin(g) ** 2,
+                      math.cos(2.0 * g), 0.5 * math.sin(2.0 * g),
+                      0.05 * a * a - 0.5 * rest))
+    first = math.fsum(s * (p + d * e) for s, _, _, p, d, _, e in terms)
+    pairs = []
+    for s1, a1, r1, p1, d1, w1, e1 in terms:
+        for s2, a2, r2, p2, d2, w2, e2 in terms:
+            r_sum, r_diff = _quartic_rest(a1 + a2), _quartic_rest(a1 - a2)
+            # E[sin^2(a1 U) sin^2(a2 U)] and E[sin(2 a1 U) sin(2 a2 U)]
+            sin2_sin2 = 0.125 * (r_sum + r_diff - 2.0 * (r1 + r2))
+            sin_sin = 0.2 * a1 * a2 + 0.5 * (r_diff - r_sum)
+            pairs.append(s1 * s2 * (p1 * p2 + p1 * d2 * e2 + p2 * d1 * e1
+                                    + d1 * d2 * sin2_sin2 + w1 * w2 * sin_sin))
+    mean = first / 3.0
+    second = math.fsum(pairs) / 5.0
+    return ExactMoments(mean=mean,
+                        std=math.sqrt(max(0.0, second - mean * mean)))
+
+
 def total_ion_count(particle: Nanoparticle) -> int:
     """Number of dopant ions in the particle from volume and doping."""
     return round(particle.volume * particle.cation_density
@@ -228,7 +320,7 @@ def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
 
 
 # the largest trial count numpy's binomial draw takes, a C int64
-_MAX_IONS = int(np.iinfo(np.int64).max)
+_MAX_IONS = 2**63 - 1
 
 
 @record
@@ -267,16 +359,14 @@ class SpectralPopulation(_JsonRecord):
 
 
 def _class_cdfs(population: SpectralPopulation, frequencies):
-    """``(weight, cdf)`` of each hyperfine class in order: the Lorentzian line
-    CDF 1/2 + atan((f - c) / (FWHM / 2)) / pi at ``frequencies`` about the
-    class center c, each element through ``math.atan``, the scalar bits."""
+    """``(weight, cdf)`` of each hyperfine class in order, ``cdf`` a list:
+    the Lorentzian line CDF 1/2 + atan((f - c) / (FWHM / 2)) / pi at each
+    of ``frequencies`` (floats) about the class center c."""
     half = 0.5 * population.inhomogeneous_fwhm
-    frequencies = np.asarray(frequencies, dtype=float)
     for offset, weight in population.hyperfine_offsets:
-        scaled = (frequencies - (population.center_frequency + offset)) / half
-        angles = np.fromiter(map(math.atan, scaled.tolist()), float,
-                             scaled.size)
-        yield weight, 0.5 + angles / math.pi
+        center = population.center_frequency + offset
+        yield weight, [0.5 + math.atan((f - center) / half) / math.pi
+                       for f in frequencies]
 
 
 def expected_ions_in_bandwidth(population: SpectralPopulation,
@@ -288,10 +378,27 @@ def expected_ions_in_bandwidth(population: SpectralPopulation,
     window = (probe_frequency - 0.5 * bandwidth,
               probe_frequency + 0.5 * bandwidth)
     expectation = 0.0
-    for weight, cdf in _class_cdfs(population, window):
-        below, above = cdf.tolist()
+    for weight, (below, above) in _class_cdfs(population, window):
         expectation += weight * (above - below)
     return population.total_ions * expectation
+
+
+def _window_probability(population: SpectralPopulation,
+                        probe_frequency: float, bandwidth: float) -> float:
+    """Probability that one ion lands inside the probe window."""
+    # the class weights may sum to 1 + 1e-6, which could push p past 1
+    return min(expected_ions_in_bandwidth(population, probe_frequency,
+                                          bandwidth)
+               / population.total_ions, 1.0)
+
+
+def ion_count_moments(population: SpectralPopulation, probe_frequency: float,
+                      bandwidth: float) -> ExactMoments:
+    """Exact mean N p and std sqrt(N p (1 - p)) of the number of ions inside
+    the probe window, which is Binomial(total_ions, p)."""
+    n = population.total_ions
+    p = _window_probability(population, probe_frequency, bandwidth)
+    return ExactMoments(mean=n * p, std=math.sqrt(n * p * (1.0 - p)))
 
 
 @record
@@ -315,12 +422,11 @@ def ions_in_bandwidth(population: SpectralPopulation, probe_frequency: float,
     Binomial(total_ions, p).  ``n_draws`` counts are drawn from that
     distribution and summarised by their sample mean and std.
     """
+    import numpy as np
     _require_count("n_draws", n_draws, 2)
-    n = population.total_ions
-    # the class weights may sum to 1 + 1e-6, which could push p past 1
-    p = min(expected_ions_in_bandwidth(population, probe_frequency,
-                                       bandwidth) / n, 1.0)
-    counts = _rng(seed, _DOMAIN_ION_COUNT, 0).binomial(n, p, size=n_draws)
+    p = _window_probability(population, probe_frequency, bandwidth)
+    counts = _rng(seed, _DOMAIN_ION_COUNT, 0).binomial(
+        population.total_ions, p, size=n_draws)
     return IonCountStats(mean=float(np.mean(counts)),
                          std=float(np.std(counts, ddof=1)),
                          n_draws=n_draws, seed=seed)
@@ -335,14 +441,17 @@ def _window_counts(population: SpectralPopulation, probe_fwhm: float, grid,
     to Probability Theory, vol. 1, ch. VI).  A window's count is the
     difference of its edges' cumulative counts, and its expectation N times
     the CDF's increment across it."""
+    import numpy as np
+
+    from .trace import _grid
     _require_positive("probe_fwhm", probe_fwhm)
     grid = _grid("grid", grid)
     half = 0.5 * probe_fwhm
     edges, index = np.unique(np.concatenate((grid - half, grid + half)),
                              return_inverse=True)
     lo, hi = index[:grid.size], index[grid.size:]
-    cdf = sum(weight * class_cdf for weight, class_cdf
-              in _class_cdfs(population, edges))
+    cdf = sum(weight * np.array(class_cdf) for weight, class_cdf
+              in _class_cdfs(population, edges.tolist()))
     cdf /= math.fsum(weight for _, weight in population.hyperfine_offsets)
     # rounding must not make an interval's probability negative
     np.maximum.accumulate(np.clip(cdf, 0.0, 1.0, out=cdf), out=cdf)
@@ -362,6 +471,9 @@ def sfs_spectrum(population: SpectralPopulation, probe_fwhm: float,
     counts are one seeded draw from their exact multinomial law, so time
     and memory grow with the grid, not the ion count, and a seed gives the
     same structure whatever the grid's order."""
+    import numpy as np
+
+    from .trace import Trace
     _require_non_negative("rate_per_ion", rate_per_ion)
     counts, _ = _window_counts(population, probe_fwhm, grid, seed)
     return Trace(x=np.asarray(grid, dtype=float), y=rate_per_ion * counts,

@@ -25,6 +25,7 @@ from fpcavity.config import (
     SIMULATIONS,
     ConfigError,
     RunConfig,
+    build_manifest,
     default_config_data,
 )
 
@@ -187,3 +188,16 @@ def test_readme_states_each_simulate_key_as_declared():
                 else "required"))
     assert [(key, bundled, left_out.split(":")[0])
             for key, bundled, left_out in rows] == expected
+
+
+@pytest.mark.parametrize("seed, message", [
+    (math.nan, "seed: must be an integer"),
+    (-3, "seed: must be an integer >= 0"),
+    (1.5, "seed: must be an integer"),
+    (True, "seed: must be an integer"),
+], ids=["nan", "negative", "fraction", "bool"])
+def test_manifest_holds_the_seed_to_the_seed_rule(seed, message):
+    # a NaN seed used to be written as "seed": NaN, which is not JSON, and
+    # -3 was recorded as given
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_manifest(["fpcavity", "cavity"], RunConfig.default(), seed)

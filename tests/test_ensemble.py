@@ -2,22 +2,26 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import beta, kstest
+from scipy.stats import beta, binom, kstest
 
 from fpcavity import ensemble
 from fpcavity import (
     CavityGeometry,
+    ExactMoments,
     LossBudget,
     Nanoparticle,
     SpectralPopulation,
     Transition,
     channel_strengths,
     default_hyperfine_classes,
+    ensemble_moments,
     ensemble_purcell_stats,
     expected_ions_in_bandwidth,
+    ion_count_moments,
     ions_in_bandwidth,
     sample_height,
     sample_orientation_factor,
@@ -395,9 +399,8 @@ def test_ions_in_bandwidth_matches_binomial():
     population = SpectralPopulation(
         total_ions=61149, inhomogeneous_fwhm=34e9,
         hyperfine_offsets=default_hyperfine_classes())
-    n = population.total_ions
-    p = expected_ions_in_bandwidth(population, 0.0, 13e6) / n
-    mean, std = n * p, math.sqrt(n * p * (1.0 - p))
+    exact = ion_count_moments(population, 0.0, 13e6)
+    mean, std = exact.mean, exact.std
     draws = 300
     for seed in range(5):
         stats = ions_in_bandwidth(population, 0.0, 13e6, seed=seed,
@@ -618,3 +621,94 @@ def test_spectral_boundaries_reject_non_finite_numbers():
         with pytest.raises(ValueError,
                            match="probe_frequency must be finite"):
             ions_in_bandwidth(population, bad, 13e6)
+
+
+# an independent oracle for the closed form: a 256-node Gauss-Legendre rule
+# over the Beta(2, 2) height, with E[o] = 1/3 and E[o^2] = 1/5
+_GL256_NODES, _GL256_WEIGHTS = np.polynomial.legendre.leggauss(256)
+_GL256_T = 0.5 * (_GL256_NODES + 1.0)
+_GL256_BETA22 = 0.5 * _GL256_WEIGHTS * 6.0 * _GL256_T * (1.0 - _GL256_T)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.15, 0.4])
+@pytest.mark.parametrize("transitions", [[T580], [T611], [T580, T611]],
+                         ids=["580", "611", "both"])
+@pytest.mark.parametrize("diameter", np.geomspace(1e-9, 1e-6, 7).tolist())
+def test_ensemble_moments_match_quadrature(diameter, transitions, fraction):
+    particle = Nanoparticle(diameter, 0.003)
+    budgets = [BUDGETS[1]] if transitions == [T611] else \
+        BUDGETS[:len(transitions)]
+    channels = channel_strengths(particle, GEOMETRY, transitions, budgets)
+    position = sum(c.strength * np.sin(2.0 * math.pi * (
+        diameter * _GL256_T + fraction * c.wavelength) / c.wavelength) ** 2
+        for c in channels)
+    mean = math.fsum((_GL256_BETA22 * position).tolist()) / 3.0
+    second = math.fsum((_GL256_BETA22 * position**2).tolist()) / 5.0
+    exact = ensemble_moments(channels, diameter,
+                             antinode_offset_fraction=fraction)
+    assert exact.method == "exact"
+    assert exact.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert exact.std == pytest.approx(math.sqrt(second - mean**2),
+                                      rel=1e-12, abs=0.0)
+
+
+def test_characteristic_function_rest_is_continuous_at_the_series_edge():
+    rest = ensemble._quartic_rest
+    edge = math.sqrt(ensemble._SERIES_BELOW)
+    below = math.nextafter(edge, 0.0)  # the last point of the series
+    assert below * below < ensemble._SERIES_BELOW <= edge * edge
+    assert rest(below) == pytest.approx(rest(edge), rel=1e-13, abs=0.0)
+    assert rest(-edge) == rest(edge) and rest(0.0) == 0.0  # even, O(x^4)
+    # both branches against the series summed in exact arithmetic:
+    # 3 (sin x - x cos x) / x^3 = sum (-1)^m 6 (m + 1) x^2m / (2m + 3)!
+    for x in (1e-3, 0.3, below, edge, 2.0, 20.0):
+        exact = sum((-1) ** m * 6 * (m + 1) * Fraction(x) ** (2 * m)
+                    / math.factorial(2 * m + 3) for m in range(2, 80))
+        assert rest(x) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def test_ensemble_moments_reject_a_non_positive_diameter():
+    channels = channel_strengths(Nanoparticle(70e-9, 0.003), GEOMETRY,
+                                 [T580, T611], BUDGETS)
+    for bad in (0.0, -70e-9):
+        with pytest.raises(ValueError, match="diameter must be positive"):
+            ensemble_moments(channels, bad)
+
+
+@pytest.mark.parametrize("diameter", [40e-9, 70e-9, 100e-9])
+def test_seeded_ensemble_stats_stay_within_4_se_of_the_exact_moments(
+        diameter):
+    particle = Nanoparticle(diameter, 0.003)
+    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
+    exact = ensemble_moments(channels, diameter)
+    _, _, fourth = _exact_ensemble_moments(particle, 0.15)
+    n = 20000
+    std_error = math.sqrt(fourth - exact.std**4) / (2.0 * exact.std
+                                                      * math.sqrt(n))
+    for seed in range(5):
+        stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                       BUDGETS, n_samples=n, seed=seed)
+        assert abs(stats.mean - exact.mean) <= 4.0 * exact.std / math.sqrt(n)
+        assert abs(stats.std - exact.std) <= 4.0 * std_error
+        assert stats.max == math.fsum(c.strength for c in channels)
+
+
+def test_ion_count_moments_are_the_binomial_moments():
+    population = SpectralPopulation(
+        total_ions=61149, inhomogeneous_fwhm=34e9,
+        hyperfine_offsets=default_hyperfine_classes())
+    exact = ion_count_moments(population, 0.0, 13e6)
+    assert exact.method == "exact"
+    n = population.total_ions
+    p = expected_ions_in_bandwidth(population, 0.0, 13e6) / n
+    mean, variance = binom.stats(n, p, moments="mv")
+    assert exact.mean == pytest.approx(float(mean), rel=1e-14)
+    assert exact.std == pytest.approx(math.sqrt(float(variance)), rel=1e-14)
+    # the bundled config's figure: 14.88 +/- 3.86 ions in a 13 MHz probe
+    assert (round(exact.mean, 2), round(exact.std, 2)) == (14.88, 3.86)
+    # a window past the whole line clamps p to 1: every ion, no spread
+    wide = SpectralPopulation(total_ions=1000, inhomogeneous_fwhm=34e9,
+                              hyperfine_offsets=((0.0, 0.5),
+                                                 (1e6, 0.5 + 5e-7)))
+    assert ion_count_moments(wide, 0.0, 1e30) == ExactMoments(1000.0, 0.0)
+

@@ -62,7 +62,7 @@ PINNED = {
     "plan.csv":
         "0204cfd5d454d54a930e38d8056bceffb38b3512dbe2a622807372cf05f11b52",
     "purcell.json":
-        "ce7c2e9830fa495c818b6d39830b4567e7bca1d2c41aee3fc909ecbd155979bf",
+        "ca4d727460127cbb9d4256ee1a6b2aeb2f59ae99efc2f52fd503d0ee6b63cce7",
     "fit.json":
         "3f652adf812c4760f3929a9cc7a462b7d2b32a26d71944ba77263133431e03b0",
 }

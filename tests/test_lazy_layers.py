@@ -1,5 +1,6 @@
-"""Layers load on first use: ``import fpcavity`` and ``fpcavity cavity``
-run without numpy, and the package namespace stays what it was."""
+"""Layers load on first use: ``import fpcavity``, ``fpcavity cavity`` and
+``fpcavity purcell`` run without numpy, and the package namespace stays
+what it was."""
 import json
 import os
 import subprocess
@@ -17,8 +18,10 @@ SRC = Path(fpcavity.__file__).resolve().parents[1]
 BUNDLED = SRC / "fpcavity" / "data" / "hole_width_vs_power.csv"
 
 # what ``from fpcavity import *`` bound when every layer was imported
-# eagerly: the nine layers and the names re-exported from them
+# eagerly: the nine layers and the names re-exported from them, plus the
+# exact-moment names added to ``ensemble`` since
 STAR_NAMES = {
+    "ExactMoments", "ensemble_moments", "ion_count_moments",
     "core", "optics", "purcell", "ensemble", "spectra", "fitting", "planner",
     "trace", "config",
     "CONTACT_LENGTH", "CavityGeometry", "ChannelStrength", "ConfigError",
@@ -71,15 +74,16 @@ def _without_timestamp(report: dict) -> dict:
     return {**report, "manifest": manifest}
 
 
-def test_cavity_runs_without_numpy(capsys, tmp_path):
-    proc = _python("-X", "importtime", "-m", "fpcavity.cli", "cavity",
+@pytest.mark.parametrize("command", ["cavity", "purcell"])
+def test_subcommand_runs_without_numpy(command, capsys, tmp_path):
+    proc = _python("-X", "importtime", "-m", "fpcavity.cli", command,
                    "--json", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     imported = _imported(proc.stderr)
     assert "json" in imported  # the log is read right
     assert not {name for name in imported
                 if name == "numpy" or name.startswith("numpy.")}
-    assert main(["cavity", "--json"]) == 0
+    assert main([command, "--json"]) == 0
     in_process = json.loads(capsys.readouterr().out)
     assert _without_timestamp(json.loads(proc.stdout)) \
         == _without_timestamp(in_process)
@@ -97,11 +101,12 @@ _LOADED = ("import json, sys, types; from fpcavity.cli import main; "
 
 @pytest.mark.parametrize("argv, layers", [
     (["cavity"], {"config", "core", "optics", "purcell"}),
+    (["purcell"], {"config", "core", "optics", "purcell", "ensemble"}),
     (["fit", "sqrt_offset", str(BUNDLED)],
      {"config", "core", "optics", "purcell", "fitting", "trace"}),
-    (["plan"], {"config", "core", "optics", "purcell", "ensemble", "trace",
+    (["plan"], {"config", "core", "optics", "purcell", "ensemble",
                 "planner"}),
-], ids=["cavity", "fit", "plan"])
+], ids=["cavity", "purcell", "fit", "plan"])
 def test_each_subcommand_executes_only_the_layers_it_uses(argv, layers,
                                                           tmp_path):
     proc = _python("-c", _LOADED, *argv, cwd=tmp_path)
@@ -109,7 +114,7 @@ def test_each_subcommand_executes_only_the_layers_it_uses(argv, layers,
     loaded, numpy = json.loads(proc.stderr)
     assert loaded == sorted(f"fpcavity.{layer}"
                             for layer in {*layers, "cli"})
-    assert numpy is (argv[0] != "cavity")
+    assert numpy is (argv[0] not in ("cavity", "purcell"))
 
 
 def test_import_leaves_numpy_and_the_layers_unloaded():

@@ -19,8 +19,8 @@ import pytest
 import fpcavity
 from fpcavity.config import RunManifest
 from fpcavity.core import CavityGeometry, Nanoparticle, Transition, _Record
-from fpcavity.ensemble import (ChannelStrength, EnsembleStats, IonCountStats,
-                               SpectralPopulation)
+from fpcavity.ensemble import (ChannelStrength, EnsembleStats, ExactMoments,
+                               IonCountStats, SpectralPopulation)
 from fpcavity.fitting import MODELS, FitResult, ModelSpec
 from fpcavity.optics import DoubleResonance, LossBudget
 from fpcavity.planner import DetectionChain, PulseScheme, SweepRow
@@ -39,6 +39,7 @@ _SAMPLES = [
     (RunManifest, (("fpcavity", "cavity"), "ab" * 32, 3), None),
     (ChannelStrength, (580.8e-9, 2.5), None),
     (EnsembleStats, (1.5, 0.25, 3.0, 4096, 7), None),
+    (ExactMoments, (1.5, 0.25, "exact"), None),
     (SpectralPopulation, (10**6, 34e9, 0.0, [(0, 1)]), {"total_ions": 0}),
     (IonCountStats, (2.0, 1.5, 300, 11), None),
     (ModelSpec, tuple(getattr(_SPEC, f.name)
