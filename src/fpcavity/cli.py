@@ -281,6 +281,14 @@ def _cmd_fit(args, config: RunConfig, seed: int):
     return report, lines, outputs
 
 
+def _row_report(row) -> dict:
+    """A sweep row for JSON, which has no infinity: an infinite SNR is null."""
+    report = row.to_dict()
+    if math.isinf(report["snr"]):
+        report["snr"] = None
+    return report
+
+
 def _cmd_plan(args, config: RunConfig, seed: int):
     from .planner import best_operating_point, sweep_grid, write_sweep_csv
     sweep = sweep_grid(
@@ -299,8 +307,8 @@ def _cmd_plan(args, config: RunConfig, seed: int):
             "n_rows": len(sweep),
             "modes": list(config.plan_modes),
             "integration_time": config.plan_integration_time,
-            "best": best.to_dict(),
-            "rows": [row.to_dict() for row in sweep],
+            "best": _row_report(best),
+            "rows": [_row_report(row) for row in sweep],
         }
     lines = [
         f"swept {len(sweep)} operating points "
@@ -403,7 +411,7 @@ def _run(args, argv) -> int:
 
     if args.json:
         report["manifest"] = manifest.to_dict()
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in lines:
             print(line)

@@ -3,13 +3,15 @@
 A run is described by one JSON document holding the full parameter tree:
 transitions, cavity geometry, mirror loss budgets, nanoparticle, detection
 chain, pulse timing, Monte Carlo settings, sweep grids, simulation blocks,
-and the seed.  :class:`RunConfig` checks every key at load, whatever the
-subcommand, against one nested table of rules (``_DOCUMENT``), so an
-unknown or missing key, a wrongly typed or non-finite value, or an
-out-of-range count is reported with its path before any computation.
-Value-type sections take their rules from the dataclass fields, and their
-constructors then check the domain.  The canonical serialization is hashed
-so a result can be tied to the exact inputs that produced it.
+and the seed.  One nested declaration (``_DOCUMENT``) states each key
+once, with its rule and its bundled value.  :class:`RunConfig` checks
+every key against it at load, whatever the subcommand, so an unknown or
+missing key, a wrongly typed or non-finite value, or an out-of-range one
+is reported with its path before any computation.  Range rules are
+core's; value-type sections take their shapes from the dataclass fields,
+and their constructors then check the domain.  The canonical
+serialization is hashed so a result can be tied to the exact inputs that
+produced it.
 
 :class:`RunManifest` is the record written next to every output: config
 hash, toolkit version, seed, creation time, and the output files with
@@ -22,6 +24,7 @@ import numpy and their generators only when they run.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
@@ -31,7 +34,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .core import (
-    MAX_DIAMETER,
     NOISE_MODELS,
     PLAN_MODES,
     TOOLKIT_VERSION,
@@ -42,10 +44,16 @@ from .core import (
     _check_mode,
     _detection_window,
     _JsonRecord,
+    _require_count,
+    _require_diameter,
+    _require_fraction,
+    _require_non_negative,
+    _require_positive,
+    _shared_lifetime,
     record,
 )
 from .optics import LossBudget
-from .purcell import _require_effective, cavity_lifetime
+from .purcell import cavity_lifetime
 
 SCHEMA_VERSION = 1
 
@@ -54,85 +62,10 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def default_config_data() -> dict:
-    """Parameter tree for the reference cavity and emitter setup.
-
-    Two transitions sharing one excited state: the pumped narrow line
-    first, then the strong red branch whose fast dephasing keeps it far
-    from the cavity linewidth.  Mirror budgets are bare-cavity values in
-    ppm; nanoparticle scattering is added per computation.
-    """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": 0,
-        "transitions": [
-            {
-                "wavelength": 580.8e-9,
-                "branching_ratio": 0.007,
-                "homogeneous_linewidth": 3.3e6,
-                "free_space_lifetime": 2.0e-3,
-            },
-            {
-                "wavelength": 611.0e-9,
-                "branching_ratio": 0.36,
-                "homogeneous_linewidth": 680e9,
-                "free_space_lifetime": 2.0e-3,
-            },
-        ],
-        "geometry": {
-            "radius_of_curvature": 25e-6,
-            "cavity_length": 5.808e-6,
-            "mode_order": 20,
-            "rms_length_jitter": 8e-12,
-        },
-        "loss_budgets": [
-            {
-                "transmission_in": 25.0,
-                "transmission_out": 200.0,
-                "absorption_scatter": 134.04,
-            },
-            {
-                "transmission_in": 25.0,
-                "transmission_out": 200.0,
-                "absorption_scatter": 436.39,
-            },
-        ],
-        "nanoparticle": {
-            "diameter": 70e-9,
-            "dopant_concentration": 0.003,
-        },
-        "detection": {
-            "path_transmission": 0.8,
-            "detector_efficiency": 0.65,
-            "dark_rate": 20.0,
-        },
-        "pulse": {
-            "excitation_time": 1e-6,
-            "excited_population": 0.5,
-        },
-        "monte_carlo": {
-            "n_samples": 20000,
-            "antinode_offset_fraction": 0.15,
-        },
-        "ion_estimate": {
-            "diameter": 90e-9,
-            "inhomogeneous_fwhm": 34e9,
-            "probe_bandwidth": 13e6,
-            "n_draws": 300,
-        },
-        "plan": {
-            "diameters": [d * 1e-9 for d in range(40, 101, 10)],
-            "repetition_rates": [float(f) for f in range(500, 6001, 500)],
-            "modes": list(PLAN_MODES),
-            "integration_time": 1.0,
-        },
-        "simulate": {kind: dict(simulation.bundled)
-                     for kind, simulation in SIMULATIONS.items()},
-    }
-
-
 # A rule takes a value and its path in the document, and returns the value
-# to keep or raises ConfigError naming the path.
+# to keep or raises ConfigError naming the path.  Config states only the
+# JSON shape of a value, and the one bound of its own, MAX_COUNT; every
+# range rule is core's.
 
 @contextmanager
 def _reported_at(path: str):
@@ -151,22 +84,25 @@ def _number(value, path: str):
     return value
 
 
-def _positive(value, path: str):
-    if _number(value, path) <= 0.0:
-        raise ConfigError(f"{path}: must be a positive number")
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: must be an integer")
     return value
 
 
-def _non_negative(value, path: str):
-    if _number(value, path) < 0.0:
-        raise ConfigError(f"{path}: must be a number >= 0")
-    return value
-
-
-def _fraction(value, path: str):
-    if not 0.0 < _number(value, path) <= 1.0:
-        raise ConfigError(f"{path}: must be in (0, 1]")
-    return value
+def _core(require, *args, kind=_number):
+    """A JSON value of ``kind`` that the core rule ``require(name, value,
+    *args)`` accepts.  The rule is called with an empty name, so its
+    message, " must ...", reads after the path: ``plan.diameters[0]: must
+    be in (0, 1e-06] m``."""
+    def rule(value, path: str):
+        kind(value, path)
+        try:  # inline: a with-block per number costs more than its check
+            require("", value, *args)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{exc}") from None
+        return value
+    return rule
 
 
 def _float(rule):
@@ -176,30 +112,15 @@ def _float(rule):
     return checked
 
 
-_positive_number = _float(_positive)
+_positive = _core(_require_positive)
+_non_negative = _core(_require_non_negative)
+_fraction = _core(_require_fraction)
+_positive_float = _float(_positive)
+_diameter = _float(_core(_require_diameter))
 
 
-def _diameter(value, path: str) -> float:
-    if _positive(value, path) > MAX_DIAMETER:
-        raise ConfigError(f"{path}: must be a positive number <= "
-                          f"{MAX_DIAMETER:g}")
-    return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}: must be an integer")
-    return value
-
-
-def _int_at_least(minimum: int, maximum: int | None = None):
-    def rule(value, path: str) -> int:
-        if _integer(value, path) < minimum:
-            raise ConfigError(f"{path}: must be an integer >= {minimum}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{path}: must be an integer <= {maximum}")
-        return value
-    return rule
+def _at_least(minimum: int):
+    return _core(_require_count, minimum, kind=_integer)
 
 
 # Upper bound on every count that sizes an array: simulate.<kind>.points,
@@ -210,11 +131,17 @@ MAX_COUNT = 10**7
 
 
 def _count(minimum: int):
-    return _int_at_least(minimum, MAX_COUNT)
+    at_least = _at_least(minimum)
+
+    def rule(value, path: str) -> int:
+        if at_least(value, path) > MAX_COUNT:
+            raise ConfigError(f"{path}: must be an integer <= {MAX_COUNT}")
+        return value
+    return rule
 
 
 # The config ``seed`` key and ``--seed`` share this rule.
-valid_seed = _int_at_least(0)
+valid_seed = _at_least(0)
 
 
 def _flag(value, path: str) -> bool:
@@ -242,48 +169,54 @@ def _list(item_rule):
     return rule
 
 
-def _object(rules: dict, optional=()):
-    """An object holding only the keys of ``rules``, every one of them
-    except those in ``optional``; each value is checked by its rule."""
-    def rule(value, path: str) -> dict:
+class Section:
+    """One object of the config document, declared once.
+
+    Each keyword names a key as ``(rule, bundled)``, or ``(rule, bundled,
+    value when left out)`` if it may be left out; a ``bundled`` of None
+    keeps the key out of the bundled config.  A key given a
+    :class:`Section` is a nested object bundled with the section's own
+    tree.  Called with a value and its path, a section is the object's
+    rule: only its keys, every one not left out, each checked by its rule.
+    The checked values are returned as written, with nothing filled in.
+    """
+
+    def __init__(self, **keys):
+        keys = {key: (spec, spec.bundled) if isinstance(spec, Section)
+                else spec for key, spec in keys.items()}
+        self.rules = {key: spec[0] for key, spec in keys.items()}
+        self.bundled = {key: spec[1] for key, spec in keys.items()
+                        if spec[1] is not None}
+        self.omitted = {key: spec[2] for key, spec in keys.items()
+                        if len(spec) == 3}
+
+    def __call__(self, value, path: str) -> dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{path or 'config root'}: must be an object")
         prefix = f"{path}." if path else ""
         for key in value:
-            if key not in rules:
+            if key not in self.rules:
                 raise ConfigError(f"{prefix}{key}: unknown key")
-        for key in rules:
-            if key not in value and key not in optional:
+        for key in self.rules:
+            if key not in value and key not in self.omitted:
                 raise ConfigError(f"{prefix}{key}: required key is missing")
-        return {key: rules[key](item, prefix + key)
+        return {key: self.rules[key](item, prefix + key)
                 for key, item in value.items()}
-    return rule
 
 
 def _record(cls):
     """Rules read off a value type's dataclass fields: an ``int`` field
     takes a JSON integer, any other a finite number, and a field with a
     default may be left out.  The constructor then checks the domain."""
-    check = _object(
-        {f.name: _integer if f.type == "int" else _number
-         for f in fields(cls)},
-        optional={f.name for f in fields(cls) if f.default is not MISSING})
+    check = Section(**{
+        f.name: (_integer if f.type == "int" else _number, None,
+                 *(() if f.default is MISSING else (f.default,)))
+        for f in fields(cls)})
 
     def rule(value, path: str):
         checked = check(value, path)
         with _reported_at(path):
             return cls(**checked)
-    return rule
-
-
-def _accepted_by(check):
-    """A number that ``check`` accepts: the domain rule of a library
-    function, stated there once and reported here with the path."""
-    def rule(value, path: str):
-        _number(value, path)
-        with _reported_at(path):
-            check(value)
-        return value
     return rule
 
 
@@ -352,25 +285,16 @@ def _decay(p: dict, config: "RunConfig", seed: int):
                    "free_space_lifetime": free}
 
 
-class Simulation:
-    """One ``simulate`` kind, declared once.
-
-    Each keyword names a parameter of the ``simulate.<kind>`` block as
-    ``(rule, bundled)``, or ``(rule, bundled, value when left out)`` if it
-    may be left out; a ``bundled`` of None keeps the key out of the bundled
-    config.  ``generate(params, config, seed)`` builds the grid, calls the
-    generator and returns the trace with its derived values.
-    """
+class Simulation(Section):
+    """One ``simulate`` kind: its ``simulate.<kind>`` block declared as a
+    :class:`Section`, whose values are kept as written since the trace's
+    sidecar records them, and ``generate(params, config, seed)``, which
+    builds the grid, calls the generator and returns the trace with its
+    derived values."""
 
     def __init__(self, generate, **keys):
+        super().__init__(**keys)
         self.generate = generate
-        self.bundled = {key: spec[1] for key, spec in keys.items()
-                        if spec[1] is not None}
-        self.omitted = {key: spec[2] for key, spec in keys.items()
-                        if len(spec) == 3}
-        # values are kept as written, since the trace's sidecar records them
-        self.rule = _object({key: spec[0] for key, spec in keys.items()},
-                            optional=self.omitted)
 
     def run(self, params: dict, config: "RunConfig", seed: int):
         """(trace, derived values) of the checked ``params``."""
@@ -392,41 +316,71 @@ SIMULATIONS = {
         min_power=(_positive, 1e-9), max_power=(_positive, 1e-5),
         points=(_count(1), 25), noise=(_noise, None, "none")),
     "hole": Simulation(
-        _hole, n_teeth=(_int_at_least(1), 200),
+        _hole, n_teeth=(_at_least(1), 200),
         tooth_power=(_positive, 1e-7), hole_fwhm=(_positive, 12e6),
         rate_scale=(_non_negative, 100.0), span_multiple=(_positive, 10.0),
         points=(_count(1), 401), noise=(_noise, None, "none")),
     "decay": Simulation(
-        _decay, effective_purcell=(_accepted_by(_require_effective), 0.82),
-        shots=(_int_at_least(1), 20000), amplitude=(_non_negative, 0.05),
+        _decay, effective_purcell=(_non_negative, 0.82),
+        shots=(_at_least(1), 20000), amplitude=(_non_negative, 0.05),
         background=(_non_negative, 0.002, 0.0),
         time_span_multiple=(_positive, 5.0), points=(_count(1), 120),
         noise=(_noise, None, "poisson")),
 }
 
-_DOCUMENT = _object({
-    "schema_version": _choice((SCHEMA_VERSION,)),
-    "seed": valid_seed,
-    "transitions": _list(_record(Transition)),
-    "loss_budgets": _list(_record(LossBudget)),
-    "geometry": _record(CavityGeometry),
-    "nanoparticle": _record(Nanoparticle),
-    "detection": _record(DetectionChain),
-    "pulse": _object({"excitation_time": _positive_number,
-                      "excited_population": _float(_fraction)}),
-    "monte_carlo": _object({"n_samples": _count(2),
-                            "antinode_offset_fraction": _positive_number}),
-    "ion_estimate": _object({
-        "diameter": _diameter, "inhomogeneous_fwhm": _positive_number,
-        "probe_bandwidth": _positive_number, "n_draws": _count(2)}),
-    "plan": _object({"diameters": _list(_diameter),
-                     "repetition_rates": _list(_positive_number),
-                     "modes": _list(_choice(PLAN_MODES)),
-                     "integration_time": _positive_number}),
-    "simulate": _object({kind: simulation.rule
-                         for kind, simulation in SIMULATIONS.items()},
-                        optional=SIMULATIONS),
-}, optional=("seed",))
+# The whole document, in the order the bundled config prints: the reference
+# cavity and emitter setup.
+_DOCUMENT = Section(
+    schema_version=(_choice((SCHEMA_VERSION,)), SCHEMA_VERSION),
+    seed=(valid_seed, 0, 0),
+    # two transitions sharing one excited state: the pumped narrow line
+    # first, then the strong red branch whose fast dephasing keeps it far
+    # from the cavity linewidth
+    transitions=(_list(_record(Transition)), [
+        {"wavelength": 580.8e-9, "branching_ratio": 0.007,
+         "homogeneous_linewidth": 3.3e6, "free_space_lifetime": 2.0e-3},
+        {"wavelength": 611.0e-9, "branching_ratio": 0.36,
+         "homogeneous_linewidth": 680e9, "free_space_lifetime": 2.0e-3},
+    ]),
+    geometry=(_record(CavityGeometry), {
+        "radius_of_curvature": 25e-6, "cavity_length": 5.808e-6,
+        "mode_order": 20, "rms_length_jitter": 8e-12}),
+    # bare-cavity mirror budgets in ppm, one per transition; nanoparticle
+    # scattering is added per computation
+    loss_budgets=(_list(_record(LossBudget)), [
+        {"transmission_in": 25.0, "transmission_out": 200.0,
+         "absorption_scatter": 134.04},
+        {"transmission_in": 25.0, "transmission_out": 200.0,
+         "absorption_scatter": 436.39},
+    ]),
+    nanoparticle=(_record(Nanoparticle), {
+        "diameter": 70e-9, "dopant_concentration": 0.003}),
+    detection=(_record(DetectionChain), {"path_transmission": 0.8,
+               "detector_efficiency": 0.65, "dark_rate": 20.0}),
+    pulse=Section(excitation_time=(_positive_float, 1e-6),
+                  excited_population=(_float(_fraction), 0.5)),
+    monte_carlo=Section(n_samples=(_count(2), 20000),
+                        antinode_offset_fraction=(_positive_float, 0.15)),
+    ion_estimate=Section(
+        diameter=(_diameter, 90e-9),
+        inhomogeneous_fwhm=(_positive_float, 34e9),
+        probe_bandwidth=(_positive_float, 13e6), n_draws=(_count(2), 300)),
+    plan=Section(
+        diameters=(_list(_diameter),
+                   [d * 1e-9 for d in range(40, 101, 10)]),
+        repetition_rates=(_list(_positive_float),
+                          [float(f) for f in range(500, 6001, 500)]),
+        modes=(_list(_choice(PLAN_MODES)), list(PLAN_MODES)),
+        integration_time=(_positive_float, 1.0)),
+    # a kind's block is needed only to run it
+    simulate=Section(**{kind: (simulation, simulation.bundled, None)
+                        for kind, simulation in SIMULATIONS.items()}),
+)
+
+
+def default_config_data() -> dict:
+    """The bundled parameter tree, as declared in ``_DOCUMENT``."""
+    return copy.deepcopy(_DOCUMENT.bundled)
 
 
 class RunConfig:
@@ -434,14 +388,18 @@ class RunConfig:
     at construction, so no computation ever sees an unchecked value."""
 
     def __init__(self, data: dict):
-        doc = _DOCUMENT(data, "")
-        if len(doc["loss_budgets"]) != len(doc["transitions"]):
+        doc = {**_DOCUMENT.omitted, **_DOCUMENT(data, "")}
+        transitions = doc["transitions"]
+        if len(doc["loss_budgets"]) != len(transitions):
             raise ConfigError("loss_budgets: need one budget per transition")
+        for i in range(1, len(transitions)):
+            with _reported_at(f"transitions[{i}].free_space_lifetime"):
+                _shared_lifetime(transitions[:i + 1])
         excitation_time = doc["pulse"]["excitation_time"]
         for key, check in (
                 ("repetition_rates",
                  lambda f_rep: _detection_window(f_rep, excitation_time)),
-                ("modes", lambda mode: _check_mode(mode, doc["transitions"]))):
+                ("modes", lambda mode: _check_mode(mode, transitions))):
             for i, value in enumerate(doc["plan"][key]):
                 with _reported_at(f"plan.{key}[{i}]"):
                     check(value)
@@ -450,8 +408,8 @@ class RunConfig:
             raise ConfigError("simulate.ple.probe_fwhm: required key is "
                               "missing when use_population is true")
         self.data = data  # as written; hashed and recorded verbatim
-        self.seed: int = doc.get("seed", 0)
-        self.transitions = doc["transitions"]
+        self.seed: int = doc["seed"]
+        self.transitions = transitions
         self.loss_budgets = doc["loss_budgets"]
         self.geometry = doc["geometry"]
         self.nanoparticle = doc["nanoparticle"]

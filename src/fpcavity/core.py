@@ -202,6 +202,13 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
+def _require_diameter(name: str, value: float) -> None:
+    """Reject a particle diameter outside (0, ``MAX_DIAMETER``]."""
+    if not 0.0 < value <= MAX_DIAMETER:
+        _require_finite(**{name: value})
+        raise ValueError(f"{name} must be in (0, {MAX_DIAMETER:g}] m")
+
+
 def _require_each(name: str, values, rule=None) -> None:
     """Require every entry of a numpy array to be finite and to pass the
     scalar ``rule``, if one is given: the extremes carry any NaN, infinite
@@ -291,8 +298,7 @@ class Nanoparticle(_JsonRecord):
 
     def __post_init__(self):
         _require_finite(**vars(self))
-        if not 0.0 < self.diameter <= MAX_DIAMETER:
-            raise ValueError(f"diameter must be in (0, {MAX_DIAMETER:g}] m")
+        _require_diameter("diameter", self.diameter)
         if not 0.0 < self.dopant_concentration < 1.0:
             raise ValueError("dopant_concentration must be in (0, 1)")
         if not 0.0 < self.cation_density <= MAX_CATION_DENSITY:
@@ -329,6 +335,15 @@ def _check_mode(mode: str, transitions) -> None:
         raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
     if mode in _OPEN_MODES and len(transitions) != 2:
         raise ValueError(f"mode {mode!r} needs exactly two transitions")
+
+
+def _shared_lifetime(transitions) -> float:
+    """The excited-state lifetime that ``transitions`` share, to 1e-9."""
+    lifetimes = {t.free_space_lifetime for t in transitions}
+    first = next(iter(lifetimes))
+    if any(abs(t - first) > 1e-9 * first for t in lifetimes):
+        raise ValueError("transitions must share one excited-state lifetime")
+    return first
 
 
 def _detection_window(repetition_rate: float,

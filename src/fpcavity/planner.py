@@ -30,7 +30,7 @@ from .core import (CONTACT_LENGTH, PLAN_MODES, _OPEN_MODES, CavityGeometry,
                    DetectionChain, Nanoparticle, _check_mode,
                    _detection_window, _JsonRecord, _require_fraction,
                    _require_non_negative, _require_positive,
-                   _require_probability, record)
+                   _require_probability, _shared_lifetime, record)
 from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 
@@ -108,14 +108,6 @@ class SweepRow(_JsonRecord):
         # the fields hold numbers and a string, so a shallow dict equals
         # the deep copy dataclasses.asdict makes
         return dict(zip(self.__match_args__, self._values()))
-
-
-def _shared_lifetime(transitions) -> float:
-    lifetimes = {t.free_space_lifetime for t in transitions}
-    first = next(iter(lifetimes))
-    if any(abs(t - first) > 1e-9 * first for t in lifetimes):
-        raise ValueError("transitions must share one excited-state lifetime")
-    return first
 
 
 def _cavity(mode: str, transitions, budgets, radius_of_curvature: float):

@@ -213,7 +213,8 @@ def test_simulate_decay_rejects_negative_purcell(tmp_path, capsys,
     out = tmp_path / "decay.csv"
     assert main(["simulate", "decay", "--config", str(config),
                  "--out", str(out)]) == 2
-    assert "effective Purcell factor must be >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: simulate.decay.effective_purcell: must be >= 0\n")
     assert not out.exists()
 
 
@@ -229,8 +230,7 @@ def test_decay_purcell_factor_is_checked_at_load(tmp_path, capsys, command):
     assert main([*command.split(), "--config", str(config),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "config error: simulate.decay.effective_purcell: effective Purcell "
-        "factor must be >= 0\n")
+        "config error: simulate.decay.effective_purcell: must be >= 0\n")
     assert not out.exists()
 
 
@@ -258,17 +258,16 @@ def test_population_without_probe_width_is_rejected_at_load(tmp_path, capsys,
     ("decay", "points", "12", "must be an integer"),
     ("decay", "points", 2.7, "must be an integer"),
     ("decay", "shots", True, "must be an integer"),
-    ("decay", "effective_purcell", -1.0,
-     "effective Purcell factor must be >= 0"),
+    ("decay", "effective_purcell", -1.0, "must be >= 0"),
     ("hole", "n_teeth", 200.0, "must be an integer"),
     ("saturation", "background", False, "must be a number"),
     ("ple", "probe_fwhm", None, "must be a number"),
-    ("ple", "span_multiple", 0, "must be a positive number"),
+    ("ple", "span_multiple", 0, "must be positive"),
     ("saturation", "exponent", 2, "must be in (0, 1]"),
-    ("ple", "amplitude", -5, "must be a number >= 0"),
-    ("hole", "hole_fwhm", -1, "must be a positive number"),
-    ("decay", "time_span_multiple", -1, "must be a positive number"),
-    ("saturation", "min_power", -1, "must be a positive number"),
+    ("ple", "amplitude", -5, "must be >= 0"),
+    ("hole", "hole_fwhm", -1, "must be positive"),
+    ("decay", "time_span_multiple", -1, "must be positive"),
+    ("saturation", "min_power", -1, "must be positive"),
 ], ids=["purcell-string", "points-string", "points-float", "shots-bool",
         "purcell-negative", "teeth-float", "background-bool",
         "probe-null", "ple-span-zero", "exponent-two", "amplitude-negative",
@@ -303,8 +302,8 @@ def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
      "must be true or false"),
     ("decay", ("transitions", 0, "wavelength"), "abc", "must be a number"),
     ("decay", ("nanoparticle", "diameter"), None, "must be a number"),
-    ("decay", ("simulate", "decay", "points"), 0, "must be an integer >= 1"),
-    ("decay", ("simulate", "decay", "points"), -3, "must be an integer >= 1"),
+    ("decay", ("simulate", "decay", "points"), 0, "must be >= 1"),
+    ("decay", ("simulate", "decay", "points"), -3, "must be >= 1"),
     ("decay", ("simulate", "decay", "points"), 10**30,
      "must be an integer <= 10000000"),
     ("decay", ("simulate", "decay", "noise"), "gaussian",
@@ -349,9 +348,9 @@ def test_nanoparticle_refractive_index_is_an_unknown_key(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("diameter, message", [
-    pytest.param(1000.0, "must be a positive number <= 1e-06",
+    pytest.param(1000.0, "must be in (0, 1e-06] m",
                  id="1000.0-past-the-ceiling"),
-    pytest.param(1e200, "must be a positive number <= 1e-06",
+    pytest.param(1e200, "must be in (0, 1e-06] m",
                  id="1e+200-past-the-ceiling"),
     (1e-12, "total_ions must be >= 1"),
 ])
@@ -374,7 +373,7 @@ def test_purcell_ion_count_out_of_range_names_the_diameter(
     ("purcell", ("nanoparticle", "diameter"),
      "nanoparticle: diameter must be in (0, 1e-06] m"),
     ("plan", ("plan", "diameters", 0),
-     "plan.diameters[0]: must be a positive number <= 1e-06"),
+     "plan.diameters[0]: must be in (0, 1e-06] m"),
 ], ids=["cavity", "purcell", "plan"])
 def test_diameter_past_the_rayleigh_ceiling_exits_2_with_its_path(
         tmp_path, capsys, command, leaf, message):
@@ -499,6 +498,44 @@ def test_plan_rules_are_checked_at_load(tmp_path, capsys, command, edit,
     data["plan"]["modes"] = ["contact"]
     config.write_text(json.dumps(data))
     assert main([command, "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("command", ["cavity", "purcell", "plan"])
+def test_transitions_must_share_one_lifetime_at_load(tmp_path, capsys,
+                                                     command):
+    # cavity and purcell used to exit 0, and plan exited 2 with "error:
+    # transitions must share one excited-state lifetime", naming no key
+    data = RunConfig.default().data
+    data["transitions"][1]["free_space_lifetime"] = 3e-3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: transitions[1].free_space_lifetime: transitions must "
+        "share one excited-state lifetime\n")
+
+
+def test_plan_json_without_dark_counts_is_strict_json(tmp_path, capsys):
+    # with no dark counts every SNR is infinite; the report printed it as
+    # Infinity, which is not JSON
+    data = RunConfig.default().data
+    data["detection"]["dark_rate"] = 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["plan", "--json", "--config", str(config)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["best"]["snr"] is None
+    assert {row["snr"] for row in report["rows"]} == {None}
+    # the library keeps the infinity
+    loaded = RunConfig(data)
+    sweep = sweep_grid((70e-9,), (1000.0,), ("contact",),
+                       loaded.transitions, loaded.loss_budgets, 25e-6,
+                       loaded.detection, 1e-6, 0.5)
+    assert sweep[0].snr == math.inf
 
 
 def test_plan_sweep_output(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,13 @@ from fpcavity.config import (
     build_manifest,
     default_config_data,
 )
+from fpcavity.core import (
+    _require_count,
+    _require_diameter,
+    _require_fraction,
+    _require_non_negative,
+    _require_positive,
+)
 
 DEFAULT = default_config_data()
 FUZZ = settings(derandomize=True, database=None, deadline=None)
@@ -192,7 +199,7 @@ def test_readme_states_each_simulate_key_as_declared():
 
 @pytest.mark.parametrize("seed, message", [
     (math.nan, "seed: must be an integer"),
-    (-3, "seed: must be an integer >= 0"),
+    (-3, "seed: must be >= 0"),
     (1.5, "seed: must be an integer"),
     (True, "seed: must be an integer"),
 ], ids=["nan", "negative", "fraction", "bool"])
@@ -201,3 +208,82 @@ def test_manifest_holds_the_seed_to_the_seed_rule(seed, message):
     # -3 was recorded as given
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build_manifest(["fpcavity", "cavity"], RunConfig.default(), seed)
+
+
+# The core rule of every number outside the value-type sections, whose
+# constructors check their own fields; a list stands for its first entry.
+CORE_RULES = {
+    ("seed",): (_require_count, 0),
+    ("pulse", "excitation_time"): (_require_positive,),
+    ("pulse", "excited_population"): (_require_fraction,),
+    ("monte_carlo", "n_samples"): (_require_count, 2),
+    ("monte_carlo", "antinode_offset_fraction"): (_require_positive,),
+    ("ion_estimate", "diameter"): (_require_diameter,),
+    ("ion_estimate", "inhomogeneous_fwhm"): (_require_positive,),
+    ("ion_estimate", "probe_bandwidth"): (_require_positive,),
+    ("ion_estimate", "n_draws"): (_require_count, 2),
+    ("plan", "diameters", 0): (_require_diameter,),
+    ("plan", "repetition_rates", 0): (_require_positive,),
+    ("plan", "integration_time"): (_require_positive,),
+    **{("simulate", kind, key): rule for kind, keys in {
+        "ple": {"inhomogeneous_fwhm": (_require_positive,),
+                "amplitude": (_require_non_negative,),
+                "background": (_require_non_negative,),
+                "span_multiple": (_require_positive,),
+                "points": (_require_count, 1),
+                "probe_fwhm": (_require_positive,)},
+        "saturation": {"scale": (_require_non_negative,),
+                       "exponent": (_require_fraction,),
+                       "background": (_require_non_negative,),
+                       "min_power": (_require_positive,),
+                       "max_power": (_require_positive,),
+                       "points": (_require_count, 1)},
+        "hole": {"n_teeth": (_require_count, 1),
+                 "tooth_power": (_require_positive,),
+                 "hole_fwhm": (_require_positive,),
+                 "rate_scale": (_require_non_negative,),
+                 "span_multiple": (_require_positive,),
+                 "points": (_require_count, 1)},
+        "decay": {"effective_purcell": (_require_non_negative,),
+                  "shots": (_require_count, 1),
+                  "amplitude": (_require_non_negative,),
+                  "background": (_require_non_negative,),
+                  "time_span_multiple": (_require_positive,),
+                  "points": (_require_count, 1)},
+    }.items() for key, rule in keys.items()},
+}
+VALUE_TYPES = ("transitions", "geometry", "loss_budgets", "nanoparticle",
+               "detection")
+
+
+def test_core_rules_cover_every_number_outside_the_value_types():
+    numbers = {path for path in LEAVES
+               if type(_at(DEFAULT, path)) in (int, float)
+               and path[0] not in (*VALUE_TYPES, "schema_version")
+               and (isinstance(path[-1], str) or path[-1] == 0)}
+    assert numbers == set(CORE_RULES)
+
+
+def _violations():
+    """(path, rule, its bounds, a value the rule refuses) per number."""
+    refused = {_require_positive: (0, -1.0), _require_non_negative: (-1e-9,),
+               _require_fraction: (0.0, 1.5), _require_diameter: (0.0, 2e-6)}
+    for path, (rule, *bounds) in CORE_RULES.items():
+        for value in refused.get(rule) or (bounds[0] - 1,):
+            yield pytest.param(path, rule, bounds, value,
+                               id=f"{'.'.join(map(str, path))}={value!r}")
+
+
+@pytest.mark.parametrize("path, rule, bounds, value", _violations())
+def test_each_range_rule_is_stated_once_in_core(path, rule, bounds, value):
+    # the config reports the core rule's own message after the key's path,
+    # without the key again; each key once had a wording of its own
+    name = path[-2] if path[-1] == 0 else path[-1]
+    with pytest.raises(ValueError) as core:
+        rule(name, value, *bounds)
+    with pytest.raises(ConfigError) as loaded:
+        RunConfig(_replaced(path, value))
+    dotted = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                     for key in path).lstrip(".")
+    assert str(loaded.value) == (
+        f"{dotted}: {str(core.value).removeprefix(name + ' ')}")

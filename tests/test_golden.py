@@ -15,7 +15,7 @@ import shutil
 from pathlib import Path
 
 import fpcavity
-from fpcavity import RunConfig
+from fpcavity import RunConfig, default_config_data
 from fpcavity.cli import main
 
 PINNED = {
@@ -120,3 +120,14 @@ def test_cli_outputs_match_their_pinned_digests(tmp_path, capsys,
     assert set(digests) == set(PINNED)
     changed = sorted(name for name in PINNED if digests[name] != PINNED[name])
     assert not changed, f"outputs changed: {changed}"
+
+
+def test_bundled_config_is_pinned():
+    # the bundled tree is declared key by key next to its rules; the README
+    # tells users to print it, so the printed bytes, key order included,
+    # are pinned with the hash that every manifest records
+    assert RunConfig.default().config_hash() == (
+        "fbc9a26e9dda7140be2083823066239a4262d22c8ddc27c8b958a9041bcf20b7")
+    printed = json.dumps(default_config_data(), indent=2)
+    assert _digest(printed.encode()) == (
+        "830aa0d75f081f439f6e84269b27622c5235cb00289b8c6df505f9cb69aace2b")
