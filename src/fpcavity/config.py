@@ -29,7 +29,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -483,7 +483,7 @@ class RunManifest(_JsonRecord):
     seed: int
     toolkit_version: str = TOOLKIT_VERSION
     created_utc: str = ""
-    outputs: tuple = field(default_factory=tuple)
+    outputs: tuple = ()
 
 
 def build_manifest(command, config: RunConfig, seed: int,

@@ -119,8 +119,6 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
         field = cls.__dataclass_fields__[name]
         if name in kwargs:
             values.append(kwargs.pop(name))
-        elif field.default_factory is not MISSING:
-            values.append(field.default_factory())
         elif field.default is not MISSING:
             values.append(field.default)
         else:
@@ -133,15 +131,10 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
     return values
 
 
-def record(cls=None, /, *, eq=True):
+def record(cls):
     """Make a :class:`_Record` subclass a frozen dataclass that takes every
-    method from :class:`_Record`; ``eq=False`` keeps identity equality."""
-    def wrap(cls):
-        cls = dataclass(cls, init=False, repr=False, eq=False)
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        return cls
-    return wrap if cls is None else wrap(cls)
+    method from :class:`_Record`."""
+    return dataclass(cls, init=False, repr=False, eq=False)
 
 
 class _JsonRecord(_Record):

@@ -49,23 +49,21 @@ def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def sample_orientation_factor(rng: np.random.Generator,
-                              size: int | None = None):
-    """Projection factor |d . e|^2 of an isotropic dipole on a fixed axis.
+def sample_orientation_factor(rng: np.random.Generator, size: int):
+    """Array of ``size`` projection factors |d . e|^2 of isotropic dipoles.
 
     |d . e| of an isotropic dipole is uniform on [0, 1] (Archimedes'
     hat-box theorem; Marsaglia, Ann. Math. Stat. 43, 645 (1972)), so the
     factor is u^2 of one uniform u: CDF sqrt(o), mean exactly 1/3.
     """
-    n = 1 if size is None else size
-    factor = rng.random(n)
+    _require_count("size", size, 0)
+    factor = rng.random(size)
     factor *= factor
-    return float(factor[0]) if size is None else factor
+    return factor
 
 
-def sample_height(diameter: float, rng: np.random.Generator,
-                  size: int | None = None):
-    """Height above the mirror of a uniform point in a resting sphere.
+def sample_height(diameter: float, rng: np.random.Generator, size: int):
+    """Array of ``size`` heights of uniform points in a resting sphere.
 
     The cross-section area of a sphere of diameter D at height z goes as
     z (D - z), a Beta(2, 2) profile scaled to [0, D].  Its CDF 3t^2 - 2t^3
@@ -75,8 +73,8 @@ def sample_height(diameter: float, rng: np.random.Generator,
     """
     import numpy as np
     _require_positive("diameter", diameter)
-    n = 1 if size is None else size
-    heights = rng.random(n)
+    _require_count("size", size, 0)
+    heights = rng.random(size)
     heights *= 2.0
     heights -= 1.0
     np.arcsin(heights, out=heights)
@@ -84,7 +82,7 @@ def sample_height(diameter: float, rng: np.random.Generator,
     np.sin(heights, out=heights)
     heights += 0.5
     heights *= diameter
-    return float(heights[0]) if size is None else heights
+    return heights
 
 
 def standing_wave_factor(height, wavelength: float, antinode_offset: float):

@@ -24,11 +24,9 @@ from .core import (_Record, _require_each, _require_finite,
                    _require_non_negative, _require_positive, record)
 from .trace import Trace
 
-# parameter kinds set the scale of a parameter whose current value is near
-# zero, for the convergence test's relative step and the central-difference
-# step of _jacobian: "x" and "y" scale with the data spans, "slope" with
-# their ratio, "unit" is order one
-_KINDS = ("y", "x", "unit", "slope")
+# the solver's iteration cap and its relative step-size convergence test
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-10
 
 
 @record
@@ -37,6 +35,10 @@ class ModelSpec(_Record):
 
     name: str
     parameters: tuple[str, ...]
+    # a kind sets the scale of a parameter whose current value is near zero,
+    # for the convergence test's relative step and the central-difference
+    # step of _jacobian: "x" and "y" scale with the data spans, "slope" with
+    # their ratio, "unit" is order one
     kinds: tuple[str, ...]
     positive: frozenset[str]
     function: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -305,30 +307,15 @@ class FitResult(_Record):
         return data
 
 
-def _resolve_weights(weights, y) -> np.ndarray:
-    if weights is None:
-        return np.ones_like(y)
-    if isinstance(weights, str):
-        if weights != "poisson":
-            raise ValueError(f"unknown weighting {weights!r}")
-        return 1.0 / np.maximum(y, 1.0)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != y.shape:
-        raise ValueError("weights must match the data length")
-    _require_each("weights", weights, _require_non_negative)
-    return weights
-
-
 def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
-        x_range: tuple[float, float] | None = None,
-        max_iterations: int = 200, tolerance: float = 1e-10) -> FitResult:
+        x_range: tuple[float, float] | None = None) -> FitResult:
     """Fit a registered model to data.
 
     Accepts either a :class:`~fpcavity.trace.Trace` or separate x and y
-    arrays.  ``initial_guess`` may be a full or partial parameter dict
-    (missing entries fall back to the automatic guess) or a plain sequence
-    in registry order.  ``weights`` is None, "poisson" (1/max(y, 1)), or a
-    finite array; x and y must be finite inside the ``x_range`` window.
+    arrays.  ``initial_guess`` is a full or partial parameter dict (missing
+    entries fall back to the automatic guess).  ``weights`` is None or
+    "poisson" (1/max(y, 1)); x and y must be finite inside the ``x_range``
+    window.
     """
     spec = _model(model)
     if isinstance(trace_or_x, Trace):
@@ -354,32 +341,31 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     if len(x) < k:
         raise ValueError(f"model {model!r} needs at least {k} points")
 
-    if initial_guess is None:
-        params_map = auto_initial_guess(model, x, y)
-    elif isinstance(initial_guess, dict):
-        unknown = set(initial_guess) - set(spec.parameters)
-        if unknown:
-            raise ValueError(f"unknown parameters {sorted(unknown)} "
-                             f"for model {model!r}")
-        if set(initial_guess) == set(spec.parameters):
-            params_map = dict(initial_guess)
-        else:
-            params_map = auto_initial_guess(model, x, y)
-            params_map.update(initial_guess)
+    if weights is None:
+        w = np.ones_like(y)
+    elif isinstance(weights, str) and weights == "poisson":
+        w = 1.0 / np.maximum(y, 1.0)
     else:
-        values = list(initial_guess)
-        if len(values) != k:
-            raise ValueError(f"model {model!r} takes {k} parameters "
-                             f"{spec.parameters}")
-        params_map = dict(zip(spec.parameters, values))
+        raise ValueError("weights must be None or 'poisson'")
+    if initial_guess is None:
+        initial_guess = {}
+    elif not isinstance(initial_guess, dict):
+        raise ValueError("initial_guess must be None or a dict of parameters")
+    unknown = set(initial_guess) - set(spec.parameters)
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(unknown)} "
+                         f"for model {model!r}")
+    if set(initial_guess) == set(spec.parameters):
+        params_map = dict(initial_guess)
+    else:
+        params_map = auto_initial_guess(model, x, y)
+        params_map.update(initial_guess)
     params = np.array([float(params_map[n]) for n in spec.parameters])
     for name, value in zip(spec.parameters, params.tolist()):
         _require_finite(**{f"initial {name}": value})
         if name in spec.positive:
             _require_positive(f"initial {name}", value)
 
-    _require_non_negative("tolerance", tolerance)
-    w = _resolve_weights(weights, y)
     floors = _step_floors(spec, x, y)
 
     def cost_of(p):
@@ -390,7 +376,7 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     damping = 1e-3
     converged = False
     iteration = 0
-    while iteration < max_iterations:
+    while iteration < MAX_ITERATIONS:
         iteration += 1
         jac = spec.jacobian(x, params)
         jw = jac * w
@@ -417,7 +403,7 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
                               / np.maximum(np.abs(params), floors))
             params, cost, residual = trial, trial_cost, trial_residual
             damping = max(damping / 3.0, 1e-12)
-            if relative < tolerance or cost == 0.0:
+            if relative < TOLERANCE or cost == 0.0:
                 converged = True
                 break
         else:

@@ -19,7 +19,6 @@ collected channel in contact and open_single modes.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +198,8 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
         scheme.excited_population, free_space_lifetime, chain)[0])
 
 
-class Sweep(Sequence):
-    """Read-only sequence of :class:`SweepRow`, as :func:`sweep_grid`
+class Sweep:
+    """Read-only iterable of :class:`SweepRow`, as :func:`sweep_grid`
     returns it, held as columns: a row is built only when it is read.
 
     ``blocks`` holds one ``(mode, diameter, effective_purcell)`` key per
@@ -216,18 +215,6 @@ class Sweep(Sequence):
 
     def __len__(self) -> int:
         return len(self.blocks) * len(self.repetition_rates)
-
-    def _row(self, block: int, column: int) -> SweepRow:
-        mode, diameter, purcell = self.blocks[block]
-        return SweepRow(diameter, self.repetition_rates[column], mode,
-                        float(self.rates[block, column]),
-                        float(self.snrs[block, column]), purcell)
-
-    def __getitem__(self, index: int) -> SweepRow:
-        if not -len(self) <= index < len(self):
-            raise IndexError("sweep index out of range")
-        return self._row(*divmod(index % len(self),
-                                 len(self.repetition_rates)))
 
     def __iter__(self):
         for (mode, diameter, purcell), rates, snrs in zip(
@@ -313,7 +300,10 @@ def best_operating_point(sweep: Sweep) -> SweepRow:
     block, column = min(tied, key=lambda at: (
         sweep.repetition_rates[at[1]], sweep.blocks[at[0]][1],
         sweep.blocks[at[0]][0]))
-    return sweep._row(block, column)
+    mode, diameter, purcell = sweep.blocks[block]
+    return SweepRow(diameter, sweep.repetition_rates[column], mode,
+                    float(sweep.rates[block, column]),
+                    float(sweep.snrs[block, column]), purcell)
 
 
 def write_sweep_csv(sweep: Sweep, path) -> Path:

@@ -535,7 +535,7 @@ def test_plan_json_without_dark_counts_is_strict_json(tmp_path, capsys):
     sweep = sweep_grid((70e-9,), (1000.0,), ("contact",),
                        loaded.transitions, loaded.loss_budgets, 25e-6,
                        loaded.detection, 1e-6, 0.5)
-    assert sweep[0].snr == math.inf
+    assert next(iter(sweep)).snr == math.inf
 
 
 def test_plan_sweep_output(tmp_path, capsys, monkeypatch):

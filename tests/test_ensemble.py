@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import beta, binom, kstest
 
 from fpcavity import ensemble
 from fpcavity import (
@@ -47,10 +46,18 @@ def test_orientation_factor_statistics():
     assert abs(np.mean(factors) - 1.0 / 3.0) < 3.0 * math.sqrt(4.0 / 45.0e5)
 
 
-def test_orientation_factor_scalar():
-    value = sample_orientation_factor(np.random.default_rng(0))
-    assert isinstance(value, float)
-    assert 0.0 <= value <= 1.0
+def test_samplers_return_an_array_of_the_given_size():
+    for size in (0, 1, 5):
+        for values in (sample_orientation_factor(np.random.default_rng(0),
+                                                 size),
+                       sample_height(70e-9, np.random.default_rng(0), size)):
+            assert isinstance(values, np.ndarray) and values.shape == (size,)
+    with pytest.raises(TypeError):
+        sample_orientation_factor(np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        sample_height(70e-9, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^size must be >= 0$"):
+        sample_height(70e-9, np.random.default_rng(0), -1)
 
 
 def test_sample_height_statistics():
@@ -61,7 +68,7 @@ def test_sample_height_statistics():
     # Beta(2, 2) has mean 1/2 and variance 1/20
     assert abs(np.mean(heights) - 35e-9) < 3.0 * 70e-9 * math.sqrt(1 / 20e5)
     with pytest.raises(ValueError):
-        sample_height(0.0, rng)
+        sample_height(0.0, rng, size=1)
 
 
 def test_standing_wave_factor_shape():
@@ -181,16 +188,31 @@ def test_height_is_the_inverse_beta_cdf_of_one_uniform_bitwise():
         assert heights.tobytes() == expected.tobytes()
 
 
+def _ks_pvalue(sample, cdf):
+    """Kolmogorov-Smirnov p-value of ``sample`` against ``cdf``: the largest
+    gap D between the empirical and the model CDF, and P(K > sqrt(n) D) from
+    the Kolmogorov series 2 sum_j (-1)^(j-1) exp(-2 j^2 lambda^2)."""
+    n = sample.size
+    model = cdf(np.sort(sample))
+    above = np.arange(1, n + 1) / n
+    gap = max(float(np.max(above - model)),
+              float(np.max(model - (above - 1.0 / n))))
+    lam = math.sqrt(n) * gap
+    series = 2.0 * math.fsum((-1) ** (j - 1) * math.exp(-2.0 * (j * lam) ** 2)
+                             for j in range(1, 101))
+    return min(1.0, max(0.0, series))
+
+
 def test_samplers_follow_their_exact_distributions():
-    # independent oracles: scipy's Beta(2, 2) and the CDF sqrt(o) of the
-    # square of a uniform |d . e|
+    # independent oracles: the Beta(2, 2) CDF 3t^2 - 2t^3 and the CDF
+    # sqrt(o) of the square of a uniform |d . e|, each in a KS test
     n = 10**6
     rng = np.random.default_rng(2024)
     factors = sample_orientation_factor(rng, size=n)
     t = sample_height(1.0, rng, size=n)
-    assert kstest(factors, lambda o: np.sqrt(np.clip(o, 0.0, 1.0))
-                  ).pvalue > 0.01
-    assert kstest(t, beta(2.0, 2.0).cdf).pvalue > 0.01
+    assert _ks_pvalue(factors, lambda o: np.sqrt(np.clip(o, 0.0, 1.0))) \
+        > 0.01
+    assert _ks_pvalue(t, lambda t: 3.0 * t**2 - 2.0 * t**3) > 0.01
     # E[o] = 1/3 (variance 4/45), E[o^2] = 1/5 (variance 1/9 - 1/25), and
     # Var[t] = 1/20, whose estimate has variance (3/560 - 1/400) / n
     for estimate, exact, variance in (
@@ -701,9 +723,18 @@ def test_ion_count_moments_are_the_binomial_moments():
     assert exact.method == "exact"
     n = population.total_ions
     p = expected_ions_in_bandwidth(population, 0.0, 13e6) / n
-    mean, variance = binom.stats(n, p, moments="mv")
-    assert exact.mean == pytest.approx(float(mean), rel=1e-14)
-    assert exact.std == pytest.approx(math.sqrt(float(variance)), rel=1e-14)
+    # independent oracle: the moments summed over the binomial pmf, which
+    # runs from (1 - p)^n by P(k + 1) / P(k) = (n - k) p / ((k + 1) (1 - p))
+    pmf, term = [], (1.0 - p) ** n
+    for k in range(n + 1):
+        pmf.append(term)
+        term *= (n - k) * p / ((k + 1) * (1.0 - p))
+    total = math.fsum(pmf)
+    mean = math.fsum(k * q for k, q in enumerate(pmf)) / total
+    variance = math.fsum((k - mean) ** 2 * q
+                         for k, q in enumerate(pmf)) / total
+    assert exact.mean == pytest.approx(mean, rel=1e-14)
+    assert exact.std == pytest.approx(math.sqrt(variance), rel=1e-14)
     # the bundled config's figure: 14.88 +/- 3.86 ions in a 13 MHz probe
     assert (round(exact.mean, 2), round(exact.std, 2)) == (14.88, 3.86)
     # a window past the whole line clamps p to 1: every ion, no spread

@@ -6,10 +6,11 @@ call in turn by NaN, +inf and -inf, each as a Python float, as a numpy
 ``float32`` and as a 0-d array, and requires ``ValueError``; it does the
 same to the last entry of each list or array of floats, and to each count
 argument (``n_teeth``, ``shots``, a mode order, ``n_samples``,
-``n_draws``, ``total_ions``).  A new public function must join the table,
-and a call must pass every parameter whose default is a float, so no float
-argument escapes the sweep.  The public functions are read off
-``fpcavity.__all__``, since the package loads its layers on first use.
+``n_draws``, ``total_ions``, a sampler's ``size``).  A new public function
+must join the table, and a call must pass every parameter whose default is
+a float, so no float argument escapes the sweep.  The public functions are
+read off ``fpcavity.__all__``, since the package loads its layers on first
+use.
 """
 import inspect
 import math
@@ -88,8 +89,8 @@ CALLS = {
     "saturation_power": ((2.0e4, 1.41e-6), {}),
     "coupling_report": ((T580, GEOMETRY, BUDGET), {"jitter_sigma": 8e-12}),
     # ensemble
-    "sample_orientation_factor": ((RNG,), {}),
-    "sample_height": ((70e-9, RNG), {}),
+    "sample_orientation_factor": ((RNG, 3), {}),
+    "sample_height": ((70e-9, RNG, 3), {}),
     "standing_wave_factor": ((20e-9, 580.8e-9, 87e-9), {}),
     "channel_strengths": ((PARTICLE, GEOMETRY, TRANSITIONS, BUDGETS), {}),
     "ensemble_purcell_stats": (
@@ -116,7 +117,7 @@ CALLS = {
     "decay_histogram": ((1e-3, TIMES, 100, 0.05), {"background": 0.002}),
     # fitting
     "auto_initial_guess": (("exp_decay", TRACE.x, TRACE.y), {}),
-    "fit": (("exp_decay", TRACE), {"tolerance": 1e-10}),
+    "fit": (("exp_decay", TRACE), {}),
     # planner
     "DetectionChain": ((0.8, 0.65, 20.0), {}),
     "PulseScheme": ((1e-6, 1e-3, 0.5), {}),
@@ -248,6 +249,7 @@ def test_the_count_sweep_covers_every_count():
     assert counts == {
         ("resonance_length", 1), ("CavityGeometry", 2),
         ("hole_spectrum", 1), ("decay_histogram", 2),
+        ("sample_orientation_factor", 1), ("sample_height", 2),
         ("ensemble_purcell_stats", "n_samples"),
         ("ions_in_bandwidth", "n_draws"), ("SpectralPopulation", 0)}
 

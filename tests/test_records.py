@@ -35,7 +35,7 @@ _SAMPLES = [
      {"branching_ratio": 1.5}),
     (CavityGeometry, (25e-6, 5.808e-6, 20), {"cavity_length": 30e-6}),
     (Nanoparticle, (70e-9, 0.003), {"dopant_concentration": 1.0}),
-    # toolkit_version, created_utc and outputs (default_factory) omitted
+    # toolkit_version, created_utc and outputs (defaulted) omitted
     (RunManifest, (("fpcavity", "cavity"), "ab" * 32, 3), None),
     (ChannelStrength, (580.8e-9, 2.5), None),
     (EnsembleStats, (1.5, 0.25, 3.0, 4096, 7), None),
@@ -93,9 +93,6 @@ def _twin(cls, module):
         namespace["__annotations__"][f.name] = f.type
         if f.default is not dataclasses.MISSING:
             namespace[f.name] = f.default
-        elif f.default_factory is not dataclasses.MISSING:
-            namespace[f.name] = dataclasses.field(
-                default_factory=f.default_factory)
     twin = dataclasses.dataclass(
         type(cls.__name__, (), namespace), frozen=True,
         eq=cls.__eq__ is not object.__eq__,
