@@ -126,7 +126,8 @@ def _at_least(minimum: int):
 # Upper bound on every count that sizes an array: simulate.<kind>.points,
 # monte_carlo.n_samples and ion_estimate.n_draws.  At 80 MB per float array
 # it is ample for any study, and a larger count fails here with its path
-# instead of inside numpy.
+# instead of inside numpy.  The ensemble holds all its samples at once,
+# about 48 bytes each at its peak, so n_samples at the bound takes 0.5 GB.
 MAX_COUNT = 10**7
 
 

@@ -13,10 +13,9 @@ exact multinomial law, not ion by ion).
 ``ensemble_moments`` and ``ion_count_moments`` give the exact mean and
 standard deviation of both in closed form, with ``math`` only; they are
 what the CLI reports.  The samplers draw the same distributions and import
-numpy when they run.  Sampling uses a counter-based generator (Philox)
-keyed on (seed, domain, block).  The ensemble draws its samples in fixed
-blocks of 4096, one stream per block, so a given (seed, n_samples) always
-gives bitwise the same statistics.
+numpy when they run.  Each sampler draws from one counter-based stream
+(Philox) keyed on (seed, domain), so a given seed and sample count always
+give bitwise the same statistics.
 """
 from __future__ import annotations
 
@@ -34,9 +33,6 @@ if TYPE_CHECKING:  # the samplers import these when they run
 
     from .trace import Trace
 
-# the block layout defines the seeded numbers: changing it changes every
-# EnsembleStats for a given (seed, n_samples)
-_BLOCK = 4096
 # entropy-domain tags keep the independent sampling tasks on distinct streams
 _DOMAIN_ENSEMBLE = 0
 _DOMAIN_ION_COUNT = 1
@@ -145,25 +141,6 @@ class EnsembleStats(_JsonRecord):
     seed: int
 
 
-def _ensemble_block(seed: int, block: int, count: int, diameter: float,
-                    channels, offsets) -> tuple[float, float]:
-    import numpy as np
-    rng = _rng(seed, _DOMAIN_ENSEMBLE, block)
-    orientation = sample_orientation_factor(rng, size=count)
-    heights = sample_height(diameter, rng, size=count)
-    # in place, each step the same operation on the same operands as
-    # orientation * sum(strength * standing_wave_factor), so the same bits
-    samples = np.zeros(count)
-    for channel, offset in zip(channels, offsets):
-        factor = standing_wave_factor(heights, channel.wavelength, offset)
-        factor *= channel.strength
-        samples += factor
-    samples *= orientation
-    total = float(np.sum(samples))
-    samples *= samples
-    return total, float(np.sum(samples))
-
-
 def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
                            transitions, budgets, n_samples: int = 20000,
                            seed: int = 0,
@@ -180,35 +157,32 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     ``geometry.rms_length_jitter``; to change it, pass a geometry built
     with ``dataclasses.replace``.
 
-    The sample range is split into fixed blocks of 4096 samples, each on
-    its own counter-based stream keyed on (seed, block) that yields the
-    block's orientation uniforms, then its height uniforms.  That layout,
-    and the block-order reduction, fix the result for a given ``seed`` and
-    ``n_samples`` bit for bit.
+    The samples come from one counter-based stream keyed on ``seed``: all
+    ``n_samples`` orientation uniforms, then all height uniforms, so a
+    given ``seed`` and ``n_samples`` fix the result bit for bit.  Memory
+    grows with ``n_samples``, about 48 bytes a sample at its peak (0.5 GB
+    at 10**7).
     """
+    import numpy as np
     _require_count("n_samples", n_samples, 2)
     _require_finite(antinode_offset_fraction=antinode_offset_fraction)
     channels = channel_strengths(particle, geometry, transitions, budgets)
-    offsets = [antinode_offset_fraction * c.wavelength for c in channels]
-    n_blocks = (n_samples + _BLOCK - 1) // _BLOCK
-    partials = [
-        _ensemble_block(seed, block, min(_BLOCK, n_samples - block * _BLOCK),
-                        particle.diameter, channels, offsets)
-        for block in range(n_blocks)]
-
-    # fsum in block order: the seeded numbers are defined by this reduction
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    mean = total / n_samples
-    variance = max(0.0, (total_sq - n_samples * mean * mean)
-                   / (n_samples - 1))
-    return EnsembleStats(
-        mean=mean,
-        std=math.sqrt(variance),
-        max=math.fsum(c.strength for c in channels),
-        n_samples=n_samples,
-        seed=seed,
-    )
+    rng = _rng(seed, _DOMAIN_ENSEMBLE, 0)
+    orientation = sample_orientation_factor(rng, n_samples)
+    heights = sample_height(particle.diameter, rng, n_samples)
+    # in place, the same bits as orientation * sum(strength * wave factor)
+    samples = np.zeros(n_samples)
+    for channel in channels:
+        factor = standing_wave_factor(
+            heights, channel.wavelength,
+            antinode_offset_fraction * channel.wavelength)
+        factor *= channel.strength
+        samples += factor
+    samples *= orientation
+    return EnsembleStats(mean=float(np.mean(samples)),
+                         std=float(np.std(samples, ddof=1)),
+                         max=math.fsum(c.strength for c in channels),
+                         n_samples=n_samples, seed=seed)
 
 
 @record

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_Record, _require_each, _require_finite,
+from .core import (NumericalError, _Record, _require_each, _require_finite,
                    _require_non_negative, _require_positive, record)
 from .trace import Trace
 
@@ -272,7 +272,11 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     y = np.asarray(y, dtype=float)
     _require_each("x", x)
     _require_each("y", y)
-    values = spec.guess(x, y)
+    try:
+        values = spec.guess(x, y)
+    except ArithmeticError as exc:  # math.exp overflowing, say
+        raise ValueError(f"cannot guess initial parameters for model "
+                         f"{model!r}: {exc}") from None
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
 
@@ -307,6 +311,8 @@ class FitResult(_Record):
         return data
 
 
+# overflow is reported once, by the finite check on the result
+@np.errstate(over="ignore", invalid="ignore")
 def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         x_range: tuple[float, float] | None = None) -> FitResult:
     """Fit a registered model to data.
@@ -314,8 +320,9 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     Accepts either a :class:`~fpcavity.trace.Trace` or separate x and y
     arrays.  ``initial_guess`` is a full or partial parameter dict (missing
     entries fall back to the automatic guess).  ``weights`` is None or
-    "poisson" (1/max(y, 1)); x and y must be finite inside the ``x_range``
-    window.
+    "poisson" (1/max(y, 1)); ``x_range`` is finite, low <= high, and x and
+    y must be finite inside it.  A fit that ends on a non-finite residual
+    sum or parameter raises ``NumericalError``.
     """
     spec = _model(model)
     if isinstance(trace_or_x, Trace):
@@ -332,6 +339,9 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x_range is not None:
         lo, hi = x_range
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError(f"x_range must be finite with low <= high, "
+                             f"got ({lo}, {hi})")
         keep = (x >= lo) & (x <= hi)
         x, y = x[keep], y[keep]
     _require_each("x inside the fit window", x)
@@ -410,6 +420,10 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
             damping *= 10.0
             if damping > 1e12:
                 break
+    if not (math.isfinite(cost) and np.all(np.isfinite(params))):
+        raise NumericalError(
+            f"fit of model {model!r} ended on non-finite values: residual "
+            f"sum of squares {cost}, parameters {params.tolist()}")
 
     jac = spec.jacobian(x, params)
     normal = (jac * w) @ jac.T
@@ -419,7 +433,8 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         try:
             covariance = (cost / dof) * np.linalg.inv(normal)
             variances = np.diag(covariance)
-            if np.all(variances >= 0.0):
+            # an infinite variance is as singular as a negative one
+            if np.all((variances >= 0.0) & (variances < math.inf)):
                 errors = np.sqrt(variances)
         except np.linalg.LinAlgError:
             pass

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import fpcavity
-from fpcavity import RunConfig, SweepRow, cli, sweep_grid
+from fpcavity import (RunConfig, SweepRow, Trace, cli, sweep_grid,
+                      write_trace_csv)
 from fpcavity.cli import main
 from fpcavity.config import ConfigError, file_sha256
 from fpcavity.core import NumericalError
@@ -468,6 +469,45 @@ def test_fit_rejects_non_finite_trace_values(tmp_path, capsys, model, bad):
     assert captured.out == "" and not out.exists()
     # a fit window that leaves the value out still fits
     assert main(["fit", "linear", str(trace), "--range", "2", "5"]) == 0
+
+
+def _write_csv(path, x, y):
+    write_trace_csv(Trace(x=x, y=y), path)
+    return str(path)
+
+
+def test_fit_guess_overflow_exits_3(tmp_path, capsys):
+    # it exited 1 with an OverflowError traceback
+    trace = _write_csv(tmp_path / "trace.csv",
+                       (np.linspace(0.0, 10.0, 20) + 0.1) * 1e300,
+                       1e300 * np.cos(np.linspace(0.0, 10.0, 20)))
+    assert main(["fit", "power_law", trace]) == 3
+    assert capsys.readouterr().err.startswith(
+        "input error: cannot guess initial parameters for model 'power_law'")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_fit_with_an_infinite_cost_exits_4(tmp_path, capsys, json_flag):
+    # text mode printed "residual sum of squares: inf" and exited 0;
+    # --json exited 2 on "Out of range float values are not JSON compliant"
+    trace = _write_csv(tmp_path / "trace.csv",
+                       np.array([1e300, 2e300, 3e300, 4e300]),
+                       np.array([1e300, 3e300, 5e300, 8e300]))
+    assert main(["fit", "power_law", trace, *json_flag]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical failure: fit of model 'power_law' ended on non-finite")
+
+
+@pytest.mark.parametrize("bounds", [["5", "1"], ["0", "nan"]])
+def test_fit_range_must_be_finite_and_ordered(tmp_path, capsys, bounds):
+    # both reported "model 'linear' needs at least 2 points"
+    trace = _write_csv(tmp_path / "trace.csv", np.arange(6.0),
+                       np.arange(6.0) + 1.0)
+    assert main(["fit", "linear", trace, "--range", *bounds]) == 3
+    assert capsys.readouterr().err.startswith(
+        "input error: x_range must be finite with low <= high")
 
 
 @pytest.mark.parametrize("command", ["cavity", "plan"])

@@ -4,7 +4,8 @@ One or two leaves are replaced by a NaN, an infinity, a bool, a string,
 null, a negative or a large number, a key is deleted, or a stray key is
 added.  The loader must reject the document with ``ConfigError`` or hold
 only finite numbers and known keys, and the CLI must exit 0 or 2 without
-raising.
+raising.  The documents come from a seeded ``random.Random``, so every run
+checks the same ones.
 """
 import contextlib
 import copy
@@ -12,12 +13,11 @@ import dataclasses
 import io
 import json
 import math
+import random
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fpcavity.cli import main
 from fpcavity.config import (
@@ -37,7 +37,8 @@ from fpcavity.core import (
 )
 
 DEFAULT = default_config_data()
-FUZZ = settings(derandomize=True, database=None, deadline=None)
+# fuzzed documents per test
+N_DOCUMENTS = 100
 
 
 def _paths(node, prefix=()):
@@ -62,35 +63,43 @@ KEYS = [path for path in PATHS if isinstance(path[-1], str)]
 OBJECTS = [()] + [path for path in PATHS
                   if isinstance(_at(DEFAULT, path), dict)]
 
-BAD_VALUES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None,
-                     "1.0", "abc"]),
-    st.floats(-1e6, -1e-12),
-    st.integers(-10**6, -1),
-    st.floats(1e3, 1e6),
-    st.integers(10**3, 10**6),
-)
-
-EDITS = st.one_of(
-    st.tuples(st.just("replace"), st.sampled_from(LEAVES), BAD_VALUES),
-    st.tuples(st.just("delete"), st.sampled_from(KEYS), st.none()),
-    st.tuples(st.just("add"), st.sampled_from(OBJECTS),
-              st.sampled_from(["extra", "n_sampels", "noize"])),
-)
+# negative and large numbers, float and int, each range by its endpoints
+RANGES = ((-1e6, -1e-12), (-10**6, -1), (1e3, 1e6), (10**3, 10**6))
+BAD_VALUES = [math.nan, math.inf, -math.inf, True, False, None, "1.0",
+              "abc"] + [end for bounds in RANGES for end in bounds]
+STRAY_KEYS = ["extra", "n_sampels", "noize"]
 
 
-def _replaced(path, value):
-    """A copy of the default with the leaf at ``path`` set to ``value``."""
+def _bad_value(rng):
+    """A value from the pool, or half the time one inside a range."""
+    if rng.random() < 0.5:
+        return rng.choice(BAD_VALUES)
+    low, high = rng.choice(RANGES)
+    if isinstance(low, int):
+        return rng.randint(low, high)
+    return rng.uniform(low, high)
+
+
+def _edit(rng):
+    action = rng.choice(["replace", "delete", "add"])
+    if action == "replace":
+        return action, rng.choice(LEAVES), _bad_value(rng)
+    if action == "delete":
+        return action, rng.choice(KEYS), None
+    return action, rng.choice(OBJECTS), rng.choice(STRAY_KEYS)
+
+
+def fuzzed_documents(seed):
+    """``N_DOCUMENTS`` copies of the default, each with one or two edits."""
+    rng = random.Random(seed)
+    for _ in range(N_DOCUMENTS):
+        yield _edited([_edit(rng) for _ in range(rng.randint(1, 2))])
+
+
+def _edited(edits):
+    """A copy of the default with each ``(action, path, value)`` applied."""
     document = copy.deepcopy(DEFAULT)
-    _at(document, path[:-1])[path[-1]] = value
-    return document
-
-
-@st.composite
-def fuzzed_documents(draw):
-    document = copy.deepcopy(DEFAULT)
-    for action, path, value in draw(st.lists(EDITS, min_size=1,
-                                             max_size=2)):
+    for action, path, value in edits:
         try:
             if action == "add":
                 _at(document, path)[value] = 1.0
@@ -101,6 +110,11 @@ def fuzzed_documents(draw):
         except (KeyError, IndexError, TypeError):
             pass  # an earlier edit removed or replaced the path
     return document
+
+
+def _replaced(path, value):
+    """A copy of the default with the leaf at ``path`` set to ``value``."""
+    return _edited([("replace", path, value)])
 
 
 def _numbers(value):
@@ -116,17 +130,17 @@ def _numbers(value):
         yield value
 
 
-@FUZZ
-@given(fuzzed_documents())
-def test_loader_rejects_or_holds_finite_numbers(document):
-    try:
-        config = RunConfig(document)
-    except ConfigError:
-        return
-    numbers = list(_numbers(list(vars(config).values())))
-    assert numbers and all(math.isfinite(number) for number in numbers)
-    config.canonical_json()  # refuses NaN and inf
-    assert set(_paths(document)) <= set(PATHS)  # no key silently ignored
+def test_loader_rejects_or_holds_finite_numbers():
+    for document in fuzzed_documents("loader"):
+        try:
+            config = RunConfig(document)
+        except ConfigError:
+            continue
+        numbers = list(_numbers(list(vars(config).values())))
+        assert numbers and all(math.isfinite(number) for number in numbers)
+        config.canonical_json()  # refuses NaN and inf
+        # no key silently ignored
+        assert set(_paths(document)) <= set(PATHS), document
 
 
 COUNTS = [("simulate", kind, "points") for kind in DEFAULT["simulate"]] \
@@ -150,31 +164,34 @@ def config_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
 
 
+EXAMPLES = [
+    # diameters past MAX_DIAMETER once put the ion count past the binomial
+    # draw's 2**63 - 1 (about 5 mm) or overflowed the D^6 scattering loss
+    # or the volume (1e200 m); the config now refuses them with their path
+    _replaced(("ion_estimate", "diameter"), 1000.0),
+    _replaced(("ion_estimate", "diameter"), 1e200),
+    _replaced(("nanoparticle", "diameter"), 1e200),
+    _replaced(("plan", "diameters", 0), 1e200),
+    # a cation density above any solid once put the ion count past the
+    # binomial draw's int64 and was reported against ion_estimate.diameter
+    _replaced(("nanoparticle", "cation_density"), 1e45),
+]
+
+
 @pytest.mark.parametrize(
     "command", ["cavity", "plan", "purcell", "simulate ple",
                 "simulate saturation", "simulate hole", "simulate decay"],
     ids=lambda command: command.replace(" ", "-"))
-@FUZZ
-@given(document=fuzzed_documents())
-# diameters past MAX_DIAMETER once put the ion count past the binomial
-# draw's 2**63 - 1 (about 5 mm) or overflowed the D^6 scattering loss or
-# the volume (1e200 m); the config now refuses them with their path
-@example(document=_replaced(("ion_estimate", "diameter"), 1000.0))
-@example(document=_replaced(("ion_estimate", "diameter"), 1e200))
-@example(document=_replaced(("nanoparticle", "diameter"), 1e200))
-@example(document=_replaced(("plan", "diameters", 0), 1e200))
-# a cation density above any solid once put the ion count past the
-# binomial draw's int64 and was reported against ion_estimate.diameter
-@example(document=_replaced(("nanoparticle", "cation_density"), 1e45))
-def test_cli_exits_0_or_2_on_fuzzed_config(config_file, command, document):
-    config_file.write_text(json.dumps(document))
+def test_cli_exits_0_or_2_on_fuzzed_config(config_file, command):
     argv = [*command.split(), "--config", str(config_file)]
     if argv[0] == "simulate":
         argv += ["--out", str(config_file.with_name("trace.csv"))]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2)
+    for document in [*EXAMPLES, *fuzzed_documents(command)]:
+        config_file.write_text(json.dumps(document))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2), document
 
 
 def test_readme_states_each_simulate_key_as_declared():

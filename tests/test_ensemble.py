@@ -136,7 +136,7 @@ def test_spectral_population_rejects_non_finite_frequencies(value):
                            hyperfine_offsets=((0.0, math.nan), (0.0, 1.0)))
 
 
-def test_ensemble_determinism_and_block_layout():
+def test_ensemble_determinism_and_stream_layout():
     particle = Nanoparticle(70e-9, 0.003)
     kwargs = dict(n_samples=10_000, seed=42)
     one = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
@@ -144,9 +144,9 @@ def test_ensemble_determinism_and_block_layout():
     again = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
                                    **kwargs)
     assert one == again
-    # exact values pin the fixed 4096-sample blocks and their Philox streams
-    assert one.mean == 0.9134490693414776
-    assert one.std == 0.8229308104091437
+    # exact values pin the one Philox stream and its draw order
+    assert one.mean == 0.9124140852037425
+    assert one.std == 0.8268895200515944
     assert one.max == 3.0065425100341483
     other = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
                                    n_samples=10_000, seed=43)
@@ -154,13 +154,15 @@ def test_ensemble_determinism_and_block_layout():
 
 
 @pytest.mark.parametrize("diameter, n_samples, seed, fraction, expected", [
-    # two full blocks and a partial one of 3712 samples
     (70e-9, 12_000, 7, 0.15,
-     (0.9041806230095862, 0.818383563296939, 3.0065425100341483)),
-    # exactly two full blocks
+     (0.9102475323406868, 0.8239200454088278, 3.0065425100341483)),
     (55e-9, 8192, 123, 0.3,
-     (0.6839388508288047, 0.6366514481888141, 3.100317156547685)),
-], ids=["partial-last-block", "full-blocks"])
+     (0.704033325792363, 0.6451253202486419, 3.100317156547685)),
+    # up to 4096 samples the stream is the one the first of the former
+    # 4096-sample blocks drew from, so the values are unchanged
+    (70e-9, 4096, 7, 0.15,
+     (0.9074217137836924, 0.8280356651062947, 3.0065425100341483)),
+], ids=["12000-samples", "8192-samples", "4096-samples"])
 def test_ensemble_stats_are_pinned_bit_for_bit(diameter, n_samples, seed,
                                                fraction, expected):
     # the per-sample arithmetic may be reordered in memory, never in value
@@ -266,10 +268,10 @@ def test_ensemble_stats_pull_against_quadrature(diameter):
         assert abs(np.std(pulls, ddof=1) - 1.0) < 4.0 / math.sqrt(2 * seeds)
 
 
-def test_ensemble_block_advances_its_stream_by_two_doubles_per_sample(
+def test_ensemble_advances_one_stream_by_two_doubles_per_sample(
         monkeypatch):
-    # each block draws its count orientation uniforms, then its count
-    # height uniforms, and nothing else from its Philox stream
+    # the sampler draws n orientation uniforms, then n height uniforms,
+    # and nothing else, from one Philox stream
     streams = []
     keyed_rng = ensemble._rng
 
@@ -283,15 +285,15 @@ def test_ensemble_block_advances_its_stream_by_two_doubles_per_sample(
     ensemble_purcell_stats(Nanoparticle(70e-9, 0.003), GEOMETRY,
                            [T580, T611], BUDGETS, n_samples=n_samples,
                            seed=9)
-    assert [key for key, _ in streams] == [(9, 0, 0), (9, 0, 1), (9, 0, 2)]
-    for (key, generator), count in zip(streams, (4096, 4096, 1000)):
-        reference = keyed_rng(*key).random(2 * count + 1)
-        assert generator.random() == reference[-1]
+    assert [key for key, _ in streams] == [(9, 0, 0)]
+    (_, generator), = streams
+    reference = keyed_rng(9, 0, 0).random(2 * n_samples + 1)
+    assert generator.random() == reference[-1]
 
 
-def test_single_block_stats_from_the_streams_uniforms():
+def test_ensemble_stats_from_the_streams_uniforms():
     particle = Nanoparticle(70e-9, 0.003)
-    n = 1000
+    n = 10_000
     result = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
                                     BUDGETS, n_samples=n, seed=5)
     u = ensemble._rng(5, 0, 0).random(2 * n)
@@ -302,8 +304,9 @@ def test_single_block_stats_from_the_streams_uniforms():
                                         0.15 * c.wavelength) * c.strength
                    for c in channels)
     samples = position * orientation
+    # the mean, then the two-pass variance about it
     mean = float(np.sum(samples)) / n
-    variance = (float(np.sum(samples * samples)) - n * mean * mean) / (n - 1)
+    variance = float(np.sum((samples - mean) ** 2)) / (n - 1)
     assert (result.mean, result.std) == (mean, math.sqrt(variance))
 
 
@@ -340,9 +343,8 @@ def test_ensemble_stats_structure():
                                n_samples=1)
 
 
-def test_ensemble_partial_block_sizes():
+def test_ensemble_takes_any_size_from_two():
     particle = Nanoparticle(70e-9, 0.003)
-    # sizes straddling the block length must all work
     for n in (2, 4095, 4096, 4097):
         stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
                                        BUDGETS, n_samples=n, seed=0)

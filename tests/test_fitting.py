@@ -14,7 +14,16 @@ from fpcavity import (
     fit,
 )
 from fpcavity import fitting
+from fpcavity.core import NumericalError
 from fpcavity.fitting import _jacobian, _step_floors
+
+# finite data whose power-law guess, exp of the fitted log intercept,
+# overflows a float
+OVERFLOWING_GUESS = ((np.linspace(0.0, 10.0, 20) + 0.1) * 1e300,
+                     1e300 * np.cos(np.linspace(0.0, 10.0, 20)))
+# finite data whose squared residuals overflow to an infinite cost
+INFINITE_COST = (np.array([1e300, 2e300, 3e300, 4e300]),
+                 np.array([1e300, 3e300, 5e300, 8e300]))
 
 
 def _clean_case(name):
@@ -268,6 +277,14 @@ def test_zero_dof_yields_nan_errors():
     assert as_dict["parameters"]["amplitude"] is not None
 
 
+def test_an_infinite_variance_yields_nan_errors():
+    # the slope's error was inf, which --json could not write
+    x = np.arange(1.0, 7.0) * 1e-160
+    result = fit("linear", x, np.array([1.0, 2.1, 2.9, 4.2, 5.0, 5.9]))
+    assert all(math.isnan(e) for e in result.standard_errors.values())
+    assert result.to_dict()["standard_errors"]["slope"] is None
+
+
 def test_too_few_points():
     with pytest.raises(ValueError):
         fit("lorentzian", np.arange(3.0), np.arange(3.0))
@@ -298,3 +315,32 @@ def test_non_finite_data_in_the_fit_window_is_rejected(bad):
     corrupted = y.copy()
     corrupted[-1] = bad
     assert fit("linear", x, corrupted, x_range=(-5.0, 4.0)).converged
+
+
+def test_a_guess_that_overflows_names_the_model():
+    # math.exp raised OverflowError out of fit
+    with pytest.raises(ValueError, match="^cannot guess initial parameters "
+                       "for model 'power_law'"):
+        fit("power_law", *OVERFLOWING_GUESS)
+
+
+def test_a_fit_ending_on_an_infinite_cost_raises():
+    # it returned residual_sum_of_squares=inf
+    with pytest.raises(NumericalError, match="^fit of model 'power_law' "
+                       "ended on non-finite values: residual sum of squares "
+                       "inf"):
+        fit("power_law", *INFINITE_COST)
+
+
+@pytest.mark.parametrize("x_range", [(0.0, math.nan), (math.nan, 1.0),
+                                     (-math.inf, 1.0), (0.0, math.inf),
+                                     (5.0, 1.0)])
+def test_x_range_must_be_finite_and_ordered(x_range):
+    # each reported "model 'linear' needs at least 2 points"
+    x, y, _ = _clean_case("linear")
+    with pytest.raises(ValueError, match="^x_range must be finite with "
+                       "low <= high"):
+        fit("linear", x, y, x_range=x_range)
+    # a window of one x value is ordered, and too small
+    with pytest.raises(ValueError, match="needs at least 2 points"):
+        fit("linear", x, y, x_range=(x[3], x[3]))
