@@ -18,8 +18,8 @@ configuration or validation error, 3 input-data error, 4 internal
 numerical failure.  Human-readable text rounds values; the JSON output
 carries full precision of the same numbers.
 
-A subcommand imports the layers it uses inside its handler, so ``cavity``
-and ``purcell`` run without numpy and ``fit`` without the planner.
+A subcommand imports the layers it uses inside its handler, so ``cavity``,
+``purcell`` and ``plan`` run without numpy and ``fit`` without the planner.
 """
 from __future__ import annotations
 

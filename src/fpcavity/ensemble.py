@@ -88,8 +88,10 @@ def standing_wave_factor(height, wavelength: float, antinode_offset: float):
     _require_finite(antinode_offset=antinode_offset)
     height = np.asarray(height)
     _require_each("height", height)
-    return np.sin(2.0 * math.pi * (height + antinode_offset)
-                  / wavelength) ** 2
+    phase = np.asarray(height + antinode_offset)  # new; the rest in place
+    phase *= 2.0 * math.pi
+    phase /= wavelength
+    return np.square(np.sin(phase, out=phase), out=phase)[()]
 
 
 @record
@@ -160,7 +162,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     The samples come from one counter-based stream keyed on ``seed``: all
     ``n_samples`` orientation uniforms, then all height uniforms, so a
     given ``seed`` and ``n_samples`` fix the result bit for bit.  Memory
-    grows with ``n_samples``, about 48 bytes a sample at its peak (0.5 GB
+    grows with ``n_samples``, about 32 bytes a sample at its peak (0.3 GB
     at 10**7).
     """
     import numpy as np
@@ -178,6 +180,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
             antinode_offset_fraction * channel.wavelength)
         factor *= channel.strength
         samples += factor
+        del factor  # freed before the next channel's factor is built
     samples *= orientation
     return EnsembleStats(mean=float(np.mean(samples)),
                          std=float(np.std(samples, ddof=1)),

@@ -201,8 +201,15 @@ def _guess_exp_decay(x, y):
 
 
 def _guess_linear(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    return np.array([slope, intercept])
+    # least squares in closed form on x centred and scaled into [-1, 1], so
+    # that no scale of x under- or overflows in the sums of squares
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    spread = float(np.max(np.abs(x - x_mean)))
+    if spread == 0.0:
+        raise ValueError("cannot guess a line through points at one x")
+    u = (x - x_mean) / spread
+    slope = float(np.dot(u, y - y_mean) / np.dot(u, u)) / spread
+    return np.array([slope, y_mean - slope * x_mean])
 
 
 MODELS: dict[str, ModelSpec] = {

@@ -19,9 +19,8 @@ collected channel in contact and open_single modes.
 from __future__ import annotations
 
 import math
+from array import array
 from pathlib import Path
-
-import numpy as np
 
 # the plan vocabulary is stated in core, which config reads without numpy,
 # and re-exported here
@@ -75,17 +74,17 @@ def snr(signal_rate: float, dark_rate: float,
     _require_non_negative("signal_rate", signal_rate)
     _require_non_negative("dark_rate", dark_rate)
     _require_positive("integration_time", integration_time)
-    return float(_snrs(np.array([signal_rate], dtype=float), dark_rate,
-                       integration_time)[0])
+    return _snrs(array("d", (signal_rate,)), dark_rate, integration_time)[0]
 
 
-def _snrs(signal_rates: np.ndarray, dark_rate: float,
-          integration_time: float) -> np.ndarray:
+def _snrs(signal_rates: array, dark_rate: float,
+          integration_time: float) -> array:
     """:func:`snr` of each rate, for already validated arguments."""
     if dark_rate == 0.0:
-        return np.where(signal_rates > 0.0, math.inf, 0.0)
-    return (signal_rates * integration_time
-            / math.sqrt(dark_rate * integration_time))
+        return array("d", [math.inf if r > 0.0 else 0.0 for r in signal_rates])
+    noise = math.sqrt(dark_rate * integration_time)
+    time = float(integration_time)
+    return array("d", [rate * time / noise for rate in signal_rates])
 
 
 @record
@@ -153,28 +152,27 @@ def _channel_sums(channels: list[ChannelStrength], outcouplings,
     return total, collect
 
 
-def _detected_rates(total, collect, excitation_time: float,
+def _detected_rates(totals, collects, excitation_time: float,
                     windows, excited_population: float,
                     free_space_lifetime: float,
-                    chain: DetectionChain) -> np.ndarray:
-    """Detected rate for each detection window of a pulsed cycle.
-
-    ``total`` is the summed enhancement that speeds up the decay and
-    ``collect`` the part of it that reaches the output; see
-    :func:`mode_detected_rate`.  Given as columns of several channel
-    sums, they give one row of rates per sum.  Every element is the
-    scalar formula's operations in the scalar formula's order, the
-    exponential through ``math.expm1``, so it equals the scalar formula
-    bit for bit.
+                    chain: DetectionChain) -> list[array]:
+    """Detected rate for each detection window of a pulsed cycle, an array
+    per pair of channel sums: ``totals`` speed up the decay and ``collects``
+    reach the output; see :func:`mode_detected_rate`.  Each element is the
+    scalar formula's operations in its order on doubles, the exponential
+    through ``math.expm1``, so it equals the scalar formula bit for bit.
+    The leftmost product, the pulse's share of a window, is taken once.
     """
-    windows = np.asarray(windows, dtype=float)
-    repetition_rates = 1.0 / (excitation_time + windows)
-    exponents = -(total + 1.0) * windows / free_space_lifetime
-    decayed = -np.fromiter(map(math.expm1, exponents.ravel().tolist()),
-                           float, exponents.size).reshape(exponents.shape)
-    return (excited_population * repetition_rates * decayed
-            * collect / (total + 1.0)
-            * chain.path_transmission * chain.detector_efficiency)
+    # a numpy scalar of any precision enters as a double, as in an array
+    windows = [float(window) for window in windows]
+    excitation_time, population, lifetime, transmission, efficiency = map(
+        float, (excitation_time, excited_population, free_space_lifetime,
+                chain.path_transmission, chain.detector_efficiency))
+    cycles = [population * (1.0 / (excitation_time + w)) for w in windows]
+    return [array("d", [cycle * -math.expm1(-plus * window / lifetime)
+                        * collect / plus * transmission * efficiency
+                        for cycle, window in zip(cycles, windows)])
+            for plus, collect in zip([t + 1.0 for t in totals], collects)]
 
 
 def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
@@ -193,9 +191,9 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
     for outcoupling in outcouplings:
         _require_probability("outcouplings", outcoupling)
     total, collect = _channel_sums(channels, outcouplings, collected)
-    return float(_detected_rates(
-        total, collect, scheme.excitation_time, [scheme.detection_time],
-        scheme.excited_population, free_space_lifetime, chain)[0])
+    return _detected_rates(
+        [total], [collect], scheme.excitation_time, [scheme.detection_time],
+        scheme.excited_population, free_space_lifetime, chain)[0][0]
 
 
 class Sweep:
@@ -204,12 +202,12 @@ class Sweep:
 
     ``blocks`` holds one ``(mode, diameter, effective_purcell)`` key per
     (mode, diameter) pair, ``repetition_rates`` the caller's rates, and
-    ``rates`` and ``snrs`` one row per block and one column per
+    ``rates`` and ``snrs`` one ``array("d")`` per block, a value per
     repetition rate.  ``list(sweep)`` gives the rows as a list.
     """
 
     def __init__(self, blocks: list, repetition_rates: list,
-                 rates: np.ndarray, snrs: np.ndarray):
+                 rates: list[array], snrs: list[array]):
         self.blocks, self.repetition_rates = blocks, repetition_rates
         self.rates, self.snrs = rates, snrs
 
@@ -220,7 +218,7 @@ class Sweep:
         for (mode, diameter, purcell), rates, snrs in zip(
                 self.blocks, self.rates, self.snrs):
             for f_rep, rate, row_snr in zip(self.repetition_rates,
-                                            rates.tolist(), snrs.tolist()):
+                                            rates, snrs):
                 yield SweepRow(diameter, f_rep, mode, rate, row_snr, purcell)
 
 
@@ -235,8 +233,8 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     rates must be finite and leave a positive detection window after the
     excitation pulse.  Every diameter is checked before any set-up.
     Each diameter's channels are set up once per cavity, the two open
-    modes sharing one, and the rates of every (mode, diameter) block at
-    every repetition rate come from one array pass.  Rows come in mode,
+    modes sharing one, and each window's pulse factor is taken once for
+    every (mode, diameter) block.  Rows come in mode,
     diameter, repetition-rate order, with the caller's own diameter and
     repetition-rate objects.  The mode geometries use the constants
     ``CONTACT_LENGTH``, ``CONTACT_JITTER`` and ``OPEN_JITTER``.
@@ -274,12 +272,11 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
             keys.append((mode, diameter, total))
             totals.append(total)
             collects.append(collect)
-    # one array pass for every (mode, diameter) block, a row each
-    rates = _detected_rates(
-        np.array(totals).reshape(-1, 1), np.array(collects).reshape(-1, 1),
-        excitation_time, windows, excited_population, lifetime, chain)
+    rates = _detected_rates(totals, collects, excitation_time, windows,
+                            excited_population, lifetime, chain)
     return Sweep(keys, repetition_rates, rates,
-                 _snrs(rates, chain.dark_rate, integration_time))
+                 [_snrs(block, chain.dark_rate, integration_time)
+                  for block in rates])
 
 
 def best_operating_point(sweep: Sweep) -> SweepRow:
@@ -289,21 +286,25 @@ def best_operating_point(sweep: Sweep) -> SweepRow:
     (repetition rate, diameter, mode) wins, the first in sweep order
     among equal ones.
     """
-    if not sweep.rates.size:
+    if not len(sweep):
         raise ValueError("no sweep rows to choose from")
-    top = sweep.rates.max()
-    if math.isnan(top):
+    # max passes over a NaN that is not first, so look for one
+    if any(any(map(math.isnan, rates)) for rates in sweep.rates):
         raise ValueError("sweep rates must not be NaN")
+    tops = [max(rates) for rates in sweep.rates]
+    top = max(tops)
     if top <= 0.0:
         raise ValueError("sweep produced no usable operating point")
-    tied = np.argwhere(sweep.rates == top).tolist()  # in sweep order
+    tied = [(block, column)  # in sweep order
+            for block, rates in enumerate(sweep.rates) if tops[block] == top
+            for column, rate in enumerate(rates) if rate == top]
     block, column = min(tied, key=lambda at: (
         sweep.repetition_rates[at[1]], sweep.blocks[at[0]][1],
         sweep.blocks[at[0]][0]))
     mode, diameter, purcell = sweep.blocks[block]
     return SweepRow(diameter, sweep.repetition_rates[column], mode,
-                    float(sweep.rates[block, column]),
-                    float(sweep.snrs[block, column]), purcell)
+                    sweep.rates[block][column], sweep.snrs[block][column],
+                    purcell)
 
 
 def write_sweep_csv(sweep: Sweep, path) -> Path:
@@ -322,6 +323,5 @@ def write_sweep_csv(sweep: Sweep, path) -> Path:
             diameter = repr(round(diameter * 1e9, 9))
             handle.write("".join([
                 f"{diameter},{f_rep},{mode},{rate!r},{row_snr!r}\n"
-                for f_rep, rate, row_snr in zip(
-                    rate_texts, rates.tolist(), snrs.tolist())]))
+                for f_rep, rate, row_snr in zip(rate_texts, rates, snrs)]))
     return path

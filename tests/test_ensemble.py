@@ -585,6 +585,40 @@ def test_sfs_memory_does_not_grow_with_the_ion_count(total_ions):
     assert peak < 1_000_000
 
 
+def test_ensemble_memory_peak_per_sample():
+    # the standing-wave factor is built in one array, in place, and freed
+    # before the next channel's: four arrays of doubles live at the peak
+    n_samples = 200_000
+    particle = Nanoparticle(70e-9, 0.003)
+
+    def run():
+        return ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                      BUDGETS, n_samples=n_samples, seed=3)
+
+    expected = run()
+    tracemalloc.start()
+    try:
+        stats = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == expected
+    assert peak <= 40 * n_samples
+
+
+def test_standing_wave_factor_leaves_its_input_alone():
+    lam = 580.8e-9
+    heights = np.linspace(0.0, 70e-9, 11)
+    before = heights.copy()
+    values = standing_wave_factor(heights, lam, 0.15 * lam)
+    assert np.array_equal(heights, before)
+    assert not np.shares_memory(values, heights)
+    assert np.array_equal(values, np.sin(2.0 * math.pi * (before + 0.15 * lam)
+                                         / lam) ** 2)
+    # a scalar height gives a scalar
+    assert type(standing_wave_factor(10e-9, lam, 0.0)) is np.float64
+
+
 def _parent_expected_ions(population, probe_frequency, bandwidth):
     """The scalar expectation, one class at a time, as first written."""
     half = 0.5 * population.inhomogeneous_fwhm

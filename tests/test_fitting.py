@@ -285,6 +285,32 @@ def test_an_infinite_variance_yields_nan_errors():
     assert result.to_dict()["standard_errors"]["slope"] is None
 
 
+def test_linear_guess_at_an_extreme_x_scale(capfd):
+    # np.polyfit printed LAPACK "DLASCL" lines to stderr here, then raised
+    # LinAlgError, so the CLI exited 4
+    x = np.arange(1.0, 7.0) * 1e-165
+    y = 2.0 * np.arange(1.0, 7.0) + 1.0
+    guess = auto_initial_guess("linear", x, y)
+    assert guess["slope"] == pytest.approx(2e165, rel=1e-12)
+    assert guess["intercept"] == pytest.approx(1.0, rel=1e-12)
+    result = fit("linear", x, y)
+    assert result.parameters["slope"] == pytest.approx(2e165, rel=1e-12)
+    assert result.parameters["intercept"] == pytest.approx(1.0, rel=1e-12)
+    assert capfd.readouterr().err == ""
+
+
+def test_linear_guess_matches_polyfit_at_ordinary_scales():
+    rng = np.random.default_rng(21)
+    for scale in (1e-6, 1.0, 1e3, 1e9):
+        x = scale * (1.0 + np.sort(rng.random(40)))
+        y = -0.7 * x / scale + 3.0 + rng.normal(0.0, 0.1, x.size)
+        guess = auto_initial_guess("linear", x, y)
+        assert [guess["slope"], guess["intercept"]] == pytest.approx(
+            np.polyfit(x, y, 1).tolist(), rel=1e-12)
+    with pytest.raises(ValueError, match="one x"):
+        auto_initial_guess("linear", np.full(4, 2.0), np.arange(4.0))
+
+
 def test_too_few_points():
     with pytest.raises(ValueError):
         fit("lorentzian", np.arange(3.0), np.arange(3.0))

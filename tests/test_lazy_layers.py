@@ -1,6 +1,6 @@
-"""Layers load on first use: ``import fpcavity``, ``fpcavity cavity`` and
-``fpcavity purcell`` run without numpy, and the package namespace stays
-what it was."""
+"""Layers load on first use: ``import fpcavity``, ``fpcavity cavity``,
+``fpcavity purcell`` and ``fpcavity plan`` run without numpy, and the
+package namespace stays what it was."""
 import json
 import os
 import subprocess
@@ -114,7 +114,8 @@ def test_each_subcommand_executes_only_the_layers_it_uses(argv, layers,
     loaded, numpy = json.loads(proc.stderr)
     assert loaded == sorted(f"fpcavity.{layer}"
                             for layer in {*layers, "cli"})
-    assert numpy is (argv[0] not in ("cavity", "purcell"))
+    # of these, only fit loads numpy
+    assert numpy is (argv[0] == "fit")
 
 
 def test_import_leaves_numpy_and_the_layers_unloaded():

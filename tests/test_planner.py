@@ -7,6 +7,7 @@ import io
 import math
 import pickle
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -167,13 +168,16 @@ def test_open_double_beats_open_single():
 
 
 def _columns(blocks, repetition_rates, rates, snrs=None):
-    """A sweep built by hand from its columns, one row of ``rates`` per
-    ``(mode, diameter, effective_purcell)`` block."""
-    rates = np.array(rates, dtype=float).reshape(len(blocks),
-                                                 len(repetition_rates))
-    snrs = rates / 10.0 if snrs is None else np.array(snrs, dtype=float)
-    return Sweep(list(blocks), list(repetition_rates), rates,
-                 snrs.reshape(rates.shape))
+    """A sweep built by hand from its columns, one ``array("d")`` of
+    ``rates`` per ``(mode, diameter, effective_purcell)`` block."""
+    assert len(rates) == len(blocks)
+    rates = [array("d", block) for block in rates]
+    if snrs is None:
+        snrs = [[rate / 10.0 for rate in block] for block in rates]
+    snrs = [array("d", block) for block in snrs]
+    for block, block_snrs in zip(rates, snrs, strict=True):
+        assert len(block) == len(block_snrs) == len(repetition_rates)
+    return Sweep(list(blocks), list(repetition_rates), rates, snrs)
 
 
 def test_best_operating_point_tie_breaks():
@@ -196,7 +200,12 @@ def test_sweep_is_a_read_only_iterable_of_rows():
     sweep = _sweep(diameters, rates, ("contact", "open_double"))
     rows = list(sweep)
     assert len(sweep) == len(rows) == 2 * 2 * 2
-    assert sweep.rates.shape == sweep.snrs.shape == (4, 2)
+    # one block per (mode, diameter), one value per repetition rate
+    for column in (sweep.rates, sweep.snrs):
+        assert len(column) == 4
+        for block in column:
+            assert type(block) is array and block.typecode == "d"
+            assert len(block) == 2
     assert [key[:2] for key in sweep.blocks] == [
         ("contact", 40e-9), ("contact", 70e-9),
         ("open_double", 40e-9), ("open_double", 70e-9)]
@@ -334,9 +343,18 @@ def test_best_operating_point_matches_min_over_rows():
         best_operating_point(_sweep((), rates, "contact"))
     with pytest.raises(ValueError, match="no sweep rows to choose from"):
         best_operating_point(_sweep(diameters, (), "contact"))
-    with pytest.raises(ValueError, match="NaN"):
-        best_operating_point(_columns([("contact", 70e-9, 5.0)],
-                                      (1000.0, 2000.0), [[5.0, math.nan]]))
+    # max passes over a NaN that is not first in its block; wherever it
+    # sits, the NaN is reported
+    two = [("contact", 70e-9, 5.0), ("contact", 40e-9, 5.0)]
+    for blocks, nan_rates in (
+            (two[:1], [[5.0, math.nan]]),
+            (two[:1], [[math.nan, 5.0]]),  # first in its block
+            (two, [[1.0, 9.0], [math.nan, 2.0]]),  # not the top's block
+            (two, [[1.0, math.nan], [9.0, 2.0]]),  # not the top's block
+            (two[:1], [[9.0, math.nan]])):  # beside a larger rate
+        with pytest.raises(ValueError, match="NaN"):
+            best_operating_point(_columns(blocks, (1000.0, 2000.0),
+                                          nan_rates))
     with pytest.raises(ValueError,
                        match="sweep produced no usable operating point"):
         best_operating_point(_columns([("contact", 70e-9, 5.0)], (1000.0,),
@@ -493,6 +511,25 @@ def test_vector_sweep_matches_scalar_reference_bitwise():
                     assert type(value) is float
 
 
+def test_numpy_scalar_inputs_enter_the_rates_as_doubles():
+    # Python arithmetic with a float32 operand stays in float32; the rates
+    # must take each numpy scalar as the double it equals
+    channels = [ChannelStrength(580.8e-9, 2.0)]
+    singles = PulseScheme(np.float32(1e-6), np.float32(249e-6),
+                          np.float32(0.3))
+    chain = DetectionChain(np.float32(0.8), np.float32(0.65), 20.0)
+    expected = mode_detected_rate(
+        channels, [1.0], [True],
+        PulseScheme(*(float(v) for v in dataclasses.astuple(singles))),
+        float(np.float32(2e-3)), DetectionChain(
+            float(np.float32(0.8)), float(np.float32(0.65)), 20.0))
+    rate = mode_detected_rate(channels, [1.0], [True], singles,
+                              np.float32(2e-3), chain)
+    assert type(rate) is float and rate == expected
+    assert snr(np.float32(240.0), 20.0, np.float32(4.0)) == snr(240.0, 20.0,
+                                                                4.0)
+
+
 def test_sweep_zero_dark_rate_gives_infinite_snr():
     chain = DetectionChain(0.8, 0.65, 0.0)
     with warnings.catch_warnings():
@@ -523,6 +560,7 @@ def _reference_csv(rows) -> str:
 
 
 def test_write_sweep_csv_bytes_match_reference(tmp_path):
+    # columns built by hand, one array("d") a block
     edges = _columns(
         [("contact", 70e-9, 5.24), ("open_double", 57.123456789123e-9, 1.0),
          ("open_single", 0.0, 5.69), ("contact", -0.0, 5.69)],
