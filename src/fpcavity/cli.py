@@ -14,9 +14,9 @@ Global flags: ``--config PATH`` (JSON parameter tree, bundled defaults
 otherwise), ``--seed N`` (overrides the config seed of the noise draws),
 ``--json`` (machine output, full precision), ``--out PATH`` (write data
 files and a manifest next to them).  Exit codes: 0 success, 2
-configuration or validation error, 3 input-data error, 4 internal
-numerical failure.  Human-readable text rounds values; the JSON output
-carries full precision of the same numbers.
+configuration or validation error or an unwritable output file, 3
+input-data error, 4 internal numerical failure.  Human-readable text
+rounds values; the JSON output carries full precision of the same numbers.
 
 A subcommand imports the layers it uses inside its handler, so ``cavity``,
 ``purcell`` and ``plan`` run without numpy and ``fit`` without the planner.
@@ -24,6 +24,7 @@ A subcommand imports the layers it uses inside its handler, so ``cavity``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -59,6 +60,18 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Exit 2, naming the file, when writing ``path`` (or a file written
+    beside it) fails."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CliError(2, f"output error: cannot write "
+                           f"{exc.filename or path}: {exc.strerror or exc}"
+                        ) from None
 
 
 _HZ_UNITS = ((1e12, "THz"), (1e9, "GHz"), (1e6, "MHz"), (1e3, "kHz"),
@@ -215,11 +228,12 @@ def _cmd_simulate(args, config: RunConfig, seed: int):
     params = config.simulate_params(args.kind)
     trace, derived = SIMULATIONS[args.kind].run(params, config, seed)
     out = Path(args.out)
-    sidecar = write_trace(trace, out, metadata={
-        "kind": args.kind,
-        "parameters": params,
-        "derived": derived,
-    })
+    with _writing(out):
+        sidecar = write_trace(trace, out, metadata={
+            "kind": args.kind,
+            "parameters": params,
+            "derived": derived,
+        })
     report = {
         "kind": args.kind,
         "points": len(trace),
@@ -245,9 +259,10 @@ def _cmd_fit(args, config: RunConfig, seed: int):
     from .trace import TraceFormatError, read_trace_csv
     try:
         trace = read_trace_csv(args.input)
-    except FileNotFoundError:
-        raise _CliError(3, f"input error: no such file: {args.input}") \
-            from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # path left out
+        raise _CliError(3, f"input error: cannot read {args.input}: "
+                           f"{reason}") from None
     except TraceFormatError as exc:
         raise _CliError(3, f"input error: {exc}") from None
     x_range = tuple(args.range) if args.range else None
@@ -275,7 +290,9 @@ def _cmd_fit(args, config: RunConfig, seed: int):
     outputs = []
     if args.out:
         out = Path(args.out)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        with _writing(out):
+            out.write_text(json.dumps(report, indent=2, sort_keys=True)
+                           + "\n")
         lines.append(f"wrote report to {out}")
         outputs.append(out)
     return report, lines, outputs
@@ -320,7 +337,8 @@ def _cmd_plan(args, config: RunConfig, seed: int):
     ]
     outputs = []
     if args.out:
-        out = write_sweep_csv(sweep, args.out)
+        with _writing(args.out):
+            out = write_sweep_csv(sweep, args.out)
         lines.append(f"wrote sweep to {out}")
         outputs.append(out)
     return report, lines, outputs
@@ -405,8 +423,9 @@ def _run(args, argv) -> int:
     command = ["fpcavity", *argv]
     manifest = build_manifest(command, config, seed, outputs)
     if outputs:
-        manifest_file = write_manifest(
-            manifest, manifest_path_for(outputs[0]))
+        manifest_file = manifest_path_for(outputs[0])
+        with _writing(manifest_file):
+            write_manifest(manifest, manifest_file)
         lines.append(f"manifest {manifest_file}")
 
     if args.json:
@@ -442,9 +461,6 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
     except _numerical_failures() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

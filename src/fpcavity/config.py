@@ -126,8 +126,7 @@ def _at_least(minimum: int):
 # Upper bound on every count that sizes an array: simulate.<kind>.points,
 # monte_carlo.n_samples and ion_estimate.n_draws.  At 80 MB per float array
 # it is ample for any study, and a larger count fails here with its path
-# instead of inside numpy.  The ensemble holds all its samples at once,
-# about 32 bytes each at its peak, so n_samples at the bound takes 0.3 GB.
+# instead of inside numpy.
 MAX_COUNT = 10**7
 
 
@@ -418,7 +417,8 @@ class RunConfig:
         pulse, mc, ion = doc["pulse"], doc["monte_carlo"], doc["ion_estimate"]
         self.excitation_time = pulse["excitation_time"]
         self.excited_population = pulse["excited_population"]
-        # no subcommand reads it; library callers size samplers from it
+        # no subcommand reads it; ensemble_purcell_stats records it and
+        # changes no number for it
         self.mc_samples = mc["n_samples"]
         self.antinode_offset_fraction = mc["antinode_offset_fraction"]
         self.ion_diameter = ion["diameter"]

@@ -12,14 +12,15 @@ exact multinomial law, not ion by ion).
 
 ``ensemble_moments`` and ``ion_count_moments`` give the exact mean and
 standard deviation of both in closed form, with ``math`` only; they are
-what the CLI reports.  The samplers draw the same distributions and import
-numpy when they run.  Each sampler draws from one counter-based stream
-(Philox) keyed on (seed, domain), so a given seed and sample count always
-give bitwise the same statistics.
+what the CLI and ``ensemble_purcell_stats`` report.  The samplers draw the
+same distributions and import numpy when they run.  The ion-count draws
+come from one counter-based stream (Philox) keyed on (seed, domain), so a
+given seed and draw count always give bitwise the same statistics.
 """
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
@@ -34,7 +35,6 @@ if TYPE_CHECKING:  # the samplers import these when they run
     from .trace import Trace
 
 # entropy-domain tags keep the independent sampling tasks on distinct streams
-_DOMAIN_ENSEMBLE = 0
 _DOMAIN_ION_COUNT = 1
 _DOMAIN_SFS = 2
 
@@ -148,42 +148,22 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
                            seed: int = 0,
                            antinode_offset_fraction: float = 0.15
                            ) -> EnsembleStats:
-    """Monte Carlo distribution of the summed effective Purcell factor.
+    """Exact mean and std of the summed effective Purcell factor over the
+    ions in ``particle``: :func:`ensemble_moments` of its channel strengths.
 
-    Each sample is one ion: a shared random dipole orientation and a shared
-    random height, multiplied into every transition's deterministic channel
-    strength (jitter and bad-emitter factors are deterministic).  Both are
-    inverse-CDF draws from their exact marginals, one uniform each.  The
-    ``max`` field is the analytic ceiling with orientation and position
-    factors set to 1, not a sample maximum.  The jitter factor takes
-    ``geometry.rms_length_jitter``; to change it, pass a geometry built
-    with ``dataclasses.replace``.
-
-    The samples come from one counter-based stream keyed on ``seed``: all
-    ``n_samples`` orientation uniforms, then all height uniforms, so a
-    given ``seed`` and ``n_samples`` fix the result bit for bit.  Memory
-    grows with ``n_samples``, about 32 bytes a sample at its peak (0.3 GB
-    at 10**7).
+    ``max`` is the analytic ceiling with orientation and position factors
+    set to 1.  The jitter factor takes ``geometry.rms_length_jitter``; to
+    change it, pass a geometry built with ``dataclasses.replace``.
+    ``n_samples`` (an integer >= 2) and ``seed`` (an integer >= 0) are
+    checked and recorded, but change no number: nothing is sampled.
     """
-    import numpy as np
     _require_count("n_samples", n_samples, 2)
-    _require_finite(antinode_offset_fraction=antinode_offset_fraction)
+    operator.index(n_samples)  # an integer: the count rule passes 2.5
+    _require_count("seed", operator.index(seed), 0)
     channels = channel_strengths(particle, geometry, transitions, budgets)
-    rng = _rng(seed, _DOMAIN_ENSEMBLE, 0)
-    orientation = sample_orientation_factor(rng, n_samples)
-    heights = sample_height(particle.diameter, rng, n_samples)
-    # in place, the same bits as orientation * sum(strength * wave factor)
-    samples = np.zeros(n_samples)
-    for channel in channels:
-        factor = standing_wave_factor(
-            heights, channel.wavelength,
-            antinode_offset_fraction * channel.wavelength)
-        factor *= channel.strength
-        samples += factor
-        del factor  # freed before the next channel's factor is built
-    samples *= orientation
-    return EnsembleStats(mean=float(np.mean(samples)),
-                         std=float(np.std(samples, ddof=1)),
+    exact = ensemble_moments(channels, particle.diameter,
+                             antinode_offset_fraction)
+    return EnsembleStats(mean=exact.mean, std=exact.std,
                          max=math.fsum(c.strength for c in channels),
                          n_samples=n_samples, seed=seed)
 
@@ -224,11 +204,12 @@ def ensemble_moments(channels, diameter: float,
                      ) -> ExactMoments:
     """Exact mean and std of the ensemble's summed effective Purcell factor.
 
-    The distribution is the one ``ensemble_purcell_stats`` samples: X = o *
-    sum_c s_c f_c, o the orientation factor (E[o] = 1/3, E[o^2] = 1/5), s_c
-    the ``channels``' strengths and f_c = sin^2(k_c (D T + z0_c)) their
-    standing waves, T ~ Beta(2, 2) the height in units of the diameter D
-    and z0_c = fraction * lambda_c.
+    X = o * sum_c s_c f_c is the ensemble that ``sample_orientation_factor``,
+    ``sample_height`` and ``standing_wave_factor`` draw ion by ion: o the
+    orientation factor (E[o] = 1/3, E[o^2] = 1/5), s_c the ``channels``'
+    strengths and f_c = sin^2(k_c (D T + z0_c)) their standing waves,
+    T ~ Beta(2, 2) the height in units of the diameter D and z0_c =
+    fraction * lambda_c.
 
     About the particle's center, U = T - 1/2, with a = k D and g = k (D/2 +
     z0), f = P cos^2(a U) + Q sin^2(a U) + W sin(2 a U), where P = sin^2 g,

@@ -1,10 +1,10 @@
 """Simulated trace container and its CSV interchange format.
 
 The on-disk format is deliberately rigid so runs stay byte-reproducible:
-comma separator, ``.`` decimal point, LF line endings, a single ``x,y``
-header row, floats written with shortest round-trip precision.  Metadata
-(model parameters, noise tag, seed) travels in a JSON sidecar next to the
-CSV, never inside it.
+UTF-8 text, comma separator, ``.`` decimal point, LF line endings, a
+single ``x,y`` header row, floats written with shortest round-trip
+precision.  Metadata (model parameters, noise tag, seed) travels in a
+JSON sidecar next to the CSV, never inside it.
 
 The reader is more lenient than the writer.  It accepts:
 
@@ -82,7 +82,7 @@ _WRITE_BLOCK = 8192
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the trace in the canonical CSV dialect."""
-    with Path(path).open("w", newline="\n") as handle:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("x,y\n")
         for start in range(0, len(trace), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
@@ -93,7 +93,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 def read_trace_csv(path) -> Trace:
     """Read a trace CSV; raises TraceFormatError with the file line."""
-    with Path(path).open("r") as handle:
+    with Path(path).open("r", encoding="utf-8") as handle:
         text = handle.read()
     lines = text.splitlines()
     if not lines:
@@ -160,7 +160,7 @@ def write_trace(trace: Trace, path, metadata: dict | None = None) -> Path:
     if metadata:
         meta.update(metadata)
     side = sidecar_path(path)
-    with side.open("w", newline="\n") as handle:
+    with side.open("w", encoding="utf-8", newline="\n") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return side

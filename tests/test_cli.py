@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -451,8 +454,79 @@ def test_fit_malformed_csv(tmp_path, capsys):
 
 
 def test_fit_missing_file(tmp_path, capsys):
-    assert main(["fit", "linear", str(tmp_path / "nope.csv")]) == 3
-    assert "input error" in capsys.readouterr().err
+    missing = tmp_path / "nope.csv"
+    assert main(["fit", "linear", str(missing)]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: cannot read {missing}: No such file or directory\n")
+
+
+def test_fit_on_a_directory_exits_3(tmp_path, capsys):
+    assert main(["fit", "exp_decay", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"input error: cannot read {tmp_path}: ")
+
+
+def test_fit_on_a_trace_that_is_not_utf8_exits_3(tmp_path, capsys):
+    trace = tmp_path / "latin1.csv"
+    trace.write_bytes("x,y\n1.0,2.0\n2.0,\u00a03.0\n".encode("latin-1"))
+    assert main(["fit", "linear", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"input error: cannot read {trace}: 'utf-8' codec can't decode")
+
+
+def test_trace_csv_is_utf8_whatever_the_locale(tmp_path):
+    # a no-break space is whitespace to float(); the C locale without
+    # UTF-8 mode has an ASCII preferred encoding, which cannot decode it
+    trace = tmp_path / "nbsp.csv"
+    trace.write_bytes("x,y\n1.0,2.0\n2.0,\u00a03.0\n3.0,4.0\n"
+                      .encode("utf-8"))
+    src = str(Path(fpcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "fpcavity.cli", "fit",
+         "linear", str(trace), "--json"], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["parameters"]["slope"] == \
+        pytest.approx(1.0, rel=1e-12)
+
+
+_HOLE_TRACE = Path(fpcavity.__file__).parent / "data" \
+    / "hole_width_vs_power.csv"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan"], ["simulate", "decay"],
+    ["fit", "sqrt_offset", str(_HOLE_TRACE)],
+], ids=["plan", "simulate", "fit"])
+def test_out_on_a_directory_exits_2_naming_it(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"output error: cannot write {tmp_path}: ")
+
+
+def test_plan_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "s.csv"
+    assert main(["plan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: cannot write {out}: No such file or directory\n")
+
+
+def test_an_unwritable_sidecar_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "decay.json").mkdir()
+    assert main(["simulate", "decay", "--out",
+                 str(tmp_path / "decay.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"output error: cannot write {tmp_path / 'decay.json'}: ")
+
+
+def test_an_unwritable_manifest_exits_2_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "sweep.csv.manifest.json"
+    manifest.mkdir()
+    assert main(["plan", "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"output error: cannot write {manifest}: ")
 
 
 @pytest.mark.parametrize("model", ["linear", "exp_decay", "lorentzian"])

@@ -1,4 +1,4 @@
-"""Monte Carlo ensemble statistics and spectral ion-count sampling."""
+"""Ensemble statistics against the samplers, and spectral ion counts."""
 import math
 import tracemalloc
 from dataclasses import replace
@@ -136,41 +136,52 @@ def test_spectral_population_rejects_non_finite_frequencies(value):
                            hyperfine_offsets=((0.0, math.nan), (0.0, 1.0)))
 
 
-def test_ensemble_determinism_and_stream_layout():
-    particle = Nanoparticle(70e-9, 0.003)
-    kwargs = dict(n_samples=10_000, seed=42)
-    one = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
-                                 **kwargs)
-    again = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
-                                   **kwargs)
-    assert one == again
-    # exact values pin the one Philox stream and its draw order
-    assert one.mean == 0.9124140852037425
-    assert one.std == 0.8268895200515944
-    assert one.max == 3.0065425100341483
-    other = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
-                                   n_samples=10_000, seed=43)
-    assert other.mean != one.mean
+@pytest.mark.parametrize("diameter", [40e-9, 70e-9, 100e-9])
+@pytest.mark.parametrize("n_samples, seed", [
+    (2, 0), (4096, 7), (20_000, 0), (10**7, 2**40)])
+def test_ensemble_stats_are_the_exact_moments(diameter, n_samples, seed):
+    # the count and the seed are recorded, and move no number
+    particle = Nanoparticle(diameter, 0.003)
+    stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                   BUDGETS, n_samples=n_samples, seed=seed)
+    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
+    exact = ensemble_moments(channels, diameter)
+    assert (stats.mean, stats.std) == (exact.mean, exact.std)
+    assert stats.max == math.fsum(c.strength for c in channels)
+    assert (stats.n_samples, stats.seed) == (n_samples, seed)
 
 
-@pytest.mark.parametrize("diameter, n_samples, seed, fraction, expected", [
-    (70e-9, 12_000, 7, 0.15,
-     (0.9102475323406868, 0.8239200454088278, 3.0065425100341483)),
-    (55e-9, 8192, 123, 0.3,
-     (0.704033325792363, 0.6451253202486419, 3.100317156547685)),
-    # up to 4096 samples the stream is the one the first of the former
-    # 4096-sample blocks drew from, so the values are unchanged
-    (70e-9, 4096, 7, 0.15,
-     (0.9074217137836924, 0.8280356651062947, 3.0065425100341483)),
-], ids=["12000-samples", "8192-samples", "4096-samples"])
-def test_ensemble_stats_are_pinned_bit_for_bit(diameter, n_samples, seed,
-                                               fraction, expected):
-    # the per-sample arithmetic may be reordered in memory, never in value
+@pytest.mark.parametrize("diameter, fraction, expected", [
+    (70e-9, 0.15,
+     (0.9153968752793317, 0.8261733831176715, 3.0065425100341483)),
+    (55e-9, 0.3,
+     (0.6884001837944466, 0.6382502636564916, 3.100317156547685)),
+], ids=["70nm", "55nm"])
+def test_ensemble_stats_are_pinned_bit_for_bit(diameter, fraction, expected):
+    # the closed form's arithmetic may be reordered in code, never in value
     stats = ensemble_purcell_stats(
         Nanoparticle(diameter, 0.003), GEOMETRY, [T580, T611], BUDGETS,
-        n_samples=n_samples, seed=seed, antinode_offset_fraction=fraction)
+        n_samples=8192, seed=123, antinode_offset_fraction=fraction)
     assert (stats.mean, stats.std, stats.max) == expected
-    assert (stats.n_samples, stats.seed) == (n_samples, seed)
+
+
+def test_ensemble_stats_keep_the_count_and_seed_rules():
+    particle = Nanoparticle(70e-9, 0.003)
+
+    def stats(**kwargs):
+        return ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                      BUDGETS, **kwargs)
+
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        stats(seed=-1)
+    for seed in (1.5, None):
+        with pytest.raises(TypeError):
+            stats(seed=seed)
+    for n_samples in (1, True):
+        with pytest.raises(ValueError, match="^n_samples must be >= 2$"):
+            stats(n_samples=n_samples)
+    with pytest.raises(TypeError):
+        stats(n_samples=2.5)
 
 
 def test_orientation_factor_is_the_square_of_one_uniform_bitwise():
@@ -247,67 +258,40 @@ def _exact_ensemble_moments(particle, fraction):
     return mean, math.sqrt(variance), fourth
 
 
+def _sampled_ensemble(particle, rng, n, fraction=0.15):
+    """``n`` ions drawn one by one with the public samplers: orientation
+    times the strength-weighted standing waves at a shared height."""
+    orientation = sample_orientation_factor(rng, n)
+    heights = sample_height(particle.diameter, rng, n)
+    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
+    return orientation * sum(
+        c.strength * standing_wave_factor(heights, c.wavelength,
+                                          fraction * c.wavelength)
+        for c in channels)
+
+
 @pytest.mark.parametrize("diameter", [40e-9, 70e-9, 100e-9])
-def test_ensemble_stats_pull_against_quadrature(diameter):
+def test_ensemble_stats_pull_against_sampled_ensembles(diameter):
     particle = Nanoparticle(diameter, 0.003)
-    mean, std, fourth = _exact_ensemble_moments(particle, 0.15)
+    stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                   BUDGETS)
+    mean, std = stats.mean, stats.std
+    _, _, fourth = _exact_ensemble_moments(particle, 0.15)
     n, seeds = 4096, 100
-    results = [ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
-                                      BUDGETS, n_samples=n, seed=seed)
+    samples = [_sampled_ensemble(particle, np.random.default_rng(seed), n)
                for seed in range(seeds)]
-    mean_pulls = np.array([(r.mean - mean) / (std / math.sqrt(n))
-                           for r in results])
+    mean_pulls = np.array([(np.mean(x) - mean) / (std / math.sqrt(n))
+                           for x in samples])
     # the sample std has standard error sqrt(mu4 - sigma^4) / (2 sigma
     # sqrt(n)) to leading order; its O(1/n) bias is far below that here
     std_error = math.sqrt(fourth - std**4) / (2.0 * std * math.sqrt(n))
-    std_pulls = np.array([(r.std - std) / std_error for r in results])
+    std_pulls = np.array([(np.std(x, ddof=1) - std) / std_error
+                          for x in samples])
     for pulls in (mean_pulls, std_pulls):
         # the average pull of 100 seeds has standard error 1/10; the
         # pulls' spread is 1 with standard error about 1/sqrt(200)
         assert abs(np.mean(pulls)) < 4.0 / math.sqrt(seeds)
         assert abs(np.std(pulls, ddof=1) - 1.0) < 4.0 / math.sqrt(2 * seeds)
-
-
-def test_ensemble_advances_one_stream_by_two_doubles_per_sample(
-        monkeypatch):
-    # the sampler draws n orientation uniforms, then n height uniforms,
-    # and nothing else, from one Philox stream
-    streams = []
-    keyed_rng = ensemble._rng
-
-    def recording_rng(seed, domain, index):
-        generator = keyed_rng(seed, domain, index)
-        streams.append(((seed, domain, index), generator))
-        return generator
-
-    n_samples = 2 * 4096 + 1000
-    monkeypatch.setattr(ensemble, "_rng", recording_rng)
-    ensemble_purcell_stats(Nanoparticle(70e-9, 0.003), GEOMETRY,
-                           [T580, T611], BUDGETS, n_samples=n_samples,
-                           seed=9)
-    assert [key for key, _ in streams] == [(9, 0, 0)]
-    (_, generator), = streams
-    reference = keyed_rng(9, 0, 0).random(2 * n_samples + 1)
-    assert generator.random() == reference[-1]
-
-
-def test_ensemble_stats_from_the_streams_uniforms():
-    particle = Nanoparticle(70e-9, 0.003)
-    n = 10_000
-    result = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
-                                    BUDGETS, n_samples=n, seed=5)
-    u = ensemble._rng(5, 0, 0).random(2 * n)
-    orientation = u[:n] * u[:n]
-    heights = 70e-9 * (0.5 + np.sin(np.arcsin(2.0 * u[n:] - 1.0) / 3.0))
-    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
-    position = sum(standing_wave_factor(heights, c.wavelength,
-                                        0.15 * c.wavelength) * c.strength
-                   for c in channels)
-    samples = position * orientation
-    # the mean, then the two-pass variance about it
-    mean = float(np.sum(samples)) / n
-    variance = float(np.sum((samples - mean) ** 2)) / (n - 1)
-    assert (result.mean, result.std) == (mean, math.sqrt(variance))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
@@ -585,10 +569,8 @@ def test_sfs_memory_does_not_grow_with_the_ion_count(total_ions):
     assert peak < 1_000_000
 
 
-def test_ensemble_memory_peak_per_sample():
-    # the standing-wave factor is built in one array, in place, and freed
-    # before the next channel's: four arrays of doubles live at the peak
-    n_samples = 200_000
+def test_ensemble_memory_does_not_grow_with_n_samples():
+    n_samples = 10**6
     particle = Nanoparticle(70e-9, 0.003)
 
     def run():
@@ -603,7 +585,7 @@ def test_ensemble_memory_peak_per_sample():
     finally:
         tracemalloc.stop()
     assert stats == expected
-    assert peak <= 40 * n_samples
+    assert peak < 1_000_000
 
 
 def test_standing_wave_factor_leaves_its_input_alone():
@@ -731,24 +713,6 @@ def test_ensemble_moments_reject_a_non_positive_diameter():
     for bad in (0.0, -70e-9):
         with pytest.raises(ValueError, match="diameter must be positive"):
             ensemble_moments(channels, bad)
-
-
-@pytest.mark.parametrize("diameter", [40e-9, 70e-9, 100e-9])
-def test_seeded_ensemble_stats_stay_within_4_se_of_the_exact_moments(
-        diameter):
-    particle = Nanoparticle(diameter, 0.003)
-    channels = channel_strengths(particle, GEOMETRY, [T580, T611], BUDGETS)
-    exact = ensemble_moments(channels, diameter)
-    _, _, fourth = _exact_ensemble_moments(particle, 0.15)
-    n = 20000
-    std_error = math.sqrt(fourth - exact.std**4) / (2.0 * exact.std
-                                                      * math.sqrt(n))
-    for seed in range(5):
-        stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
-                                       BUDGETS, n_samples=n, seed=seed)
-        assert abs(stats.mean - exact.mean) <= 4.0 * exact.std / math.sqrt(n)
-        assert abs(stats.std - exact.std) <= 4.0 * std_error
-        assert stats.max == math.fsum(c.strength for c in channels)
 
 
 def test_ion_count_moments_are_the_binomial_moments():

@@ -1,6 +1,6 @@
 """Layers load on first use: ``import fpcavity``, ``fpcavity cavity``,
-``fpcavity purcell`` and ``fpcavity plan`` run without numpy, and the
-package namespace stays what it was."""
+``fpcavity purcell``, ``fpcavity plan`` and ``ensemble_purcell_stats``
+run without numpy, and the package namespace stays what it was."""
 import json
 import os
 import subprocess
@@ -127,6 +127,17 @@ def test_import_leaves_numpy_and_the_layers_unloaded():
     assert proc.stdout.split() == ["False", "['fpcavity']"]
 
 
+def test_ensemble_purcell_stats_leaves_numpy_unloaded():
+    proc = _python("-c", "import sys; import fpcavity as fp; "
+                   "config = fp.RunConfig.default(); "
+                   "stats = fp.ensemble_purcell_stats(config.nanoparticle, "
+                   "config.geometry, config.transitions, "
+                   "config.loss_budgets, n_samples=200_000, seed=3); "
+                   "print(stats.mean > 0.0, 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_module_run_prints_no_warning(tmp_path):
     # runpy warns when fpcavity.cli is in sys.modules before it runs
     proc = _python("-X", "dev", "-W", "error", "-m", "fpcavity.cli",
@@ -191,7 +202,7 @@ def test_trace_format_error_exits_3(tmp_path, capsys):
 
 
 def test_numerical_failures_do_not_need_numpy(monkeypatch):
-    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
     assert cli._numerical_failures() == (fpcavity.NumericalError,)
 
 
