@@ -12,14 +12,15 @@ plan       detected-rate sweep over diameter, repetition rate, and mode
 
 Global flags: ``--config PATH`` (JSON parameter tree, bundled defaults
 otherwise), ``--seed N`` (overrides the config seed of the noise draws),
-``--json`` (machine output, full precision), ``--out PATH`` (write data
-files and a manifest next to them).  Exit codes: 0 success, 2
-configuration or validation error or an unwritable output file, 3
-input-data error, 4 internal numerical failure.  Human-readable text
-rounds values; the JSON output carries full precision of the same numbers.
+``--json`` (machine output, full precision); ``simulate`` (required),
+``fit`` and ``plan`` take ``--out PATH`` (write the data file and a
+manifest).  Exit codes: 0 success, 2 configuration or argument error or an
+unwritable output file, 3 input-data error, 4 a ``NumericalError`` from a
+fit.  Human-readable text rounds values; the JSON output carries full
+precision of the same numbers.
 
 A subcommand imports the layers it uses inside its handler, so ``cavity``,
-``purcell`` and ``plan`` run without numpy and ``fit`` without the planner.
+``purcell`` and ``plan`` load no array library and ``fit`` no planner.
 """
 from __future__ import annotations
 
@@ -223,8 +224,6 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
 
 def _cmd_simulate(args, config: RunConfig, seed: int):
     from .trace import write_trace
-    if not args.out:
-        raise _CliError(2, "simulate writes a trace file; pass --out PATH")
     params = config.simulate_params(args.kind)
     trace, derived = SIMULATIONS[args.kind].run(params, config, seed)
     out = Path(args.out)
@@ -253,25 +252,17 @@ def _cmd_simulate(args, config: RunConfig, seed: int):
 
 
 def _cmd_fit(args, config: RunConfig, seed: int):
-    import numpy as np
-
     from .fitting import fit
-    from .trace import TraceFormatError, read_trace_csv
+    from .trace import read_trace_csv
+    x_range = tuple(args.range) if args.range else None
     try:
-        trace = read_trace_csv(args.input)
+        result = fit(args.model, read_trace_csv(args.input),
+                     weights=args.weights, x_range=x_range)
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # path left out
         raise _CliError(3, f"input error: cannot read {args.input}: "
                            f"{reason}") from None
-    except TraceFormatError as exc:
-        raise _CliError(3, f"input error: {exc}") from None
-    x_range = tuple(args.range) if args.range else None
-    try:
-        result = fit(args.model, trace, weights=args.weights,
-                     x_range=x_range)
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:  # a TraceFormatError or data fit cannot take
         raise _CliError(3, f"input error: {exc}") from None
 
     report = result.to_dict()
@@ -381,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output, full precision")
-    common.add_argument("--out", metavar="PATH",
-                        help="write data files here plus a manifest")
 
     parser = argparse.ArgumentParser(
         prog="fpcavity",
@@ -396,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", parents=[common],
                               help="generate a synthetic measurement trace")
     simulate.add_argument("kind", choices=tuple(SIMULATIONS))
+    simulate.add_argument("--out", metavar="PATH", required=True,
+                          help="write the trace CSV, sidecar and manifest")
     fit_cmd = sub.add_parser("fit", parents=[common],
                              help="fit a trace CSV with a named model")
     fit_cmd.add_argument("model", type=_model_arg,
@@ -406,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict the fit to an x window")
     fit_cmd.add_argument("--weights", choices=("poisson",),
                          help="residual weighting")
-    sub.add_parser("plan", parents=[common],
-                   help="sweep detected rate and SNR over the design grid")
+    fit_cmd.add_argument("--out", metavar="PATH",
+                         help="write the fit report as JSON, plus a manifest")
+    plan = sub.add_parser("plan", parents=[common],
+                          help="sweep detected rate and SNR over the "
+                               "design grid")
+    plan.add_argument("--out", metavar="PATH",
+                      help="write the sweep CSV, plus a manifest")
     return parser
 
 
@@ -439,15 +435,6 @@ def _run(args, argv) -> int:
     return 0
 
 
-def _numerical_failures() -> tuple:
-    """The exception types that exit 4.  numpy's ``LinAlgError`` is one
-    only once numpy is loaded: a run that never loaded it cannot raise it."""
-    numpy = sys.modules.get("numpy")
-    if numpy is None:
-        return (NumericalError,)
-    return NumericalError, numpy.linalg.LinAlgError
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -461,7 +448,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except _numerical_failures() as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

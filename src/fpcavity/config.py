@@ -439,8 +439,8 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         try:
             data = json.loads(text)

@@ -157,9 +157,11 @@ def _guess_inverted_lorentzian(x, y):
 
 def _guess_power_law(x, y):
     keep = (x > 0.0) & (y > 0.0)
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("power-law guess needs at least two positive points")
-    slope, intercept = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)
+    log_x = np.log(x[keep])
+    if np.unique(log_x).size < 2:
+        raise ValueError("power-law guess needs positive points at two "
+                         "distinct x")
+    slope, intercept = _guess_linear(log_x, np.log(y[keep]))
     return np.array([math.exp(intercept), slope, 0.0])
 
 
@@ -273,7 +275,9 @@ def _jacobian(spec: ModelSpec, x, params, floors) -> np.ndarray:
 
 
 def auto_initial_guess(model: str, x, y) -> dict[str, float]:
-    """Data-driven starting parameters for a registered model."""
+    """Data-driven starting parameters for a registered model: raises
+    ``ValueError`` on data it cannot start from, ``NumericalError`` when
+    its least-squares solve fails."""
     spec = _model(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -284,6 +288,9 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     except ArithmeticError as exc:  # math.exp overflowing, say
         raise ValueError(f"cannot guess initial parameters for model "
                          f"{model!r}: {exc}") from None
+    except np.linalg.LinAlgError as exc:  # lstsq's SVD failing, say
+        raise NumericalError(f"initial guess for model {model!r} failed: "
+                             f"{exc}") from None
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
 
@@ -328,8 +335,9 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     arrays.  ``initial_guess`` is a full or partial parameter dict (missing
     entries fall back to the automatic guess).  ``weights`` is None or
     "poisson" (1/max(y, 1)); ``x_range`` is finite, low <= high, and x and
-    y must be finite inside it.  A fit that ends on a non-finite residual
-    sum or parameter raises ``NumericalError``.
+    y must be finite inside it.  Bad input raises ``ValueError``; a failed
+    initial guess, or a fit that ends on a non-finite residual sum or
+    parameter, raises ``NumericalError``.
     """
     spec = _model(model)
     if isinstance(trace_or_x, Trace):

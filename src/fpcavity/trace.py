@@ -153,13 +153,16 @@ def write_trace(trace: Trace, path, metadata: dict | None = None) -> Path:
     """Write CSV plus JSON sidecar; returns the sidecar path.
 
     The sidecar records the noise model and seed alongside any model
-    parameters the caller supplies.
+    parameters the caller supplies.  A ``path`` ending in ``.json`` is its
+    own sidecar path and raises ``ValueError`` before anything is written.
     """
+    side = sidecar_path(path)
+    if side == Path(path):
+        raise ValueError(f"trace path {path} is its own sidecar path")
     write_trace_csv(trace, path)
     meta = {"noise_model": trace.noise_model, "seed": trace.seed}
     if metadata:
         meta.update(metadata)
-    side = sidecar_path(path)
     with side.open("w", encoding="utf-8", newline="\n") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -167,9 +167,40 @@ def test_negative_seed_rejected(command, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def _argv_writing(command, config, out):
+    """``command`` on ``config``, writing to ``out`` if it takes ``--out``."""
+    argv = [*command.split(), "--config", str(config)]
+    if argv[0] in ("simulate", "fit", "plan"):
+        argv += ["--out", str(out)]
+    return argv
+
+
 def test_simulate_requires_out(capsys):
-    assert main(["simulate", "decay"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "decay"])
+    assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cavity", "purcell"])
+def test_out_is_refused_where_nothing_is_written(tmp_path, capsys, command):
+    # both accepted --out, exited 0 and wrote nothing
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_refuses_a_trace_that_is_its_own_sidecar(tmp_path, capsys):
+    # the CSV went to d.json, then the sidecar overwrote it, and the
+    # manifest listed d.json twice
+    out = tmp_path / "d.json"
+    assert main(["simulate", "decay", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: trace path {out} is its own sidecar path\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_decay_reproducible(tmp_path, capsys):
@@ -231,8 +262,7 @@ def test_decay_purcell_factor_is_checked_at_load(tmp_path, capsys, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
     out = tmp_path / "out.csv"
-    assert main([*command.split(), "--config", str(config),
-                 "--out", str(out)]) == 2
+    assert main(_argv_writing(command, config, out)) == 2
     assert capsys.readouterr().err == (
         "config error: simulate.decay.effective_purcell: must be >= 0\n")
     assert not out.exists()
@@ -249,8 +279,7 @@ def test_population_without_probe_width_is_rejected_at_load(tmp_path, capsys,
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
     out = tmp_path / "out.csv"
-    assert main([*command.split(), "--config", str(config),
-                 "--out", str(out)]) == 2
+    assert main(_argv_writing(command, config, out)) == 2
     assert capsys.readouterr().err == (
         "config error: simulate.ple.probe_fwhm: required key is missing "
         "when use_population is true\n")
@@ -409,8 +438,7 @@ def test_cation_density_past_its_ceiling_exits_2_under_nanoparticle(
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
     out = tmp_path / "trace.csv"
-    assert main([*command.split(), "--config", str(config),
-                 "--out", str(out)]) == 2
+    assert main(_argv_writing(command, config, out)) == 2
     assert capsys.readouterr().err == (
         "config error: nanoparticle: cation_density must be in "
         "(0, 1e+30] m^-3\n")
@@ -490,6 +518,36 @@ def test_trace_csv_is_utf8_whatever_the_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["parameters"]["slope"] == \
         pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    # it printed "error: 'utf-8' codec can't decode byte 0xff", no path
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'{"schema_version": 1, "seed": \xff}')
+    assert main(["cavity", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config {config}: 'utf-8' codec can't "
+        f"decode byte 0xff")
+
+
+def test_config_is_utf8_whatever_the_locale(tmp_path):
+    # the C locale without UTF-8 mode read the config as ASCII, so a
+    # non-ASCII key exited 2 with "error: 'ascii' codec can't decode"
+    # instead of reaching the unknown-key check
+    data = RunConfig.default().data
+    data["d\u00e9tecteur"] = 1
+    config = tmp_path / "accent.json"
+    config.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(fpcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "fpcavity.cli", "cavity",
+         "--config", str(config)], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: "), proc.stderr
+    assert "unknown key" in proc.stderr
 
 
 _HOLE_TRACE = Path(fpcavity.__file__).parent / "data" \
@@ -706,9 +764,29 @@ def test_numerical_failures_exit_4(capsys, monkeypatch):
     assert main(["cavity"]) == 4
     assert "numerical failure" in capsys.readouterr().err
 
-    def singular(args, config, seed):
-        raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setitem(cli._HANDLERS, "cavity", singular)
-    assert main(["cavity"]) == 4
-    assert "numerical failure" in capsys.readouterr().err
+def test_a_failed_least_squares_guess_exits_4(tmp_path, capsys, monkeypatch):
+    # the fit raises NumericalError itself: main no longer maps numpy's
+    # LinAlgError to exit 4
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", singular)
+    data = tmp_path / "wide.csv"
+    write_trace_csv(Trace(x=np.arange(1.0, 6.0), y=np.arange(5.0)), data)
+    assert main(["fit", "sqrt_offset", str(data)]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: initial guess for model 'sqrt_offset' failed: "
+        "SVD did not converge\n")
+
+
+def test_power_law_at_one_x_exits_3_without_lapack_noise(tmp_path, capfd):
+    # np.polyfit printed six LAPACK "DLASCL ... illegal value" lines to
+    # fd 2, then raised LinAlgError, so the CLI exited 4
+    data = tmp_path / "one_x.csv"
+    data.write_text("x,y\n1.0,2.0\n1.0,3.0\n1.0,4.0\n")
+    assert main(["fit", "power_law", str(data)]) == 3
+    err = capfd.readouterr().err
+    assert err == ("input error: power-law guess needs positive points at "
+                   "two distinct x\n")
+    assert "DLASCL" not in err

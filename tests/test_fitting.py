@@ -307,8 +307,34 @@ def test_linear_guess_matches_polyfit_at_ordinary_scales():
         guess = auto_initial_guess("linear", x, y)
         assert [guess["slope"], guess["intercept"]] == pytest.approx(
             np.polyfit(x, y, 1).tolist(), rel=1e-12)
+        # the power-law guess is the same line on log-log axes
+        y = 2.0 * x**0.5 * np.exp(rng.normal(0.0, 0.1, x.size))
+        guess = auto_initial_guess("power_law", x, y)
+        slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+        assert [guess["exponent"], math.log(guess["scale"])] == \
+            pytest.approx([slope, intercept], rel=1e-12)
+        assert guess["offset"] == 0.0
     with pytest.raises(ValueError, match="one x"):
         auto_initial_guess("linear", np.full(4, 2.0), np.arange(4.0))
+    # the points at x <= 0 are dropped, which leaves one x
+    with pytest.raises(ValueError, match="^power-law guess needs positive "
+                                         "points at two distinct x$"):
+        auto_initial_guess("power_law", np.array([-1.0, 0.0, 2.0, 2.0]),
+                           np.arange(1.0, 5.0))
+
+
+def test_a_failed_least_squares_guess_is_a_numerical_error(monkeypatch):
+    # the LinAlgError left fit unconverted, so callers had to know numpy's
+    # exception to tell a numerical failure from bad input
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", singular)
+    x, y = np.arange(1.0, 6.0), np.arange(5.0)
+    for call in (auto_initial_guess, fit):
+        with pytest.raises(NumericalError, match="^initial guess for model "
+                                                 "'sqrt_offset' failed: SVD"):
+            call("sqrt_offset", x, y)
 
 
 def test_too_few_points():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fpcavity
-from fpcavity import cli, optics
+from fpcavity import optics
 from fpcavity.cli import main
 
 SRC = Path(fpcavity.__file__).resolve().parents[1]
@@ -199,11 +199,6 @@ def test_trace_format_error_exits_3(tmp_path, capsys):
     broken.write_text("x,y\n1.0,oops\n")
     assert main(["fit", "linear", str(broken)]) == 3
     assert "input error: line 2" in capsys.readouterr().err
-
-
-def test_numerical_failures_do_not_need_numpy(monkeypatch):
-    monkeypatch.delitem(sys.modules, "numpy", raising=False)
-    assert cli._numerical_failures() == (fpcavity.NumericalError,)
 
 
 def test_a_layer_that_fails_to_run_reports_its_error(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from fpcavity.trace import (
     Trace,
     TraceFormatError,
     read_trace_csv,
+    write_trace,
     write_trace_csv,
 )
 
@@ -314,3 +315,15 @@ def test_differential_fuzz_against_the_line_loop(tmp_path):
         kinds[got[0]] += 1
     # both outcomes must be well represented for the comparison to mean much
     assert kinds["trace"] > 150 and kinds["error"] > 50, kinds
+
+
+def test_a_trace_path_that_is_its_own_sidecar_is_refused(tmp_path):
+    # the CSV was written to d.json, then the sidecar overwrote it
+    trace = Trace(x=np.arange(3.0), y=np.arange(3.0))
+    out = tmp_path / "d.json"
+    with pytest.raises(ValueError) as info:
+        write_trace(trace, out)
+    assert str(info.value) == f"trace path {out} is its own sidecar path"
+    assert not any(tmp_path.iterdir())
+    assert write_trace(trace, tmp_path / "d.csv") == out
+    assert np.array_equal(read_trace_csv(tmp_path / "d.csv").y, trace.y)
