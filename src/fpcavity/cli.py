@@ -30,7 +30,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -43,7 +42,8 @@ from .config import (
     valid_seed,
     write_manifest,
 )
-from .core import CONTACT_LENGTH, TOOLKIT_VERSION, NumericalError
+from .core import (CONTACT_LENGTH, TOOLKIT_VERSION, NumericalError,
+                   replace)
 from .optics import (
     cavity_linewidth,
     double_resonance,
@@ -283,7 +283,7 @@ def _cmd_fit(args, config: RunConfig, seed: int):
         out = Path(args.out)
         with _writing(out):
             out.write_text(json.dumps(report, indent=2, sort_keys=True)
-                           + "\n")
+                           + "\n", encoding="utf-8")
         lines.append(f"wrote report to {out}")
         outputs.append(out)
     return report, lines, outputs

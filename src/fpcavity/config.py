@@ -8,7 +8,7 @@ once, with its rule and its bundled value.  :class:`RunConfig` checks
 every key against it at load, whatever the subcommand, so an unknown or
 missing key, a wrongly typed or non-finite value, or an out-of-range one
 is reported with its path before any computation.  Range rules are
-core's; value-type sections take their shapes from the dataclass fields,
+core's; value-type sections take their shapes from the record fields,
 and their constructors then check the domain.  The canonical
 serialization is hashed so a result can be tied to the exact inputs that
 produced it.
@@ -28,9 +28,8 @@ import copy
 import hashlib
 import json
 import sys
+import time
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .core import (
@@ -205,13 +204,14 @@ class Section:
 
 
 def _record(cls):
-    """Rules read off a value type's dataclass fields: an ``int`` field
-    takes a JSON integer, any other a finite number, and a field with a
-    default may be left out.  The constructor then checks the domain."""
+    """Rules read off a value type's fields: an ``int`` field takes a JSON
+    integer, any other a finite number, and a field with a default (a class
+    attribute) may be left out.  The constructor then checks the domain."""
+    types, defaults = cls.__annotations__, vars(cls)
     check = Section(**{
-        f.name: (_integer if f.type == "int" else _number, None,
-                 *(() if f.default is MISSING else (f.default,)))
-        for f in fields(cls)})
+        name: (_integer if types[name] == "int" else _number, None,
+               *((defaults[name],) if name in defaults else ()))
+        for name in cls.__match_args__})
 
     def rule(value, path: str):
         checked = check(value, path)
@@ -498,15 +498,15 @@ def build_manifest(command, config: RunConfig, seed: int,
         command=tuple(str(part) for part in command),
         config_sha256=config.config_hash(),
         seed=seed,
-        created_utc=datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
+        created_utc=time.strftime("%Y-%m-%dT%H:%M:%S+00:00",
+                                  time.gmtime()),
         outputs=outputs,
     )
 
 
 def write_manifest(manifest: RunManifest, path) -> Path:
     path = Path(path)
-    path.write_text(manifest.to_json(indent=2) + "\n")
+    path.write_text(manifest.to_json(indent=2) + "\n", encoding="utf-8")
     return path
 
 

@@ -11,7 +11,11 @@ Unit conventions used across the package:
   million (ppm)
 
 All types are immutable and serialize to JSON with the field names below,
-verbatim.  They are dataclasses whose methods come from :class:`_Record`.
+verbatim.  Their methods come from :class:`_Record`, and ``__match_args__``
+names their fields.  They are dataclasses to the ``dataclasses`` API, but
+their dataclass metadata is built on the first read of it: importing
+``dataclasses`` brings ``inspect`` with it, which cost about a tenth of a
+numpy-free CLI process, and no such process reads that metadata.
 
 The vocabulary the run configuration checks lives here too, so loading a
 config needs no numpy: the plan modes and their rules, the detection
@@ -19,9 +23,9 @@ chain, and the noise models.  ``planner`` and ``spectra`` re-export it.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -73,10 +77,33 @@ def linewidth_to_coherence_time(fwhm: float) -> float:
     return 1.0 / (math.pi * fwhm)
 
 
+class _DataclassMetadata:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a
+    :func:`record` class, which ``dataclass()`` puts on the class at the
+    first read; a class that no :func:`record` made, nor any of its bases,
+    has neither.  Two threads reading first may both build it; each build
+    describes the same fields."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        for cls in owner.__mro__:
+            if "__match_args__" in vars(cls):  # set by record()
+                from dataclasses import dataclass
+                dataclass(cls, init=False, repr=False, eq=False)
+                return vars(cls)[self.name]
+        raise AttributeError(
+            f"{owner.__qualname__} has no attribute {self.name!r}")
+
+
 class _Record:
     """Methods of a frozen dataclass, written once for every :func:`record`
     class instead of compiled for each; ``__match_args__`` names the
     fields.  Unpickling and copying rebuild a record through ``__init__``."""
+
+    __dataclass_fields__ = _DataclassMetadata()
+    __dataclass_params__ = _DataclassMetadata()
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
@@ -102,25 +129,31 @@ class _Record:
         return hash(self._values())
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), self._values()
 
+    def __replace__(self, **changes):  # copy.replace, from Python 3.13
+        return replace(self, **changes)
+
 
 def _bind(cls, args: tuple, kwargs: dict) -> list:
-    """Field values in order: the arguments, else the field defaults."""
+    """Field values in order: the arguments, else the field defaults,
+    which are class attributes."""
     names = cls.__match_args__
+    defaults = vars(cls)
     values = list(args)
     for name in names[len(args):]:
-        field = cls.__dataclass_fields__[name]
         if name in kwargs:
             values.append(kwargs.pop(name))
-        elif field.default is not MISSING:
-            values.append(field.default)
+        elif name in defaults:
+            values.append(defaults[name])
         else:
             raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
     if len(args) > len(names):
@@ -132,16 +165,38 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
 
 
 def record(cls):
-    """Make a :class:`_Record` subclass a frozen dataclass that takes every
-    method from :class:`_Record`."""
-    return dataclass(cls, init=False, repr=False, eq=False)
+    """Make a :class:`_Record` subclass a frozen record of the fields it
+    annotates, in order, each with its class attribute as the default."""
+    cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
+    return cls
+
+
+def replace(record, **changes):
+    """``record`` with ``changes``, rebuilt through its constructor so that
+    ``__post_init__`` checks it again, as ``dataclasses.replace`` does."""
+    return type(record)(**dict(zip(record.__match_args__, record._values()),
+                               **changes))
+
+
+def _plain(value):
+    """``value`` copied as ``dataclasses.asdict`` copies a field: a record
+    as a dict, a list, tuple or dict rebuilt, anything else deep-copied."""
+    if isinstance(value, _Record):
+        return {name: _plain(item)
+                for name, item in zip(value.__match_args__, value._values())}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return type(value)((_plain(key), _plain(item))
+                           for key, item in value.items())
+    return copy.deepcopy(value)
 
 
 class _JsonRecord(_Record):
     """JSON serialization helpers shared by the value types."""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)

@@ -8,11 +8,10 @@ mirror.  Linewidths are FWHM in Hz, losses are ppm per round trip.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_count,
                    _require_finite, _require_non_negative, _require_positive,
-                   _require_stable, record)
+                   _require_stable, record, replace)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.

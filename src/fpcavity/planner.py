@@ -316,7 +316,7 @@ def write_sweep_csv(sweep: Sweep, path) -> Path:
     """
     path = Path(path)
     rate_texts = [repr(round(f, 9)) for f in sweep.repetition_rates]
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(SWEEP_COLUMNS) + "\n")
         for (mode, diameter, _), rates, snrs in zip(
                 sweep.blocks, sweep.rates, sweep.snrs):

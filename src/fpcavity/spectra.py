@@ -10,14 +10,17 @@ exactly.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (NOISE_MODELS, _require_count, _require_each,
                    _require_finite, _require_fraction, _require_non_negative,
                    _require_positive)
-from .ensemble import SpectralPopulation, _window_counts
 from .trace import Trace, _grid
+
+if TYPE_CHECKING:  # ple_scan imports ensemble when a population is given
+    from .ensemble import SpectralPopulation
 
 
 def _trace(x: np.ndarray, mean: np.ndarray, noise: str,
@@ -64,6 +67,7 @@ def ple_scan(inhomogeneous_fwhm: float, center_frequency: float,
     if population is not None:
         if probe_fwhm is None:
             raise ValueError("probe_fwhm is required with a population")
+        from .ensemble import _window_counts
         counts, expected = _window_counts(population, probe_fwhm, grid,
                                           0 if seed is None else seed)
         mean = mean * np.divide(counts, expected, out=np.ones_like(counts),

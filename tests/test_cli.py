@@ -550,6 +550,26 @@ def test_config_is_utf8_whatever_the_locale(tmp_path):
     assert "unknown key" in proc.stderr
 
 
+def test_every_file_written_names_its_encoding(tmp_path):
+    # the sweep CSV, the manifest and the fit report were written in the
+    # locale's encoding; EncodingWarning made each of these exit 1
+    src = str(Path(fpcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for argv in (["plan", "--out", "sweep.csv"],
+                 ["simulate", "decay", "--out", "decay.csv"],
+                 ["fit", "exp_decay", "decay.csv", "--weights", "poisson",
+                  "--out", "fit.json"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "fpcavity.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert {path.name for path in tmp_path.iterdir()} >= {
+        "sweep.csv.manifest.json", "decay.csv.manifest.json",
+        "fit.json.manifest.json", "fit.json"}
+
+
 _HOLE_TRACE = Path(fpcavity.__file__).parent / "data" \
     / "hole_width_vs_power.csv"
 

@@ -1,6 +1,7 @@
 """Layers load on first use: ``import fpcavity``, ``fpcavity cavity``,
 ``fpcavity purcell``, ``fpcavity plan`` and ``ensemble_purcell_stats``
-run without numpy, and the package namespace stays what it was."""
+run without numpy, the three subcommands also without ``dataclasses``,
+and the package namespace stays what it was."""
 import json
 import os
 import subprocess
@@ -74,7 +75,7 @@ def _without_timestamp(report: dict) -> dict:
     return {**report, "manifest": manifest}
 
 
-@pytest.mark.parametrize("command", ["cavity", "purcell"])
+@pytest.mark.parametrize("command", ["cavity", "purcell", "plan"])
 def test_subcommand_runs_without_numpy(command, capsys, tmp_path):
     proc = _python("-X", "importtime", "-m", "fpcavity.cli", command,
                    "--json", cwd=tmp_path)
@@ -83,6 +84,8 @@ def test_subcommand_runs_without_numpy(command, capsys, tmp_path):
     assert "json" in imported  # the log is read right
     assert not {name for name in imported
                 if name == "numpy" or name.startswith("numpy.")}
+    # the records build their dataclass metadata only when it is read
+    assert not imported & {"dataclasses", "inspect", "datetime"}
     assert main([command, "--json"]) == 0
     in_process = json.loads(capsys.readouterr().out)
     assert _without_timestamp(json.loads(proc.stdout)) \
@@ -106,7 +109,9 @@ _LOADED = ("import json, sys, types; from fpcavity.cli import main; "
      {"config", "core", "optics", "purcell", "fitting", "trace"}),
     (["plan"], {"config", "core", "optics", "purcell", "ensemble",
                 "planner"}),
-], ids=["cavity", "purcell", "fit", "plan"])
+    (["simulate", "decay", "--out", "decay.csv"],
+     {"config", "core", "optics", "purcell", "spectra", "trace"}),
+], ids=["cavity", "purcell", "fit", "plan", "simulate"])
 def test_each_subcommand_executes_only_the_layers_it_uses(argv, layers,
                                                           tmp_path):
     proc = _python("-c", _LOADED, *argv, cwd=tmp_path)
@@ -114,8 +119,8 @@ def test_each_subcommand_executes_only_the_layers_it_uses(argv, layers,
     loaded, numpy = json.loads(proc.stderr)
     assert loaded == sorted(f"fpcavity.{layer}"
                             for layer in {*layers, "cli"})
-    # of these, only fit loads numpy
-    assert numpy is (argv[0] == "fit")
+    # of these, only fit and simulate load numpy
+    assert numpy is (argv[0] in ("fit", "simulate"))
 
 
 def test_import_leaves_numpy_and_the_layers_unloaded():

@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 import fpcavity
+from fpcavity import core
 from fpcavity.config import RunManifest
-from fpcavity.core import CavityGeometry, Nanoparticle, Transition, _Record
+from fpcavity.core import (CavityGeometry, Nanoparticle, Transition,
+                           _JsonRecord, _Record)
 from fpcavity.ensemble import (ChannelStrength, EnsembleStats, ExactMoments,
                                IonCountStats, SpectralPopulation)
 from fpcavity.fitting import MODELS, FitResult, ModelSpec
@@ -184,10 +186,63 @@ def test_record_behaves_as_a_frozen_dataclass(cls, args, bad, monkeypatch):
         assert observed[key] == ("raised", TypeError), key
 
 
-def test_replace_reruns_post_init():
+def _copy_replace(record, **changes):
+    """What ``copy.replace`` does from Python 3.13."""
+    return record.__replace__(**changes)
+
+
+@pytest.mark.parametrize(
+    "replace", [dataclasses.replace, core.replace, _copy_replace],
+    ids=["dataclasses", "core", "copy"])
+def test_replace_reruns_post_init(replace):
     population = SpectralPopulation(10**6, 34e9)
-    changed = dataclasses.replace(population, hyperfine_offsets=[(1, 1)])
+    changed = replace(population, hyperfine_offsets=[(1, 1)])
     assert changed.hyperfine_offsets == ((1.0, 1.0),)
+    with pytest.raises(TypeError):
+        replace(population, extra=1)
+    for cls, args, bad in _SAMPLES:
+        record = cls(*args)
+        assert repr(replace(record)) == repr(record)
+        if bad is not None:
+            with pytest.raises(ValueError):
+                replace(record, **bad)
+
+
+# to_dict of every JSON record, and a manifest whose outputs are dicts
+_JSON_SAMPLES = [(cls, args) for cls, args, _ in _SAMPLES
+                 if issubclass(cls, _JsonRecord)] + [
+    (RunManifest, (("fpcavity", "plan", "--out", "sweep.csv"), "ab" * 32, 3,
+                   "0.1.0", "2026-01-01T00:00:00+00:00",
+                   ({"path": "sweep.csv", "sha256": "cd" * 32},))),
+]
+
+
+def _mutable_parts(value) -> set:
+    """The ids of every list, dict and set in ``value``, a record or a
+    nest of containers."""
+    if isinstance(value, _Record):
+        value = value._values()
+    found = {id(value)} if isinstance(value, (list, dict, set)) else set()
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple, set)):
+        for item in value:
+            found |= _mutable_parts(item)
+    return found
+
+
+@pytest.mark.parametrize("cls, args", _JSON_SAMPLES,
+                         ids=[cls.__name__ for cls, _ in _JSON_SAMPLES])
+def test_to_dict_is_the_deep_copy_asdict_makes(cls, args):
+    record = cls(*args)
+    plain = record.to_dict()
+    assert plain == dataclasses.asdict(record)
+    assert repr(plain) == repr(dataclasses.asdict(record))  # order, types
+    assert not _mutable_parts(plain) & _mutable_parts(record)
+    if cls is RunManifest and record.outputs:
+        assert len(_mutable_parts(record)) == 1  # the outputs dict
+    if cls is SpectralPopulation:
+        assert plain["hyperfine_offsets"] == ((0.0, 1.0),)
 
 
 def test_unpickled_trace_stays_read_only():
