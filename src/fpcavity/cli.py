@@ -20,7 +20,8 @@ fit.  Human-readable text rounds values; the JSON output carries full
 precision of the same numbers.
 
 A subcommand imports the layers it uses inside its handler, so ``cavity``,
-``purcell`` and ``plan`` load no array library and ``fit`` no planner.
+``purcell`` and ``plan`` load no array library, ``cavity`` and ``fit`` no
+``purcell``, and ``fit`` no planner.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ from .optics import (
     loaded_budget,
     mode_waist,
 )
-from .purcell import coupling_report, multimodal_sum
 
 
 class _CliError(Exception):
@@ -163,8 +163,8 @@ def _cmd_cavity(args, config: RunConfig, seed: int):
 
 
 def _cmd_purcell(args, config: RunConfig, seed: int):
-    from .ensemble import (channel_strengths, ensemble_moments,
-                           ion_count_moments)
+    from .ensemble import ensemble_purcell_stats, ion_count_moments
+    from .purcell import coupling_report, multimodal_sum
     geometry = config.geometry
     particle = config.nanoparticle
     reports = [
@@ -175,14 +175,9 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
     table = [r.to_table_row() for r in reports]
     total = multimodal_sum(r.effective_purcell for r in reports)
 
-    channels = channel_strengths(particle, geometry, config.transitions,
-                                 config.loss_budgets)
-    ensemble = {
-        **ensemble_moments(channels, particle.diameter,
-                           config.antinode_offset_fraction).to_dict(),
-        # the ceiling: orientation and position factors at 1
-        "max": math.fsum(c.strength for c in channels),
-    }
+    ensemble = ensemble_purcell_stats(
+        particle, geometry, config.transitions, config.loss_budgets,
+        antinode_offset_fraction=config.antinode_offset_fraction).to_dict()
 
     population = _population(replace(particle, diameter=config.ion_diameter),
                              config.ion_inhomogeneous_fwhm,

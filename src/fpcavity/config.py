@@ -52,7 +52,6 @@ from .core import (
     record,
 )
 from .optics import LossBudget
-from .purcell import cavity_lifetime
 
 SCHEMA_VERSION = 1
 
@@ -275,6 +274,7 @@ def _hole(p: dict, config: "RunConfig", seed: int):
 def _decay(p: dict, config: "RunConfig", seed: int):
     import numpy as np
 
+    from .purcell import cavity_lifetime
     from .spectra import decay_histogram
     free = config.transitions[0].free_space_lifetime
     lifetime = cavity_lifetime(free, p["effective_purcell"])
@@ -417,8 +417,8 @@ class RunConfig:
         pulse, mc, ion = doc["pulse"], doc["monte_carlo"], doc["ion_estimate"]
         self.excitation_time = pulse["excitation_time"]
         self.excited_population = pulse["excited_population"]
-        # no subcommand reads it; ensemble_purcell_stats records it and
-        # changes no number for it
+        # no subcommand reads it; ensemble_purcell_stats checks it and
+        # neither keeps it nor changes a number for it
         self.mc_samples = mc["n_samples"]
         self.antinode_offset_fraction = mc["antinode_offset_fraction"]
         self.ion_diameter = ion["diameter"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -244,10 +245,13 @@ def _require_probability(name: str, value: float) -> None:
 
 
 def _require_count(name: str, value, minimum: int) -> None:
-    """Reject a count below ``minimum``, or one that is NaN or infinite."""
+    """Reject a count below ``minimum``, or one that is NaN or infinite
+    (ValueError), and a number in range that is not an integer
+    (TypeError)."""
     if not minimum <= value < math.inf:
         _require_finite(**{name: value})
         raise ValueError(f"{name} must be >= {minimum}")
+    operator.index(value)
 
 
 def _require_diameter(name: str, value: float) -> None:
@@ -325,8 +329,7 @@ class CavityGeometry(_JsonRecord):
     def __post_init__(self):
         _require_finite(**vars(self))
         _require_stable(self.cavity_length, self.radius_of_curvature)
-        if int(self.mode_order) != self.mode_order or self.mode_order < 1:
-            raise ValueError("mode_order must be a positive integer")
+        _require_count("mode_order", self.mode_order, 1)
         _require_non_negative("rms_length_jitter", self.rms_length_jitter)
 
 

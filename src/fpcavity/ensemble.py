@@ -20,8 +20,6 @@ given seed and draw count always give bitwise the same statistics.
 from __future__ import annotations
 
 import math
-import operator
-from typing import TYPE_CHECKING
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
                    _require_each, _require_finite, _require_non_negative,
@@ -29,6 +27,7 @@ from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
 from .optics import loaded_budget
 from .purcell import coupling_report
 
+TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:  # the samplers import these when they run
     import numpy as np
 
@@ -114,18 +113,10 @@ def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
     own scattering loss is added here before the finesse is taken.  The
     geometry's rms length jitter applies.
     """
-    loaded = [loaded_budget(bare, particle.diameter, transition.wavelength)
-              for transition, bare in zip(transitions, budgets, strict=True)]
-    return _loaded_channel_strengths(geometry, transitions, loaded)
-
-
-def _loaded_channel_strengths(geometry: CavityGeometry, transitions,
-                              loaded) -> list[ChannelStrength]:
-    """``channel_strengths`` from budgets that already hold the particle's
-    scattering loss, for a caller that needs those budgets too."""
     channels = []
-    for transition, budget in zip(transitions, loaded):
-        report = coupling_report(transition, geometry, budget,
+    for transition, bare in zip(transitions, budgets, strict=True):
+        loaded = loaded_budget(bare, particle.diameter, transition.wavelength)
+        report = coupling_report(transition, geometry, loaded,
                                  jitter_sigma=geometry.rms_length_jitter)
         channels.append(ChannelStrength(wavelength=transition.wavelength,
                                         strength=report.effective_purcell))
@@ -134,13 +125,13 @@ def _loaded_channel_strengths(geometry: CavityGeometry, transitions,
 
 @record
 class EnsembleStats(_JsonRecord):
-    """Effective-Purcell distribution over ions in one particle."""
+    """Effective-Purcell distribution over ions in one particle: its exact
+    mean and std, and its ceiling ``max``."""
 
     mean: float
     std: float
     max: float
-    n_samples: int
-    seed: int
+    method: str = "exact"
 
 
 def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
@@ -155,17 +146,15 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
     set to 1.  The jitter factor takes ``geometry.rms_length_jitter``; to
     change it, pass a geometry built with ``dataclasses.replace``.
     ``n_samples`` (an integer >= 2) and ``seed`` (an integer >= 0) are
-    checked and recorded, but change no number: nothing is sampled.
+    checked, but neither changes a number nor is kept: nothing is sampled.
     """
     _require_count("n_samples", n_samples, 2)
-    operator.index(n_samples)  # an integer: the count rule passes 2.5
-    _require_count("seed", operator.index(seed), 0)
+    _require_count("seed", seed, 0)
     channels = channel_strengths(particle, geometry, transitions, budgets)
     exact = ensemble_moments(channels, particle.diameter,
                              antinode_offset_fraction)
     return EnsembleStats(mean=exact.mean, std=exact.std,
-                         max=math.fsum(c.strength for c in channels),
-                         n_samples=n_samples, seed=seed)
+                         max=math.fsum(c.strength for c in channels))
 
 
 @record

@@ -29,8 +29,12 @@ from .core import (CONTACT_LENGTH, PLAN_MODES, _OPEN_MODES, CavityGeometry,
                    _detection_window, _JsonRecord, _require_fraction,
                    _require_non_negative, _require_positive,
                    _require_probability, _shared_lifetime, record)
-from .ensemble import ChannelStrength, _loaded_channel_strengths
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
+from .purcell import coupling_report
+
+TYPE_CHECKING = False  # typing's flag, without importing typing
+if TYPE_CHECKING:
+    from .ensemble import ChannelStrength
 
 CONTACT_JITTER = 0.8e-12
 OPEN_JITTER = 2.5e-12
@@ -132,24 +136,27 @@ def _collected(mode: str) -> list[bool]:
 
 def _channel_setup(particle: Nanoparticle, geometry: CavityGeometry,
                    enhanced, bare):
-    """Channel strengths and outcouplings of one particle in one cavity,
-    both from one loaded budget per transition."""
+    """The strengths of ``ensemble.channel_strengths``, as floats, and the
+    outcouplings of one particle in one cavity, both from one loaded
+    budget per transition."""
     loaded = [loaded_budget(budget, particle.diameter, transition.wavelength)
               for transition, budget in zip(enhanced, bare, strict=True)]
-    channels = _loaded_channel_strengths(geometry, enhanced, loaded)
-    return channels, [outcoupling_efficiency(budget) for budget in loaded]
+    strengths = [coupling_report(transition, geometry, budget,
+                                 jitter_sigma=geometry.rms_length_jitter
+                                 ).effective_purcell
+                 for transition, budget in zip(enhanced, loaded)]
+    return strengths, [outcoupling_efficiency(budget) for budget in loaded]
 
 
-def _channel_sums(channels: list[ChannelStrength], outcouplings,
+def _channel_sums(strengths: list[float], outcouplings,
                   collected) -> tuple[float, float]:
     """Summed enhancement of all channels, and of the collected ones
     weighted by their outcoupling."""
-    total = math.fsum(c.strength for c in channels)
     collect = math.fsum(
-        channel.strength * eta
-        for channel, eta, keep in zip(channels, outcouplings, collected)
+        strength * eta
+        for strength, eta, keep in zip(strengths, outcouplings, collected)
         if keep)
-    return total, collect
+    return math.fsum(strengths), collect
 
 
 def _detected_rates(totals, collects, excitation_time: float,
@@ -190,7 +197,8 @@ def mode_detected_rate(channels: list[ChannelStrength], outcouplings,
     _require_positive("free_space_lifetime", free_space_lifetime)
     for outcoupling in outcouplings:
         _require_probability("outcouplings", outcoupling)
-    total, collect = _channel_sums(channels, outcouplings, collected)
+    total, collect = _channel_sums([c.strength for c in channels],
+                                   outcouplings, collected)
     return _detected_rates(
         [total], [collect], scheme.excitation_time, [scheme.detection_time],
         scheme.excited_population, free_space_lifetime, chain)[0][0]
@@ -266,9 +274,9 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
                 _channel_setup(particle, geometry, enhanced, bare)
                 for particle in particles]
         collected = _collected(mode)
-        for diameter, (channels, outcouplings) in zip(diameters,
-                                                      setups[cavity]):
-            total, collect = _channel_sums(channels, outcouplings, collected)
+        for diameter, (strengths, outcouplings) in zip(diameters,
+                                                       setups[cavity]):
+            total, collect = _channel_sums(strengths, outcouplings, collected)
             keys.append((mode, diameter, total))
             totals.append(total)
             collects.append(collect)

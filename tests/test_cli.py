@@ -98,6 +98,17 @@ def test_purcell_report_does_not_depend_on_the_seed(capsys):
     assert base["ions"]["addressed"]["method"] == "exact"
 
 
+def test_purcell_reports_ensemble_purcell_stats(capsys):
+    # the subcommand states the ensemble through the library's one function
+    config = RunConfig.default()
+    stats = fpcavity.ensemble_purcell_stats(
+        config.nanoparticle, config.geometry, config.transitions,
+        config.loss_budgets,
+        antinode_offset_fraction=config.antinode_offset_fraction)
+    report = _json_run(capsys, ["purcell", "--json"])
+    assert report["ensemble"] == stats.to_dict()
+
+
 def test_stray_thread_env_var_is_ignored(capsys, monkeypatch):
     base = _json_run(capsys, ["purcell", "--json"])
     monkeypatch.setenv("FPCAVITY_THREADS", "abc")

@@ -8,8 +8,11 @@ import pytest
 from fpcavity import (
     CavityGeometry,
     Nanoparticle,
+    SpectralPopulation,
     Transition,
+    decay_histogram,
     frequency_to_wavelength,
+    hole_spectrum,
     linewidth_to_coherence_time,
     wavelength_to_frequency,
 )
@@ -19,6 +22,7 @@ from fpcavity.optics import (
     LossBudget,
     free_spectral_range,
     particle_scattering_loss,
+    resonance_length,
 )
 from fpcavity.planner import DetectionChain, PulseScheme
 
@@ -121,6 +125,20 @@ def test_cavity_geometry_validation():
         CavityGeometry(25e-6, 5.808e-6, 0)
     with pytest.raises(ValueError):
         CavityGeometry(25e-6, 5.808e-6, 20, rms_length_jitter=-1e-12)
+
+
+# each count passes its range rule, so only the integer test refuses it
+@pytest.mark.parametrize("call", [
+    lambda: hole_spectrum([0.0, 1e6], 2.5, 1e-7, 12e6, 100.0),
+    lambda: decay_histogram(1e-3, [0.0, 1e-3], 2.5, 1.0, noise="none"),
+    lambda: resonance_length(580.8e-9, 2.5),
+    lambda: SpectralPopulation(total_ions=1000.5, inhomogeneous_fwhm=34e9),
+    lambda: CavityGeometry(25e-6, 5.808e-6, 20.5),
+], ids=["hole_spectrum", "decay_histogram", "resonance_length",
+        "SpectralPopulation", "CavityGeometry"])
+def test_a_fractional_count_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_nanoparticle_volume():

@@ -140,7 +140,7 @@ def test_spectral_population_rejects_non_finite_frequencies(value):
 @pytest.mark.parametrize("n_samples, seed", [
     (2, 0), (4096, 7), (20_000, 0), (10**7, 2**40)])
 def test_ensemble_stats_are_the_exact_moments(diameter, n_samples, seed):
-    # the count and the seed are recorded, and move no number
+    # the count and the seed are checked, move no number and are not kept
     particle = Nanoparticle(diameter, 0.003)
     stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
                                    BUDGETS, n_samples=n_samples, seed=seed)
@@ -148,7 +148,10 @@ def test_ensemble_stats_are_the_exact_moments(diameter, n_samples, seed):
     exact = ensemble_moments(channels, diameter)
     assert (stats.mean, stats.std) == (exact.mean, exact.std)
     assert stats.max == math.fsum(c.strength for c in channels)
-    assert (stats.n_samples, stats.seed) == (n_samples, seed)
+    assert stats == ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                           BUDGETS)
+    assert stats.to_dict() == {"mean": exact.mean, "std": exact.std,
+                               "max": stats.max, "method": "exact"}
 
 
 @pytest.mark.parametrize("diameter, fraction, expected", [
@@ -321,7 +324,7 @@ def test_ensemble_stats_structure():
     assert stats.max == math.fsum(c.strength for c in channels)
     assert 0.0 < stats.mean < stats.max
     assert stats.std > 0.0
-    assert stats.n_samples == 6000
+    assert stats.method == "exact"
     with pytest.raises(ValueError):
         ensemble_purcell_stats(particle, GEOMETRY, [T580, T611], BUDGETS,
                                n_samples=1)
@@ -329,10 +332,11 @@ def test_ensemble_stats_structure():
 
 def test_ensemble_takes_any_size_from_two():
     particle = Nanoparticle(70e-9, 0.003)
+    default = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                     BUDGETS)
     for n in (2, 4095, 4096, 4097):
-        stats = ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
-                                       BUDGETS, n_samples=n, seed=0)
-        assert stats.n_samples == n
+        assert ensemble_purcell_stats(particle, GEOMETRY, [T580, T611],
+                                      BUDGETS, n_samples=n, seed=0) == default
 
 
 def test_total_ion_count():

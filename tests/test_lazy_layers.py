@@ -103,12 +103,12 @@ _LOADED = ("import json, sys, types; from fpcavity.cli import main; "
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["cavity"], {"config", "core", "optics", "purcell"}),
+    (["cavity"], {"config", "core", "optics"}),
     (["purcell"], {"config", "core", "optics", "purcell", "ensemble"}),
     (["fit", "sqrt_offset", str(BUNDLED)],
-     {"config", "core", "optics", "purcell", "fitting", "trace"}),
-    (["plan"], {"config", "core", "optics", "purcell", "ensemble",
-                "planner"}),
+     {"config", "core", "optics", "fitting", "trace"}),
+    (["plan"], {"config", "core", "optics", "purcell", "planner"}),
+    # the decay trace takes its lifetime from purcell.cavity_lifetime
     (["simulate", "decay", "--out", "decay.csv"],
      {"config", "core", "optics", "purcell", "spectra", "trace"}),
 ], ids=["cavity", "purcell", "fit", "plan", "simulate"])

@@ -24,7 +24,7 @@ from fpcavity import (
     sweep_grid,
     write_sweep_csv,
 )
-from fpcavity import ensemble, planner
+from fpcavity import planner
 from fpcavity.cli import main
 from fpcavity.core import Nanoparticle, _Record, record
 from fpcavity.ensemble import channel_strengths
@@ -460,11 +460,11 @@ def test_channel_setup_loads_each_budget_once(monkeypatch):
     geometry, enhanced, bare = _cavity("open_double", [T580, T611], BUDGETS,
                                        25e-6)
     particle = Nanoparticle(diameter=70e-9, dopant_concentration=0.5)
-    expected = (channel_strengths(particle, geometry, enhanced, bare),
+    expected = ([c.strength for c in channel_strengths(particle, geometry,
+                                                       enhanced, bare)],
                 [outcoupling_efficiency(loaded_budget(b, 70e-9, t.wavelength))
                  for t, b in zip(enhanced, bare)])
-    for module in (planner, ensemble):
-        monkeypatch.setattr(module, "loaded_budget", counted)
+    monkeypatch.setattr(planner, "loaded_budget", counted)
     assert _channel_setup(particle, geometry, enhanced, bare) == expected
     # the strengths and the outcouplings share one loaded budget each
     assert loads == [T580.wavelength, T611.wavelength]
@@ -493,8 +493,10 @@ def test_vector_sweep_matches_scalar_reference_bitwise():
         for diameter in diameters:
             particle = Nanoparticle(diameter=diameter,
                                     dopant_concentration=0.5)
-            channels, outcouplings = _channel_setup(
-                particle, *_cavity(mode, [T580, T611], BUDGETS, 25e-6))
+            cavity = _cavity(mode, [T580, T611], BUDGETS, 25e-6)
+            strengths, outcouplings = _channel_setup(particle, *cavity)
+            channels = channel_strengths(particle, *cavity)
+            assert [c.strength for c in channels] == strengths
             collected = _collected(mode)
             for f_rep in rates:
                 scheme = PulseScheme(1e-6, 1.0 / f_rep - 1e-6, 0.5)

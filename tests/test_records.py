@@ -40,7 +40,7 @@ _SAMPLES = [
     # toolkit_version, created_utc and outputs (defaulted) omitted
     (RunManifest, (("fpcavity", "cavity"), "ab" * 32, 3), None),
     (ChannelStrength, (580.8e-9, 2.5), None),
-    (EnsembleStats, (1.5, 0.25, 3.0, 4096, 7), None),
+    (EnsembleStats, (1.5, 0.25, 3.0, "exact"), None),
     (ExactMoments, (1.5, 0.25, "exact"), None),
     (SpectralPopulation, (10**6, 34e9, 0.0, [(0, 1)]), {"total_ions": 0}),
     (IonCountStats, (2.0, 1.5, 300, 11), None),
