@@ -26,7 +26,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import operator
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -251,7 +250,8 @@ def _require_count(name: str, value, minimum: int) -> None:
     if not minimum <= value < math.inf:
         _require_finite(**{name: value})
         raise ValueError(f"{name} must be >= {minimum}")
-    operator.index(value)
+    if not hasattr(type(value), "__index__"):  # what operator.index takes
+        raise TypeError(f"{name} must be an integer")
 
 
 def _require_diameter(name: str, value: float) -> None:

@@ -25,7 +25,7 @@ from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
                    _require_each, _require_finite, _require_non_negative,
                    _require_positive, record)
 from .optics import loaded_budget
-from .purcell import coupling_report
+from .purcell import jittered_purcell
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:  # the samplers import these when they run
@@ -116,10 +116,9 @@ def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
     channels = []
     for transition, bare in zip(transitions, budgets, strict=True):
         loaded = loaded_budget(bare, particle.diameter, transition.wavelength)
-        report = coupling_report(transition, geometry, loaded,
-                                 jitter_sigma=geometry.rms_length_jitter)
-        channels.append(ChannelStrength(wavelength=transition.wavelength,
-                                        strength=report.effective_purcell))
+        channels.append(ChannelStrength(
+            wavelength=transition.wavelength,
+            strength=jittered_purcell(transition, geometry, loaded)))
     return channels
 
 

@@ -30,11 +30,7 @@ from .core import (CONTACT_LENGTH, PLAN_MODES, _OPEN_MODES, CavityGeometry,
                    _require_non_negative, _require_positive,
                    _require_probability, _shared_lifetime, record)
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
-from .purcell import coupling_report
-
-TYPE_CHECKING = False  # typing's flag, without importing typing
-if TYPE_CHECKING:
-    from .ensemble import ChannelStrength
+from .purcell import jittered_purcell
 
 CONTACT_JITTER = 0.8e-12
 OPEN_JITTER = 2.5e-12
@@ -136,14 +132,12 @@ def _collected(mode: str) -> list[bool]:
 
 def _channel_setup(particle: Nanoparticle, geometry: CavityGeometry,
                    enhanced, bare):
-    """The strengths of ``ensemble.channel_strengths``, as floats, and the
-    outcouplings of one particle in one cavity, both from one loaded
-    budget per transition."""
+    """The :func:`~.purcell.jittered_purcell` strengths and the outcouplings
+    of one particle in one cavity, both from one loaded budget per
+    transition."""
     loaded = [loaded_budget(budget, particle.diameter, transition.wavelength)
               for transition, budget in zip(enhanced, bare, strict=True)]
-    strengths = [coupling_report(transition, geometry, budget,
-                                 jitter_sigma=geometry.rms_length_jitter
-                                 ).effective_purcell
+    strengths = [jittered_purcell(transition, geometry, budget)
                  for transition, budget in zip(enhanced, loaded)]
     return strengths, [outcoupling_efficiency(budget) for budget in loaded]
 

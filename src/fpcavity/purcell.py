@@ -281,3 +281,12 @@ def coupling_report(transition: Transition, geometry: CavityGeometry,
         cavity_branching=cavity_branching(effective,
                                           transition.branching_ratio),
     )
+
+
+def jittered_purcell(transition: Transition, geometry: CavityGeometry,
+                     loaded: LossBudget) -> float:
+    """One channel's strength, as ``ensemble`` and ``planner`` take it: the
+    effective Purcell factor on a budget loaded with the particle's
+    scattering, under the geometry's rms length jitter."""
+    return coupling_report(transition, geometry, loaded,
+                           geometry.rms_length_jitter).effective_purcell

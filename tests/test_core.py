@@ -137,7 +137,7 @@ def test_cavity_geometry_validation():
 ], ids=["hole_spectrum", "decay_histogram", "resonance_length",
         "SpectralPopulation", "CavityGeometry"])
 def test_a_fractional_count_raises_type_error(call):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r" must be an integer$"):
         call()
 
 

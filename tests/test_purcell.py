@@ -282,3 +282,11 @@ def test_coupling_report_jitter_reduces_enhancement():
     locked = coupling_report(T580, GEOMETRY, BARE_580, jitter_sigma=8e-12)
     assert locked.effective_purcell < best.effective_purcell
     assert locked.nominal_purcell == best.nominal_purcell
+
+
+def test_jittered_purcell_takes_the_geometry_jitter():
+    # the one channel-strength rule that ensemble and planner both call
+    loaded = loaded_budget(BARE_580, 60e-9, T580.wavelength)
+    locked = coupling_report(T580, GEOMETRY, loaded, jitter_sigma=8e-12)
+    assert purcell.jittered_purcell(T580, GEOMETRY, loaded) \
+        == locked.effective_purcell
