@@ -49,7 +49,6 @@ from .core import (
     _require_non_negative,
     _require_positive,
     _shared_lifetime,
-    record,
 )
 from .optics import LossBudget
 
@@ -121,10 +120,10 @@ def _at_least(minimum: int):
     return _core(_require_count, minimum, kind=_integer)
 
 
-# Upper bound on every count that sizes an array: simulate.<kind>.points,
-# monte_carlo.n_samples and ion_estimate.n_draws.  At 80 MB per float array
-# it is ample for any study, and a larger count fails here with its path
-# instead of inside numpy.
+# Upper bound on every count.  simulate.<kind>.points sizes a trace, 80 MB
+# per float array at the bound, and fails past it with its path instead of
+# inside numpy; monte_carlo.n_samples and ion_estimate.n_draws size nothing
+# since the ensemble statistics became exact.
 MAX_COUNT = 10**7
 
 
@@ -470,7 +469,6 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@record
 class RunManifest(_JsonRecord):
     """Provenance record of one command invocation.
 

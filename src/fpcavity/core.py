@@ -11,11 +11,12 @@ Unit conventions used across the package:
   million (ppm)
 
 All types are immutable and serialize to JSON with the field names below,
-verbatim.  Their methods come from :class:`_Record`, and ``__match_args__``
-names their fields.  They are dataclasses to the ``dataclasses`` API, but
-their dataclass metadata is built on the first read of it: importing
-``dataclasses`` brings ``inspect`` with it, which cost about a tenth of a
-numpy-free CLI process, and no such process reads that metadata.
+verbatim.  Each is a :class:`_Record` subclass that annotates its fields;
+its methods come from that base, and ``__match_args__`` names its fields.
+They are dataclasses to the ``dataclasses`` API, but their dataclass
+metadata is built on the first read of it: importing ``dataclasses`` brings
+``inspect`` with it, which cost about a tenth of a numpy-free CLI process,
+and no such process reads that metadata.
 
 The vocabulary the run configuration checks lives here too, so loading a
 config needs no numpy: the plan modes and their rules, the detection
@@ -78,18 +79,18 @@ def linewidth_to_coherence_time(fwhm: float) -> float:
 
 
 class _DataclassMetadata:
-    """``__dataclass_fields__`` or ``__dataclass_params__`` of a
-    :func:`record` class, which ``dataclass()`` puts on the class at the
-    first read; a class that no :func:`record` made, nor any of its bases,
-    has neither.  Two threads reading first may both build it; each build
-    describes the same fields."""
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record
+    class, which ``dataclass()`` puts on the class at the first read; a
+    class that annotates no fields, nor any of its bases, has neither.
+    Two threads reading first may both build it; each build describes the
+    same fields."""
 
     def __set_name__(self, owner, name: str):
         self.name = name
 
     def __get__(self, instance, owner):
         for cls in owner.__mro__:
-            if "__match_args__" in vars(cls):  # set by record()
+            if "__match_args__" in vars(cls):  # set by __init_subclass__
                 from dataclasses import dataclass
                 dataclass(cls, init=False, repr=False, eq=False)
                 return vars(cls)[self.name]
@@ -98,12 +99,18 @@ class _DataclassMetadata:
 
 
 class _Record:
-    """Methods of a frozen dataclass, written once for every :func:`record`
-    class instead of compiled for each; ``__match_args__`` names the
-    fields.  Unpickling and copying rebuild a record through ``__init__``."""
+    """Methods of a frozen dataclass, written once for every record instead
+    of compiled for each.  A subclass that annotates fields is a record of
+    them, in order, each with its class attribute as the default;
+    ``__match_args__`` names them.  Unpickling and copying rebuild a record
+    through ``__init__``."""
 
     __dataclass_fields__ = _DataclassMetadata()
     __dataclass_params__ = _DataclassMetadata()
+
+    def __init_subclass__(cls):
+        if fields := cls.__annotations__:  # the class's own, not its bases'
+            cls.__match_args__ = tuple(fields)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
@@ -162,13 +169,6 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
         raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated "
                         f"argument {next(iter(kwargs))!r}")
     return values
-
-
-def record(cls):
-    """Make a :class:`_Record` subclass a frozen record of the fields it
-    annotates, in order, each with its class attribute as the default."""
-    cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
-    return cls
 
 
 def replace(record, **changes):
@@ -279,7 +279,6 @@ def _require_stable(cavity_length: float, radius_of_curvature: float) -> None:
                          "for a stable plano-concave resonator")
 
 
-@record
 class Transition(_JsonRecord):
     """One optical transition of the emitter.
 
@@ -311,7 +310,6 @@ class Transition(_JsonRecord):
         return wavelength_to_frequency(self.wavelength)
 
 
-@record
 class CavityGeometry(_JsonRecord):
     """Plano-concave cavity geometry.
 
@@ -333,7 +331,6 @@ class CavityGeometry(_JsonRecord):
         _require_non_negative("rms_length_jitter", self.rms_length_jitter)
 
 
-@record
 class Nanoparticle(_JsonRecord):
     """Doped dielectric nanosphere resting on the flat mirror.
 
@@ -361,7 +358,6 @@ class Nanoparticle(_JsonRecord):
         return math.pi / 6.0 * self.diameter**3
 
 
-@record
 class DetectionChain(_JsonRecord):
     """Photon path from the cavity output to counted clicks.
 

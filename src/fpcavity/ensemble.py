@@ -23,24 +23,19 @@ import math
 
 from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
                    _require_each, _require_finite, _require_non_negative,
-                   _require_positive, record)
+                   _require_positive)
 from .optics import loaded_budget
 from .purcell import jittered_purcell
-
-TYPE_CHECKING = False  # typing's flag, without importing typing
-if TYPE_CHECKING:  # the samplers import these when they run
-    import numpy as np
-
-    from .trace import Trace
 
 # entropy-domain tags keep the independent sampling tasks on distinct streams
 _DOMAIN_ION_COUNT = 1
 _DOMAIN_SFS = 2
 
 
-def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
+def _rng(seed: int, domain: int) -> np.random.Generator:
     import numpy as np
-    sequence = np.random.SeedSequence(entropy=(seed, domain, index))
+    # the 0 keeps the streams, and the traces they draw, of earlier versions
+    sequence = np.random.SeedSequence(entropy=(seed, domain, 0))
     return np.random.Generator(np.random.Philox(sequence))
 
 
@@ -93,7 +88,6 @@ def standing_wave_factor(height, wavelength: float, antinode_offset: float):
     return np.square(np.sin(phase, out=phase), out=phase)[()]
 
 
-@record
 class ChannelStrength(_JsonRecord):
     """Deterministic part of one transition's Purcell factor.
 
@@ -122,7 +116,6 @@ def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
     return channels
 
 
-@record
 class EnsembleStats(_JsonRecord):
     """Effective-Purcell distribution over ions in one particle: its exact
     mean and std, and its ceiling ``max``."""
@@ -156,7 +149,6 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
                          max=math.fsum(c.strength for c in channels))
 
 
-@record
 class ExactMoments(_JsonRecord):
     """Exact mean and standard deviation of a distribution, in closed form
     rather than sampled."""
@@ -267,7 +259,6 @@ def default_hyperfine_classes() -> tuple[tuple[float, float], ...]:
 _MAX_IONS = 2**63 - 1
 
 
-@record
 class SpectralPopulation(_JsonRecord):
     """Ion population over the inhomogeneous line.
 
@@ -345,7 +336,6 @@ def ion_count_moments(population: SpectralPopulation, probe_frequency: float,
     return ExactMoments(mean=n * p, std=math.sqrt(n * p * (1.0 - p)))
 
 
-@record
 class IonCountStats(_JsonRecord):
     """Distribution of ions addressed inside a probe window."""
 
@@ -369,7 +359,7 @@ def ions_in_bandwidth(population: SpectralPopulation, probe_frequency: float,
     import numpy as np
     _require_count("n_draws", n_draws, 2)
     p = _window_probability(population, probe_frequency, bandwidth)
-    counts = _rng(seed, _DOMAIN_ION_COUNT, 0).binomial(
+    counts = _rng(seed, _DOMAIN_ION_COUNT).binomial(
         population.total_ions, p, size=n_draws)
     return IonCountStats(mean=float(np.mean(counts)),
                          std=float(np.std(counts, ddof=1)),
@@ -400,7 +390,7 @@ def _window_counts(population: SpectralPopulation, probe_fwhm: float, grid,
     # rounding must not make an interval's probability negative
     np.maximum.accumulate(np.clip(cdf, 0.0, 1.0, out=cdf), out=cdf)
     n = population.total_ions
-    counts = _rng(seed, _DOMAIN_SFS, 0).multinomial(
+    counts = _rng(seed, _DOMAIN_SFS).multinomial(
         n, np.diff(cdf, prepend=0.0, append=1.0))
     below = np.cumsum(counts[:-1])
     return (below[hi] - below[lo]).astype(float), n * (cdf[hi] - cdf[lo])

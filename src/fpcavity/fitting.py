@@ -16,12 +16,11 @@ cap on clean and noisy data alike.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .core import (NumericalError, _Record, _require_each, _require_finite,
-                   _require_non_negative, _require_positive, record)
+                   _require_non_negative, _require_positive)
 from .trace import Trace
 
 # the solver's iteration cap and its relative step-size convergence test
@@ -29,7 +28,6 @@ MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
 
 
-@record
 class ModelSpec(_Record):
     """A registered fit model: parameters, function, Jacobian, guess."""
 
@@ -294,7 +292,6 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
 
-@record
 class FitResult(_Record):
     """Outcome of a least-squares fit.
 

@@ -11,7 +11,7 @@ import math
 
 from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_count,
                    _require_finite, _require_non_negative, _require_positive,
-                   _require_stable, record, replace)
+                   _require_stable, replace)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -23,7 +23,6 @@ RAYLEIGH_WAVELENGTH_EXPONENT = -4.0
 MAX_MODE_ORDER = 200  # highest longitudinal order double_resonance accepts
 
 
-@record
 class LossBudget(_JsonRecord):
     """Round-trip loss budget of the cavity in ppm.
 
@@ -55,7 +54,6 @@ class LossBudget(_JsonRecord):
         return self.total * 1e-6
 
 
-@record
 class DoubleResonance(_JsonRecord):
     """Joint resonance of two wavelengths in the same cavity.
 

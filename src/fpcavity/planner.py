@@ -28,7 +28,7 @@ from .core import (CONTACT_LENGTH, PLAN_MODES, _OPEN_MODES, CavityGeometry,
                    DetectionChain, Nanoparticle, _check_mode,
                    _detection_window, _JsonRecord, _require_fraction,
                    _require_non_negative, _require_positive,
-                   _require_probability, _shared_lifetime, record)
+                   _require_probability, _shared_lifetime)
 from .optics import double_resonance, loaded_budget, outcoupling_efficiency
 from .purcell import jittered_purcell
 
@@ -38,7 +38,6 @@ OPEN_JITTER = 2.5e-12
 SWEEP_COLUMNS = ("d_np_nm", "f_rep_hz", "mode", "rate_cps", "snr")
 
 
-@record
 class PulseScheme(_JsonRecord):
     """Excite-then-collect timing of one detection cycle.
 
@@ -87,7 +86,6 @@ def _snrs(signal_rates: array, dark_rate: float,
     return array("d", [rate * time / noise for rate in signal_rates])
 
 
-@record
 class SweepRow(_JsonRecord):
     """One operating point of the design sweep.
 

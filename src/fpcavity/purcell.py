@@ -26,7 +26,6 @@ from .core import (
     _require_non_negative,
     _require_positive,
     hz_to_angular,
-    record,
 )
 from .optics import LossBudget, cavity_linewidth, finesse, mode_waist
 
@@ -219,7 +218,6 @@ def saturation_power(intensity: float, waist: float) -> float:
     return intensity * math.pi * waist**2 / 2.0
 
 
-@record
 class CouplingReport(_JsonRecord):
     """Coupling summary of one transition in one cavity configuration."""
 

@@ -10,7 +10,6 @@ exactly.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from .core import (NOISE_MODELS, _require_count, _require_each,
                    _require_finite, _require_fraction, _require_non_negative,
                    _require_positive)
 from .trace import Trace, _grid
-
-if TYPE_CHECKING:  # ple_scan imports ensemble when a population is given
-    from .ensemble import SpectralPopulation
 
 
 def _trace(x: np.ndarray, mean: np.ndarray, noise: str,

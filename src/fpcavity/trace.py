@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _Record, _require_each, record
+from .core import _Record, _require_each
 
 
 class TraceFormatError(ValueError):
@@ -36,7 +36,6 @@ class TraceFormatError(ValueError):
         self.line_number = line_number
 
 
-@record
 class Trace(_Record):
     """An (x, y) data trace plus the noise model and seed that produced it."""
 

@@ -340,6 +340,7 @@ def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
     ("decay", ("geometry", "mode_order"), 20.0, "must be an integer"),
     ("decay", ("monte_carlo", "n_sampels"), 20000, "unknown key"),
     ("decay", ("plann",), {}, "unknown key"),
+    ("decay", ("pulse",), [], "must be an object"),
     ("decay", ("simulate", "decy"), {}, "unknown key"),
     ("decay", ("simulate", "decay", "noize"), "poisson", "unknown key"),
     ("ple", ("simulate", "ple", "use_population"), "false",
@@ -353,7 +354,7 @@ def test_simulate_parameters_are_type_checked(tmp_path, capsys, kind, key,
     ("decay", ("simulate", "decay", "noise"), "gaussian",
      "must be 'none' or 'poisson', got 'gaussian'"),
 ], ids=["mode-order-bool", "mode-order-float", "unknown-mc-key",
-        "unknown-section", "unknown-kind", "unknown-decay-key",
+        "unknown-section", "pulse-list", "unknown-kind", "unknown-decay-key",
         "population-string", "wavelength-string", "diameter-null",
         "points-zero", "points-negative", "points-huge", "noise-unknown"])
 def test_every_config_key_is_checked_at_load(tmp_path, capsys, kind, leaf,

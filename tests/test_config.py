@@ -159,6 +159,16 @@ def test_counts_that_size_arrays_are_bounded(path):
             f"{'.'.join(path)}: must be an integer <= {MAX_COUNT}")
 
 
+@pytest.mark.parametrize("document, message", [
+    ([], "config root: must be an object"),
+    (_replaced(("loss_budgets",), DEFAULT["loss_budgets"][:1]),
+     "loss_budgets: need one budget per transition"),
+], ids=["root-list", "one-budget-for-two-transitions"])
+def test_document_shape_is_checked_at_load(document, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(document)
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"

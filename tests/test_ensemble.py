@@ -370,6 +370,9 @@ def test_spectral_population_validation():
     with pytest.raises(ValueError):
         SpectralPopulation(total_ions=100, inhomogeneous_fwhm=34e9,
                            hyperfine_offsets=((0.0, 0.7), (1e6, 0.2)))
+    with pytest.raises(ValueError,
+                       match="^hyperfine_offsets must not be empty$"):
+        SpectralPopulation(1000, 34e9, 0.0, ())
 
 
 def test_expected_ions_single_class():

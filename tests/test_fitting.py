@@ -180,6 +180,44 @@ def test_exp_decay_guess_exact_on_uniform_grid():
     assert guess["offset"] == pytest.approx(120.0, rel=1e-9)
 
 
+def test_positive_parameters_are_clamped_above_zero(monkeypatch):
+    # from this start the first steps drive the lifetime, then the
+    # amplitude, below zero; each is cut to a tenth of its last value
+    spec = MODELS["exp_decay"]
+    evaluated = []
+
+    def recorded(x, p):
+        evaluated.append(tuple(p.tolist()))
+        return spec.function(x, p)
+
+    monkeypatch.setitem(fitting.MODELS, "exp_decay",
+                        dataclasses.replace(spec, function=recorded))
+    x = np.linspace(0.0, 5e-3, 60)
+    y = 100.0 * np.exp(-x / 1e-3) + 5.0
+    result = fit("exp_decay", x, y, initial_guess={
+        "amplitude": 100.0, "lifetime": 5e-2, "offset": -50.0})
+    assert result.converged
+    assert result.parameters["lifetime"] == pytest.approx(1e-3, rel=1e-9)
+    assert all(lifetime > 0.0 for _, lifetime, _ in evaluated)
+    assert all(amplitude > 0.0 for amplitude, _, _ in evaluated)
+    assert evaluated[1][1] == 0.1 * 5e-2  # the clamp fired
+
+
+def test_guess_fallbacks_on_short_records():
+    # a peak one point wide gives a tenth of the span as its width
+    assert fitting._guess_lorentzian(
+        np.linspace(-1.0, 1.0, 5), np.array([0.0, 0.0, 10.0, 0.0, 0.0])
+    ).tolist() == [10.0, 0.0, 0.2, 0.0]
+    # block sums that do not fall twice: first point over the minimum,
+    # lifetime a third of the span
+    x = np.arange(6.0)
+    guess = fitting._guess_exp_decay(x, np.array([3.0, 3, 2, 2, 0, 0]))
+    assert guess.tolist() == pytest.approx([3.0, 5.0 / 3.0, 0.0])
+    with pytest.raises(ValueError,
+                       match="^cannot guess a decay from non-decaying data$"):
+        fitting._guess_exp_decay(x, x)
+
+
 def test_weight_validation():
     x = np.linspace(0.0, 1.0, 20)
     y = 2.0 * x + 1.0

@@ -81,6 +81,8 @@ def test_double_resonance_rejects_bad_pairs():
         double_resonance(611e-9, 580.8e-9)  # order matters
     with pytest.raises(ValueError):
         double_resonance(580.8e-9, 580.9e-9)  # q beyond the order cap
+    with pytest.raises(ValueError, match="^wavelengths too far apart"):
+        double_resonance(100e-9, 1000e-9)  # q = 1
     # the cap admits q = 200 and rejects q = 201
     assert double_resonance(580e-9, 580e-9 * 200 / 199).mode_order_1 == 200
     with pytest.raises(ValueError, match="mode order <= 200"):

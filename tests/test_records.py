@@ -78,7 +78,7 @@ def _shares_the_record_methods(cls) -> bool:
                             "__delattr__", "__reduce__"))
 
 
-# what dataclass and record() put on a class, left out of its twin
+# what dataclass and _Record put on a class, left out of its twin
 _MACHINERY = {"__dict__", "__weakref__", "__slots__", "__dataclass_fields__",
               "__dataclass_params__", "__match_args__", "__eq__", "__hash__"}
 
@@ -270,3 +270,17 @@ def test_a_plain_frozen_dataclass_fails_the_guard():
         value: float
 
     assert not _shares_the_record_methods(Plain)
+
+
+def test_a_subclass_that_annotates_fields_is_a_record():
+    # no decorator: annotating the fields is what makes a record
+    class P(_JsonRecord):
+        x: float
+        y: float = 0.0
+
+    assert P(1.0) == P(1.0, 0.0) == P(x=1.0)
+    assert P.__match_args__ == ("x", "y")
+    assert [f.name for f in dataclasses.fields(P)] == ["x", "y"]
+    assert P(1.0, 2.0).to_dict() == {"x": 1.0, "y": 2.0}
+    assert "__match_args__" not in vars(_JsonRecord)
+    assert not hasattr(_JsonRecord, "__dataclass_fields__")

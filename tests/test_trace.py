@@ -138,6 +138,16 @@ def test_trace_freezes_views_and_leaves_the_callers_arrays_writeable():
     assert direct.y[1] == 7.0
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([], [], "trace must not be empty"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0],
+     "x and y must be 1-d arrays of equal length"),
+], ids=["empty", "unequal-lengths"])
+def test_trace_refuses_empty_or_unequal_columns(x, y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trace(x=x, y=y)
+
+
 def test_canonical_file_takes_the_bulk_parse(tmp_path, monkeypatch):
     out = tmp_path / "t.csv"
     write_trace_csv(Trace(x=[0.0, 1.0, 2.0], y=[5.0, -0.0, math.nan]), out)
