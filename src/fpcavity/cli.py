@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import sys
@@ -451,5 +452,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """Process entry of ``python -m fpcavity.cli`` and the console script:
+    ``main()``, then ``gc.freeze()`` however it ends, so the shutdown
+    collections skip the run's objects; every file is closed by then.
+    ``atexit``, the stdio flush and the exit code are untouched."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -359,6 +359,11 @@ def test_linear_guess_matches_polyfit_at_ordinary_scales():
                                          "points at two distinct x$"):
         auto_initial_guess("power_law", np.array([-1.0, 0.0, 2.0, 2.0]),
                            np.arange(1.0, 5.0))
+    # and when none is positive, no x is left at all
+    with pytest.raises(ValueError, match="^power-law guess needs positive "
+                                         "points at two distinct x$"):
+        auto_initial_guess("power_law", np.array([-1.0, 0.0]),
+                           np.array([1.0, 2.0]))
 
 
 def test_a_failed_least_squares_guess_is_a_numerical_error(monkeypatch):

@@ -11,7 +11,10 @@ another platform, find the operation that differs (``np.exp``,
 """
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import fpcavity
@@ -120,6 +123,21 @@ def test_cli_outputs_match_their_pinned_digests(tmp_path, capsys,
     assert set(digests) == set(PINNED)
     changed = sorted(name for name in PINNED if digests[name] != PINNED[name])
     assert not changed, f"outputs changed: {changed}"
+
+
+def test_module_run_writes_the_pinned_files(tmp_path):
+    # the tests above call main(argv); `python -m fpcavity.cli` goes through
+    # the process entry, which freezes the heap before the process exits
+    src = str(Path(fpcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for argv in (["simulate", "decay", "--seed", "0", "--out", "decay-0.csv"],
+                 ["plan", "--out", "plan.csv"]):
+        proc = subprocess.run([sys.executable, "-m", "fpcavity.cli", *argv],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("decay-0.csv", "decay-0.json", "plan.csv"):
+        assert _digest((tmp_path / name).read_bytes()) == PINNED[name], name
 
 
 def test_bundled_config_is_pinned():

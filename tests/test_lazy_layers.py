@@ -123,6 +123,20 @@ def test_each_subcommand_executes_only_the_layers_it_uses(argv, layers,
     assert numpy is (argv[0] in ("fit", "simulate"))
 
 
+def test_fit_power_law_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique in the power-law guess imported numpy.ma, about 10 ms of
+    # every `fit power_law` process
+    assert _python("-m", "fpcavity.cli", "simulate", "saturation", "--out",
+                   "saturation.csv", cwd=tmp_path).returncode == 0
+    proc = _python("-c", "import sys; from fpcavity.cli import main; "
+                   "code = main(sys.argv[1:]); "
+                   "print('numpy.ma' in sys.modules, file=sys.stderr); "
+                   "sys.exit(code)", "fit", "power_law", "saturation.csv",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+
+
 def test_import_leaves_numpy_and_the_layers_unloaded():
     proc = _python("-c", "import sys, types, fpcavity; print('numpy' in "
                    "sys.modules, sorted(name for name, module in "
