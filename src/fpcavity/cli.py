@@ -14,10 +14,11 @@ Global flags: ``--config PATH`` (JSON parameter tree, bundled defaults
 otherwise), ``--seed N`` (overrides the config seed of the noise draws),
 ``--json`` (machine output, full precision); ``simulate`` (required),
 ``fit`` and ``plan`` take ``--out PATH`` (write the data file and a
-manifest).  Exit codes: 0 success, 2 configuration or argument error or an
-unwritable output file, 3 input-data error, 4 a ``NumericalError`` from a
-fit.  Human-readable text rounds values; the JSON output carries full
-precision of the same numbers.
+manifest).  Exit codes: 0 success, 2 configuration or argument error, an
+unwritable output file, or one that would overwrite the config or the
+input trace, 3 input-data error, 4 a ``NumericalError`` from a fit.
+Human-readable text rounds values; the JSON output carries full precision
+of the same numbers.
 
 A subcommand imports the layers it uses inside its handler, so ``cavity``,
 ``purcell`` and ``plan`` load no array library, ``cavity`` and ``fit`` no
@@ -403,7 +404,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_overwriting_inputs(args) -> None:
+    """Exit 2, before anything runs, if a file the run would write (the
+    output, a trace's sidecar, the manifest) is the config or fit's input."""
+    out = getattr(args, "out", None)
+    if not out:
+        return
+    written = [Path(out), manifest_path_for(out)]
+    if args.command == "simulate":
+        from .trace import sidecar_path
+        written.append(sidecar_path(out))
+    for source in filter(None, (args.config, getattr(args, "input", None))):
+        for path in written:
+            if path.resolve() == Path(source).resolve():
+                raise _CliError(2, f"output error: {path} would overwrite "
+                                   f"the input {source}")
+
+
 def _run(args, argv) -> int:
+    _refuse_overwriting_inputs(args)
     if args.config:
         config = RunConfig.from_file(args.config)
     else:
@@ -454,9 +473,12 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """Process entry of ``python -m fpcavity.cli`` and the console script:
-    ``main()``, then ``gc.freeze()`` however it ends, so the shutdown
-    collections skip the run's objects; every file is closed by then.
-    ``atexit``, the stdio flush and the exit code are untouched."""
+    ``main()`` with the cyclic collector off, safe because a run's cyclic
+    garbage is a few hundred objects whatever its points or rows, then
+    ``gc.freeze()`` however it ends, so finalization's full collection,
+    which runs regardless, skips the run's objects; every file is closed
+    by then.  ``atexit``, the stdio flush and the exit code are kept."""
+    gc.disable()
     try:
         return main()
     finally:

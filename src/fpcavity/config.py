@@ -466,7 +466,13 @@ class RunConfig:
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's SHA-256, read in 512 KiB chunks, so hashing a large
+    output holds at most two chunks, never the whole file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 19):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class RunManifest(_JsonRecord):

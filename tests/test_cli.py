@@ -214,6 +214,64 @@ def test_simulate_refuses_a_trace_that_is_its_own_sidecar(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def _overwriting_runs(tmp_path):
+    """The three runs that wrote over their own input and exited 0: each
+    argv, its input file, and the path that would have replaced it."""
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(fpcavity.default_config_data()),
+                      encoding="utf-8")
+    plan_config = tmp_path / "c.json"
+    plan_config.write_bytes(config.read_bytes())
+    trace = tmp_path / "d.csv"
+    trace.write_text("x,y\n0.0,2.0\n1.0,1.0\n2.0,0.5\n3.0,0.25\n",
+                     encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    same_trace = tmp_path / "sub" / ".." / "d.csv"  # another spelling
+    return {
+        # the sidecar big.json replaced the config
+        "simulate-sidecar": (
+            ["simulate", "decay", "--config", str(config),
+             "--out", str(tmp_path / "big.csv")], config, config),
+        # the sweep CSV replaced the config
+        "plan-out": (
+            ["plan", "--config", str(plan_config), "--out", str(plan_config)],
+            plan_config, plan_config),
+        # the fit report replaced the trace
+        "fit-out": (
+            ["fit", "exp_decay", str(same_trace), "--out", str(trace)],
+            same_trace, trace),
+    }
+
+
+def _files(directory) -> dict:
+    return {path: path.read_bytes() for path in directory.iterdir()
+            if path.is_file()}
+
+
+@pytest.mark.parametrize("case", ["simulate-sidecar", "plan-out",
+                                  "fit-out"])
+def test_a_run_that_would_overwrite_its_input_is_refused(tmp_path, capsys,
+                                                         case):
+    argv, source, written = _overwriting_runs(tmp_path)[case]
+    before = _files(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"output error: {written} would overwrite the input {source}\n")
+    assert _files(tmp_path) == before
+
+
+def test_a_manifest_that_would_overwrite_the_config_is_refused(tmp_path,
+                                                                capsys):
+    config = tmp_path / "p.csv.manifest.json"
+    config.write_text(json.dumps(fpcavity.default_config_data()),
+                      encoding="utf-8")
+    out = tmp_path / "p.csv"
+    assert main(["plan", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: {config} would overwrite the input {config}\n")
+    assert [path.name for path in tmp_path.iterdir()] == [config.name]
+
+
 def test_simulate_decay_reproducible(tmp_path, capsys):
     out = tmp_path / "decay.csv"
     assert main(["simulate", "decay", "--out", str(out)]) == 0

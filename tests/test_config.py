@@ -10,11 +10,13 @@ checks the same ones.
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from fpcavity.config import (
     RunConfig,
     build_manifest,
     default_config_data,
+    file_sha256,
 )
 from fpcavity.core import (
     _require_count,
@@ -235,6 +238,29 @@ def test_manifest_holds_the_seed_to_the_seed_rule(seed, message):
     # -3 was recorded as given
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build_manifest(["fpcavity", "cavity"], RunConfig.default(), seed)
+
+
+@pytest.mark.parametrize("size", [0, 1000, 3 * 2**20 + 17],
+                         ids=["empty", "one-chunk", "multi-chunk"])
+def test_file_sha256_is_the_digest_of_the_whole_file(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "out.bin"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_file_sha256_does_not_hold_the_file(tmp_path):
+    # it read the whole file into one bytes object: a 54 MB trace CSV
+    # raised the run's peak RSS by its own size
+    path = tmp_path / "out.bin"
+    path.write_bytes(bytes(8 * 2**20))
+    tracemalloc.start()
+    try:
+        file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # The core rule of every number outside the value-type sections, whose
