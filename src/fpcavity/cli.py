@@ -15,8 +15,10 @@ otherwise), ``--seed N`` (overrides the config seed of the noise draws),
 ``--json`` (machine output, full precision); ``simulate`` (required),
 ``fit`` and ``plan`` take ``--out PATH`` (write the data file and a
 manifest).  Exit codes: 0 success, 2 configuration or argument error, an
-unwritable output file, or one that would overwrite the config or the
-input trace, 3 input-data error, 4 a ``NumericalError`` from a fit.
+output file that cannot be written, and before anything runs an empty
+``--out``, an output in a missing directory, one that is a directory, or
+one that is the config, the input trace or that trace's sidecar, 3
+input-data error, 4 a ``NumericalError`` from a fit.
 Human-readable text rounds values; the JSON output carries full precision
 of the same numbers.
 
@@ -27,7 +29,6 @@ A subcommand imports the layers it uses inside its handler, so ``cavity``,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import json
@@ -63,18 +64,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@contextlib.contextmanager
-def _writing(path):
-    """Exit 2, naming the file, when writing ``path`` (or a file written
-    beside it) fails."""
-    try:
-        yield
-    except OSError as exc:
-        raise _CliError(2, f"output error: cannot write "
-                           f"{exc.filename or path}: {exc.strerror or exc}"
-                        ) from None
 
 
 _HZ_UNITS = ((1e12, "THz"), (1e9, "GHz"), (1e6, "MHz"), (1e3, "kHz"),
@@ -161,7 +150,7 @@ def _cmd_cavity(args, config: RunConfig, seed: int):
     lines.append(
         f"contact waist at {_length(CONTACT_LENGTH)}: "
         f"{_length(report['contact']['waist'])}")
-    return report, lines, []
+    return report, lines, None
 
 
 def _cmd_purcell(args, config: RunConfig, seed: int):
@@ -216,20 +205,15 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
         f"{population.total_ions}; "
         f"addressed in {_hz(config.ion_probe_bandwidth)} probe: "
         f"{addressed.mean:.1f} +/- {addressed.std:.1f} (exact)")
-    return report, lines, []
+    return report, lines, None
 
 
 def _cmd_simulate(args, config: RunConfig, seed: int):
-    from .trace import write_trace
+    from .trace import sidecar_path, write_trace
     params = config.simulate_params(args.kind)
     trace, derived = SIMULATIONS[args.kind].run(params, config, seed)
     out = Path(args.out)
-    with _writing(out):
-        sidecar = write_trace(trace, out, metadata={
-            "kind": args.kind,
-            "parameters": params,
-            "derived": derived,
-        })
+    sidecar = sidecar_path(out)
     report = {
         "kind": args.kind,
         "points": len(trace),
@@ -245,7 +229,11 @@ def _cmd_simulate(args, config: RunConfig, seed: int):
             f"effective lifetime {_time(derived['effective_lifetime'])} "
             f"(free-space {_time(derived['free_space_lifetime'])})")
     lines.append(f"sidecar {sidecar}")
-    return report, lines, [out, sidecar]
+    return report, lines, functools.partial(write_trace, trace, metadata={
+        "kind": args.kind,
+        "parameters": params,
+        "derived": derived,
+    })
 
 
 def _cmd_fit(args, config: RunConfig, seed: int):
@@ -275,15 +263,10 @@ def _cmd_fit(args, config: RunConfig, seed: int):
             lines.append(f"  {name} = {value:.6g} +/- {error:.2g}")
     lines.append(f"weighted residual sum of squares: "
                  f"{result.residual_sum_of_squares:.6g}")
-    outputs = []
-    if args.out:
-        out = Path(args.out)
-        with _writing(out):
-            out.write_text(json.dumps(report, indent=2, sort_keys=True)
-                           + "\n", encoding="utf-8")
-        lines.append(f"wrote report to {out}")
-        outputs.append(out)
-    return report, lines, outputs
+    if args.out is not None:
+        lines.append(f"wrote report to {Path(args.out)}")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return report, lines, lambda path: path.write_text(text, encoding="utf-8")
 
 
 def _row_report(row) -> dict:
@@ -323,13 +306,9 @@ def _cmd_plan(args, config: RunConfig, seed: int):
         f"SNR {best.snr:.1f} in {config.plan_integration_time:g} s "
         f"(F_eff {best.effective_purcell:.2f})",
     ]
-    outputs = []
-    if args.out:
-        with _writing(args.out):
-            out = write_sweep_csv(sweep, args.out)
-        lines.append(f"wrote sweep to {out}")
-        outputs.append(out)
-    return report, lines, outputs
+    if args.out is not None:
+        lines.append(f"wrote sweep to {Path(args.out)}")
+    return report, lines, functools.partial(write_sweep_csv, sweep)
 
 
 _HANDLERS = {
@@ -404,40 +383,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_overwriting_inputs(args) -> None:
-    """Exit 2, before anything runs, if a file the run would write (the
-    output, a trace's sidecar, the manifest) is the config or fit's input."""
-    out = getattr(args, "out", None)
-    if not out:
-        return
-    written = [Path(out), manifest_path_for(out)]
-    if args.command == "simulate":
+def _outputs(args) -> list[Path]:
+    """Every file the run writes, data first and manifest last (none
+    without ``--out``).  Exit 2, before anything runs, if one is in a
+    missing directory, is a directory, or once resolved is an input: the
+    config, ``fit``'s trace or that trace's sidecar."""
+    if getattr(args, "out", None) is None:
+        return []
+    out = Path(args.out)
+    if not out.name:  # "", "." or "/" leaves no name to write or derive
+        raise _CliError(2, f"output error: --out {args.out!r} names no file")
+    written, inputs = [out], [args.config]
+    if args.command != "plan":  # plan stays numpy-free
         from .trace import sidecar_path
-        written.append(sidecar_path(out))
-    for source in filter(None, (args.config, getattr(args, "input", None))):
-        for path in written:
-            if path.resolve() == Path(source).resolve():
-                raise _CliError(2, f"output error: {path} would overwrite "
-                                   f"the input {source}")
+        if args.command == "simulate":
+            written.append(sidecar_path(out))
+        elif Path(args.input).name:  # "" or "." is a directory: exit 3
+            inputs += [args.input, sidecar_path(args.input)]
+    written.append(manifest_path_for(out))
+    sources = {Path(source).resolve(): source for source in inputs if source}
+    for path in written:
+        if path.resolve() in sources:
+            raise _CliError(2, f"output error: {path} would overwrite "
+                               f"the input {sources[path.resolve()]}")
+        if path.is_dir() or not path.parent.is_dir():
+            reason = ("Is a directory" if path.is_dir()
+                      else "No such file or directory")
+            raise _CliError(2, f"output error: cannot write {path}: {reason}")
+    return written
 
 
 def _run(args, argv) -> int:
-    _refuse_overwriting_inputs(args)
+    outputs = _outputs(args)
     if args.config:
         config = RunConfig.from_file(args.config)
     else:
         config = RunConfig.default()
     seed = args.seed if args.seed is not None else config.seed
 
-    report, lines, outputs = _HANDLERS[args.command](args, config, seed)
+    report, lines, write = _HANDLERS[args.command](args, config, seed)
 
-    command = ["fpcavity", *argv]
-    manifest = build_manifest(command, config, seed, outputs)
-    if outputs:
-        manifest_file = manifest_path_for(outputs[0])
-        with _writing(manifest_file):
-            write_manifest(manifest, manifest_file)
-        lines.append(f"manifest {manifest_file}")
+    path = None  # the file being written, for an error that names none
+    try:
+        for path in outputs[:1]:
+            write(path)  # the data file, and a trace's sidecar beside it
+        manifest = build_manifest(["fpcavity", *argv], config, seed,
+                                  outputs[:-1])
+        for path in outputs[-1:]:
+            write_manifest(manifest, path)
+            lines.append(f"manifest {path}")
+    except OSError as exc:
+        raise _CliError(2, f"output error: cannot write "
+                           f"{exc.filename or path}: {exc.strerror or exc}"
+                        ) from None
 
     if args.json:
         report["manifest"] = manifest.to_dict()

@@ -215,8 +215,8 @@ def test_simulate_refuses_a_trace_that_is_its_own_sidecar(tmp_path, capsys):
 
 
 def _overwriting_runs(tmp_path):
-    """The three runs that wrote over their own input and exited 0: each
-    argv, its input file, and the path that would have replaced it."""
+    """The runs that wrote over their own input and exited 0: each argv,
+    its input file, and the path that would have replaced it."""
     config = tmp_path / "big.json"
     config.write_text(json.dumps(fpcavity.default_config_data()),
                       encoding="utf-8")
@@ -225,6 +225,8 @@ def _overwriting_runs(tmp_path):
     trace = tmp_path / "d.csv"
     trace.write_text("x,y\n0.0,2.0\n1.0,1.0\n2.0,0.5\n3.0,0.25\n",
                      encoding="utf-8")
+    sidecar = tmp_path / "d.json"
+    sidecar.write_text('{"noise_model": "poisson"}\n', encoding="utf-8")
     (tmp_path / "sub").mkdir()
     same_trace = tmp_path / "sub" / ".." / "d.csv"  # another spelling
     return {
@@ -240,6 +242,10 @@ def _overwriting_runs(tmp_path):
         "fit-out": (
             ["fit", "exp_decay", str(same_trace), "--out", str(trace)],
             same_trace, trace),
+        # the fit report replaced the trace's sidecar
+        "fit-sidecar": (
+            ["fit", "exp_decay", str(trace), "--out", str(sidecar)],
+            sidecar, sidecar),
     }
 
 
@@ -249,7 +255,7 @@ def _files(directory) -> dict:
 
 
 @pytest.mark.parametrize("case", ["simulate-sidecar", "plan-out",
-                                  "fit-out"])
+                                  "fit-out", "fit-sidecar"])
 def test_a_run_that_would_overwrite_its_input_is_refused(tmp_path, capsys,
                                                          case):
     argv, source, written = _overwriting_runs(tmp_path)[case]
@@ -564,6 +570,14 @@ def test_fit_on_a_directory_exits_3(tmp_path, capsys):
         f"input error: cannot read {tmp_path}: ")
 
 
+def test_fit_out_on_a_nameless_input_exits_3(tmp_path, capsys, monkeypatch):
+    # "." has no name to take a sidecar path from; it is read and refused
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "exp_decay", ".", "--out", "x.json"]) == 3
+    assert capsys.readouterr().err.startswith("input error: cannot read .: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_on_a_trace_that_is_not_utf8_exits_3(tmp_path, capsys):
     trace = tmp_path / "latin1.csv"
     trace.write_bytes("x,y\n1.0,2.0\n2.0,\u00a03.0\n".encode("latin-1"))
@@ -659,6 +673,46 @@ def test_plan_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     assert main(["plan", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"output error: cannot write {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["plan"], "missing/s.csv"),
+    (["fit", "sqrt_offset", str(_HOLE_TRACE)], "missing/x.json"),
+    (["plan"], ""),
+    (["simulate", "decay"], ""),
+    (["fit", "sqrt_offset", str(_HOLE_TRACE)], ""),
+], ids=["plan-missing-dir", "fit-missing-dir", "plan-empty",
+        "simulate-empty", "fit-empty"])
+def test_a_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                           argv, out):
+    # a missing directory failed only after the sweep or fit had run; an
+    # empty --out made plan and fit exit 0 writing nothing, and simulate
+    # exit 2 with a pathlib message
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr("fpcavity.planner.sweep_grid", refuse)
+    monkeypatch.setattr("fpcavity.fitting.fit", refuse)
+    monkeypatch.setattr("fpcavity.config.Simulation.run", refuse)
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / out) if out else out
+    assert main([*argv, "--out", path]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: cannot write {path}: No such file or directory\n"
+        if out else "output error: --out '' names no file\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_simulate_whose_manifest_is_a_directory_writes_nothing(tmp_path,
+                                                                capsys):
+    # the trace and its sidecar were written, then the manifest failed
+    manifest = tmp_path / "d.csv.manifest.json"
+    manifest.mkdir()
+    assert main(["simulate", "decay", "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"output error: cannot write {manifest}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == [manifest]
+    assert not any(manifest.iterdir())
 
 
 def test_an_unwritable_sidecar_exits_2_naming_it(tmp_path, capsys):
