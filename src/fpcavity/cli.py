@@ -16,9 +16,10 @@ otherwise), ``--seed N`` (overrides the config seed of the noise draws),
 ``fit`` and ``plan`` take ``--out PATH`` (write the data file and a
 manifest).  Exit codes: 0 success, 2 configuration or argument error, an
 output file that cannot be written, and before anything runs an empty
-``--out``, an output in a missing directory, one that is a directory, or
-one that is the config, the input trace or that trace's sidecar, 3
-input-data error, 4 a ``NumericalError`` from a fit.
+``--out``, a trace that is its own sidecar, an output in a missing
+directory, one that is a directory, or one that is the config, the input
+trace or that trace's sidecar, 3 input-data error, 4 a ``NumericalError``
+from a fit.
 Human-readable text rounds values; the JSON output carries full precision
 of the same numbers.
 
@@ -385,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _outputs(args) -> list[Path]:
     """Every file the run writes, data first and manifest last (none
-    without ``--out``).  Exit 2, before anything runs, if one is in a
-    missing directory, is a directory, or once resolved is an input: the
-    config, ``fit``'s trace or that trace's sidecar."""
+    without ``--out``).  Exit 2, before anything runs, if a trace is its
+    own sidecar, or if one is in a missing directory, is a directory, or
+    once resolved is an input: the config, ``fit``'s trace or that trace's
+    sidecar."""
     if getattr(args, "out", None) is None:
         return []
     out = Path(args.out)
@@ -395,9 +397,9 @@ def _outputs(args) -> list[Path]:
         raise _CliError(2, f"output error: --out {args.out!r} names no file")
     written, inputs = [out], [args.config]
     if args.command != "plan":  # plan stays numpy-free
-        from .trace import sidecar_path
+        from .trace import sidecar_path, written_sidecar_path
         if args.command == "simulate":
-            written.append(sidecar_path(out))
+            written.append(written_sidecar_path(out))
         elif Path(args.input).name:  # "" or "." is a directory: exit 3
             inputs += [args.input, sidecar_path(args.input)]
     written.append(manifest_path_for(out))

@@ -79,15 +79,32 @@ def _grid(name: str, values, rule=None) -> np.ndarray:
 _WRITE_BLOCK = 8192
 
 
+def _column(values: np.ndarray) -> tuple[str, list]:
+    """The line-pattern field of one column of a block, and its values."""
+    if ((values < 1e16).all() and not np.signbit(values).any()
+            and (np.trunc(values) == values).all()):
+        return "%d.0", values.astype(np.int64).tolist()
+    return "%r", values.tolist()
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write the trace in the canonical CSV dialect."""
+    """Write the trace in the canonical CSV dialect.
+
+    A block's column of integral values in [0, 1e16), ``-0.0`` excluded,
+    such as Poisson counts, is written as integers with ``.0``, which is
+    the text ``repr`` prints for them, without its shortest-digit search:
+    below 1e16 ``repr`` uses no exponent, and no shorter digits round-trip
+    to such a double.
+    """
     with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("x,y\n")
         for start in range(0, len(trace), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
-            handle.write("".join([
-                f"{x!r},{y!r}\n" for x, y in zip(trace.x[block].tolist(),
-                                                  trace.y[block].tolist())]))
+            x_field, xs = _column(trace.x[block])
+            y_field, ys = _column(trace.y[block])
+            fields = xs + ys  # interleaved as x0, y0, x1, y1, ...
+            fields[::2], fields[1::2] = xs, ys
+            handle.write(f"{x_field},{y_field}\n" * len(xs) % tuple(fields))
 
 
 def read_trace_csv(path) -> Trace:
@@ -148,16 +165,23 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def written_sidecar_path(path) -> Path:
+    """The sidecar path of a trace to be written at ``path``; a ``path``
+    ending in ``.json`` is its own sidecar path and raises ``ValueError``."""
+    side = sidecar_path(path)
+    if side == Path(path):
+        raise ValueError(f"trace path {path} is its own sidecar path")
+    return side
+
+
 def write_trace(trace: Trace, path, metadata: dict | None = None) -> Path:
     """Write CSV plus JSON sidecar; returns the sidecar path.
 
     The sidecar records the noise model and seed alongside any model
-    parameters the caller supplies.  A ``path`` ending in ``.json`` is its
-    own sidecar path and raises ``ValueError`` before anything is written.
+    parameters the caller supplies.  A ``path`` that is its own sidecar
+    path raises ``ValueError`` before anything is written.
     """
-    side = sidecar_path(path)
-    if side == Path(path):
-        raise ValueError(f"trace path {path} is its own sidecar path")
+    side = written_sidecar_path(path)
     write_trace_csv(trace, path)
     meta = {"noise_model": trace.noise_model, "seed": trace.seed}
     if metadata:

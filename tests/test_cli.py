@@ -214,6 +214,20 @@ def test_simulate_refuses_a_trace_that_is_its_own_sidecar(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_trace_that_is_its_own_sidecar_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # the whole simulation ran before write_trace refused the path
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr("fpcavity.config.Simulation.run", refuse)
+    out = tmp_path / "d.json"
+    assert main(["simulate", "decay", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: trace path {out} is its own sidecar path\n")
+    assert not any(tmp_path.iterdir())
+
+
 def _overwriting_runs(tmp_path):
     """The runs that wrote over their own input and exited 0: each argv,
     its input file, and the path that would have replaced it."""

@@ -21,7 +21,7 @@ from fpcavity.trace import (
 def _line_loop_reader(path) -> Trace:
     """The reader before the bulk parse, kept verbatim as the oracle."""
     path = Path(path)
-    with path.open("r") as handle:
+    with path.open("r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise TraceFormatError("empty file, expected an 'x,y' header", 1)
@@ -51,7 +51,7 @@ def _bits(values: np.ndarray) -> bytes:
 
 
 def _write_text(path: Path, text: str) -> Path:
-    with path.open("w", newline="") as handle:
+    with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(text)
     return path
 
@@ -106,6 +106,41 @@ def test_block_writes_equal_the_one_shot_body(tmp_path, n):
     one_shot = "".join([f"{a!r},{b!r}\n"
                         for a, b in zip(x.tolist(), y.tolist())])
     assert out.read_bytes() == ("x,y\n" + one_shot).encode()
+
+
+def _repr_file(x: np.ndarray, y: np.ndarray) -> bytes:
+    return ("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                              zip(x.tolist(), y.tolist()))).encode()
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 1.0, -3.0, 2.0 ** 53, 2.0 ** 53 + 2, 9999999999999998.0, 1e16,
+    math.nan, math.inf])
+def test_an_integral_column_is_written_as_repr_prints_it(tmp_path, column,
+                                                         value):
+    # integral columns below 1e16 without a sign bit go through integer
+    # formatting; -0.0, 1e+16, negatives, NaN and inf must keep repr's text
+    counts = np.array([0.0, 7.0, 40.0, 12345.0, 2.0 ** 53 - 1])
+    odd = counts.copy()
+    odd[2] = value
+    x, y = (odd, counts) if column == "x" else (counts, odd)
+    out = tmp_path / "t.csv"
+    write_trace_csv(Trace(x=x, y=y), out)
+    assert out.read_bytes() == _repr_file(x, y)
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+@pytest.mark.parametrize("value", [0.5, -0.0])
+def test_each_block_picks_its_own_column_format(tmp_path, column, value):
+    # the first block is all integral, the second one line that is not
+    counts = np.arange(BLOCK + 1, dtype=float)
+    odd = counts.copy()
+    odd[BLOCK] = value
+    x, y = (odd, counts) if column == "x" else (counts, odd)
+    out = tmp_path / "t.csv"
+    write_trace_csv(Trace(x=x, y=y), out)
+    assert out.read_bytes() == _repr_file(x, y)
 
 
 @pytest.mark.parametrize("text", ["x,y\n1,2\n3,4\n", "x,y\n1_0,2\n3,4\n"],
