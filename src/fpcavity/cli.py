@@ -17,9 +17,10 @@ otherwise), ``--seed N`` (overrides the config seed of the noise draws),
 manifest).  Exit codes: 0 success, 2 configuration or argument error, an
 output file that cannot be written, and before anything runs an empty
 ``--out``, a trace that is its own sidecar, an output in a missing
-directory, one that is a directory, or one that is the config, the input
-trace or that trace's sidecar, 3 input-data error, 4 a ``NumericalError``
-from a fit.
+directory, one that is a directory or a symbolic link loop, or one that is
+another output, the config, the input trace or that trace's sidecar, each
+output judged where its links lead, 3 input-data error, 4 a
+``NumericalError`` from a fit.
 Human-readable text rounds values; the JSON output carries full precision
 of the same numbers.
 
@@ -34,6 +35,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -387,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _outputs(args) -> list[Path]:
     """Every file the run writes, data first and manifest last (none
     without ``--out``).  Exit 2, before anything runs, if a trace is its
-    own sidecar, or if one is in a missing directory, is a directory, or
-    once resolved is an input: the config, ``fit``'s trace or that trace's
-    sidecar."""
+    own sidecar, or if one, where its links lead, is in a missing
+    directory, is a directory or a link loop, or is another output or an
+    input: the config, ``fit``'s trace or that trace's sidecar."""
     if getattr(args, "out", None) is None:
         return []
     out = Path(args.out)
@@ -403,13 +405,17 @@ def _outputs(args) -> list[Path]:
         elif Path(args.input).name:  # "" or "." is a directory: exit 3
             inputs += [args.input, sidecar_path(args.input)]
     written.append(manifest_path_for(out))
-    sources = {Path(source).resolve(): source for source in inputs if source}
+    taken = {Path(os.path.realpath(source)): f"the input {source}"
+             for source in inputs if source}
     for path in written:
-        if path.resolve() in sources:
+        real = Path(os.path.realpath(path))  # on a loop it stops at a link
+        if real in taken:
             raise _CliError(2, f"output error: {path} would overwrite "
-                               f"the input {sources[path.resolve()]}")
-        if path.is_dir() or not path.parent.is_dir():
-            reason = ("Is a directory" if path.is_dir()
+                               f"{taken[real]}")
+        taken[real] = f"the output {path}"
+        if real.is_symlink() or real.is_dir() or not real.parent.is_dir():
+            reason = ("Too many levels of symbolic links" if real.is_symlink()
+                      else "Is a directory" if real.is_dir()
                       else "No such file or directory")
             raise _CliError(2, f"output error: cannot write {path}: {reason}")
     return written

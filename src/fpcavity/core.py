@@ -11,8 +11,10 @@ Unit conventions used across the package:
   million (ppm)
 
 All types are immutable and serialize to JSON with the field names below,
-verbatim.  Each is a :class:`_Record` subclass that annotates its fields;
-its methods come from that base, and ``__match_args__`` names its fields.
+verbatim; ``to_dict`` is a deep copy of the fields, which is what
+``dataclasses.asdict`` gives while no record holds another.  Each is a
+:class:`_Record` subclass that annotates its fields; its methods come from
+that base, and ``__match_args__`` names its fields.
 They are dataclasses to the ``dataclasses`` API, but their dataclass
 metadata is built on the first read of it: importing ``dataclasses`` brings
 ``inspect`` with it, which cost about a tenth of a numpy-free CLI process,
@@ -178,25 +180,12 @@ def replace(record, **changes):
                                **changes))
 
 
-def _plain(value):
-    """``value`` copied as ``dataclasses.asdict`` copies a field: a record
-    as a dict, a list, tuple or dict rebuilt, anything else deep-copied."""
-    if isinstance(value, _Record):
-        return {name: _plain(item)
-                for name, item in zip(value.__match_args__, value._values())}
-    if isinstance(value, (list, tuple)):
-        return type(value)(map(_plain, value))
-    if isinstance(value, dict):
-        return type(value)((_plain(key), _plain(item))
-                           for key, item in value.items())
-    return copy.deepcopy(value)
-
-
 class _JsonRecord(_Record):
     """JSON serialization helpers shared by the value types."""
 
     def to_dict(self) -> dict:
-        return _plain(self)
+        """A deep copy of the fields, none of which is a record."""
+        return copy.deepcopy(vars(self))
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)

@@ -70,8 +70,7 @@ def _lorentzian_jacobian(x, p):
 
 def _inverted_lorentzian(x, p):
     baseline, depth, center, fwhm = p
-    u = 2.0 * (x - center) / fwhm
-    return baseline - depth / (1.0 + u * u)
+    return _lorentzian(x, (-depth, center, fwhm, baseline))
 
 
 def _inverted_lorentzian_jacobian(x, p):
@@ -123,8 +122,8 @@ def _linear_jacobian(x, p):
     return np.stack([x, np.ones_like(x)])
 
 
-def _peak_width(x, y, level, above: bool) -> float:
-    inside = np.nonzero(y >= level if above else y <= level)[0]
+def _peak_width(x, y, level) -> float:
+    inside = np.nonzero(y >= level)[0]
     if inside.size >= 2:
         width = abs(x[inside[-1]] - x[inside[0]])
         if width > 0.0:
@@ -139,18 +138,16 @@ def _guess_lorentzian(x, y):
     if amplitude <= 0.0:
         raise ValueError("cannot guess a Lorentzian from flat data")
     center = float(x[np.argmax(y)])
-    fwhm = _peak_width(x, y, offset + 0.5 * amplitude, above=True)
+    fwhm = _peak_width(x, y, offset + 0.5 * amplitude)
     return np.array([amplitude, center, fwhm, offset])
 
 
 def _guess_inverted_lorentzian(x, y):
-    baseline = float(np.max(y))
-    depth = baseline - float(np.min(y))
-    if depth <= 0.0:
-        raise ValueError("cannot guess a dip from flat data")
-    center = float(x[np.argmin(y)])
-    fwhm = _peak_width(x, y, baseline - 0.5 * depth, above=False)
-    return np.array([baseline, depth, center, fwhm])
+    try:
+        depth, center, fwhm, offset = _guess_lorentzian(x, -y)
+    except ValueError:
+        raise ValueError("cannot guess a dip from flat data") from None
+    return np.array([-offset, depth, center, fwhm])
 
 
 def _guess_power_law(x, y):
@@ -395,29 +392,29 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         r = y - spec.function(x, p)
         return float(np.sum(w * r * r)), r
 
+    positive = [spec.parameters.index(name) for name in spec.positive]
     cost, residual = cost_of(params)
     damping = 1e-3
     converged = False
     iteration = 0
-    while iteration < MAX_ITERATIONS:
-        iteration += 1
+    while True:
+        # the Jacobian at params; the last one gives the standard errors
         jac = spec.jacobian(x, params)
         jw = jac * w
         normal = jw @ jac.T
-        gradient = jw @ residual
+        if converged or iteration == MAX_ITERATIONS or damping > 1e12:
+            break
+        iteration += 1
         diagonal = np.diag(normal).copy()
         diagonal[diagonal <= 0.0] = max(np.max(diagonal), 1.0)
         try:
             step = np.linalg.solve(normal + damping * np.diag(diagonal),
-                                   gradient)
-        except np.linalg.LinAlgError:
+                                   jw @ residual)
+        except np.linalg.LinAlgError:  # a singular solve is a rejected step
             damping *= 10.0
-            if damping > 1e12:
-                break
             continue
         trial = params + step
-        for name in spec.positive:
-            j = spec.parameters.index(name)
+        for j in positive:
             if trial[j] <= 0.0:
                 trial[j] = 0.1 * params[j]
         trial_cost, trial_residual = cost_of(trial)
@@ -426,20 +423,14 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
                               / np.maximum(np.abs(params), floors))
             params, cost, residual = trial, trial_cost, trial_residual
             damping = max(damping / 3.0, 1e-12)
-            if relative < TOLERANCE or cost == 0.0:
-                converged = True
-                break
+            converged = bool(relative < TOLERANCE or cost == 0.0)
         else:
             damping *= 10.0
-            if damping > 1e12:
-                break
     if not (math.isfinite(cost) and np.all(np.isfinite(params))):
         raise NumericalError(
             f"fit of model {model!r} ended on non-finite values: residual "
             f"sum of squares {cost}, parameters {params.tolist()}")
 
-    jac = spec.jacobian(x, params)
-    normal = (jac * w) @ jac.T
     errors = np.full(k, math.nan)
     dof = len(x) - k
     if dof > 0:

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: outputs, exit codes, reproducibility."""
+import errno
 import json
 import math
 import os
@@ -715,6 +716,64 @@ def test_a_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
         f"output error: cannot write {path}: No such file or directory\n"
         if out else "output error: --out '' names no file\n")
     assert not any(tmp_path.iterdir())
+
+
+def _symlinked_runs(tmp_path) -> dict:
+    """case -> (argv, exit code, stderr) of a run with a dangling or
+    looping symbolic link among its outputs or inputs."""
+    (tmp_path / "p.csv.manifest.json").symlink_to("missing/x.json")
+    (tmp_path / "d.json").symlink_to("missing/x.json")
+    (tmp_path / "e.csv").symlink_to("e.json")
+    loop = tmp_path / "loop"
+    loop.symlink_to("loop")
+    return {
+        # plan wrote p.csv, then failed on its manifest
+        "dangling-manifest": (
+            ["plan", "--out", "p.csv"], 2,
+            "output error: cannot write p.csv.manifest.json: "
+            "No such file or directory\n"),
+        # simulate wrote d.csv, then failed on its sidecar
+        "dangling-sidecar": (
+            ["simulate", "decay", "--out", "d.csv"], 2,
+            "output error: cannot write d.json: No such file or directory\n"),
+        # the sidecar overwrote the trace written through the link, exit 0
+        "data-onto-sidecar": (
+            ["simulate", "decay", "--out", "e.csv"], 2,
+            "output error: e.json would overwrite the output e.csv\n"),
+        # the last three ended in a RuntimeError traceback
+        "loop-out": (
+            ["plan", "--out", "loop"], 2,
+            "output error: cannot write loop: "
+            "Too many levels of symbolic links\n"),
+        "loop-config": (
+            ["plan", "--config", "loop", "--out", "s.csv"], 2,
+            f"config error: cannot read config loop: [Errno {errno.ELOOP}] "
+            "Too many levels of symbolic links: 'loop'\n"),
+        "loop-fit-input": (
+            ["fit", "exp_decay", "loop", "--out", "f.json"], 3,
+            "input error: cannot read loop: "
+            "Too many levels of symbolic links\n"),
+    }
+
+
+@pytest.mark.parametrize("case", ["dangling-manifest", "dangling-sidecar",
+                                  "data-onto-sidecar", "loop-out",
+                                  "loop-config", "loop-fit-input"])
+def test_a_symlinked_output_is_judged_where_it_leads(tmp_path, capsys,
+                                                    monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr("fpcavity.planner.sweep_grid", refuse)
+    monkeypatch.setattr("fpcavity.fitting.fit", refuse)
+    monkeypatch.setattr("fpcavity.config.Simulation.run", refuse)
+    monkeypatch.chdir(tmp_path)
+    argv, code, err = _symlinked_runs(tmp_path)[case]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+    assert sorted(tmp_path.iterdir()) == before
+    assert not (tmp_path / "missing").exists()
 
 
 def test_a_simulate_whose_manifest_is_a_directory_writes_nothing(tmp_path,

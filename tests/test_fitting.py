@@ -163,9 +163,12 @@ def test_each_iteration_makes_one_model_and_one_jacobian_pass(monkeypatch):
 def test_auto_guess_flat_data_raises():
     x = np.linspace(0.0, 1.0, 50)
     flat = np.full_like(x, 5.0)
-    with pytest.raises(ValueError):
+    # each model names itself: the dip's guess is the peak's on -y
+    with pytest.raises(ValueError, match="^cannot guess a Lorentzian from "
+                                         "flat data$"):
         auto_initial_guess("lorentzian", x, flat)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot guess a dip from flat "
+                                         "data$"):
         auto_initial_guess("inverted_lorentzian", x, flat)
 
 

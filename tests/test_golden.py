@@ -68,6 +68,14 @@ PINNED = {
         "ca4d727460127cbb9d4256ee1a6b2aeb2f59ae99efc2f52fd503d0ee6b63cce7",
     "fit.json":
         "3f652adf812c4760f3929a9cc7a462b7d2b32a26d71944ba77263133431e03b0",
+    "fit-ple-population-0.json":
+        "8e4e7ff7f002f73c3baa8d513e7d384a8c6ae4961ba13d077b4d5fabd144e6ef",
+    "fit-saturation-0.json":
+        "8e974251a62a5c084784339439db2ddcc64dcc8d0ee3ccb19106d3688dd72420",
+    "fit-hole-0.json":
+        "4167d6f6d4f5a12310a9cc840be296f65b1aeaf67507d4527477cde312c52f36",
+    "fit-decay-0.json":
+        "4bd5c3f4ca99951d68794c445a7a0a5d8fae6df7ab9cc66247385dbb0928894a",
 }
 
 
@@ -113,6 +121,13 @@ def _outputs(tmp_path, capsys) -> dict:
     shutil.copy(dataset, tmp_path / dataset.name)
     digests["fit.json"] = _digest(_report_without_manifest(
         run("fit", "sqrt_offset", dataset.name, "--json")))
+    # each simulated kind fitted with its model, as simulate-then-fit runs
+    for name, *argv in (("ple-population-0", "lorentzian"),
+                        ("saturation-0", "power_law"),
+                        ("hole-0", "inverted_lorentzian"),
+                        ("decay-0", "exp_decay", "--weights", "poisson")):
+        digests[f"fit-{name}.json"] = _digest(_report_without_manifest(
+            run("fit", argv[0], f"{name}.csv", "--json", *argv[1:])))
     return digests
 
 
