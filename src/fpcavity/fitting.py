@@ -3,8 +3,10 @@
 A small registry of named models (Lorentzian peak and dip, power law,
 square-root broadening, exponential decay, straight line) with automatic
 initial guesses, fitted by a damped Gauss-Newton loop.  Each model states
-its analytic partial derivatives, so one Gauss-Newton step costs one model
-pass and one Jacobian pass.  Parameter uncertainties come from the usual
+its analytic partial derivatives, written into one k x N array.  Every
+trial step costs one model pass; the Jacobian, the normal matrix and the
+gradient are taken once per accepted step (and once at the start), and a
+rejected step reuses them.  Parameter uncertainties come from the usual
 linearized covariance s^2 (J^T W J)^-1.  The central-difference Jacobian
 ``_jacobian`` is kept as the oracle the analytic ones are tested against.
 
@@ -51,21 +53,24 @@ def _lorentzian(x, p):
     return amplitude / (1.0 + u * u) + offset
 
 
-def _lorentzian_rows(x, height, center, fwhm):
-    """Partial derivatives of height / (1 + u^2), u = 2 (x - center) / fwhm,
-    with respect to height, center and fwhm."""
+def _lorentzian_rows(rows, x, height, center, fwhm):
+    """Write the partial derivatives of height / (1 + u^2),
+    u = 2 (x - center) / fwhm, with respect to height, center and fwhm into
+    the three ``rows``."""
     u = 2.0 * (x - center) / fwhm
     u_squared = u * u
-    shape = 1.0 / (1.0 + u_squared)
+    shape = np.divide(1.0, 1.0 + u_squared, out=rows[0])
     square = shape * shape
-    return (shape, square * u * (4.0 * height / fwhm),
-            square * u_squared * (2.0 * height / fwhm))
+    np.multiply(square * u, 4.0 * height / fwhm, out=rows[1])
+    np.multiply(square * u_squared, 2.0 * height / fwhm, out=rows[2])
 
 
 def _lorentzian_jacobian(x, p):
     amplitude, center, fwhm, _ = p
-    return np.stack([*_lorentzian_rows(x, amplitude, center, fwhm),
-                     np.ones_like(x)])
+    jac = np.empty((4, x.size))
+    _lorentzian_rows(jac[:3], x, amplitude, center, fwhm)
+    jac[3] = 1.0
+    return jac
 
 
 def _inverted_lorentzian(x, p):
@@ -75,8 +80,11 @@ def _inverted_lorentzian(x, p):
 
 def _inverted_lorentzian_jacobian(x, p):
     _, depth, center, fwhm = p
-    shape, d_center, d_fwhm = _lorentzian_rows(x, -depth, center, fwhm)
-    return np.stack([np.ones_like(x), -shape, d_center, d_fwhm])
+    jac = np.empty((4, x.size))
+    jac[0] = 1.0
+    _lorentzian_rows(jac[1:], x, -depth, center, fwhm)
+    np.negative(jac[1], out=jac[1])
+    return jac
 
 
 def _power_law(x, p):
@@ -86,10 +94,13 @@ def _power_law(x, p):
 
 def _power_law_jacobian(x, p):
     scale, exponent, _ = p
-    power = np.power(x, exponent)
+    jac = np.empty((3, x.size))
+    power = np.power(x, exponent, out=jac[0])
     # x^e ln x -> 0 as x -> 0 for e > 0; taking ln 0 as 0 keeps that limit
     log_x = np.log(x, out=np.zeros_like(x), where=x > 0.0)
-    return np.stack([power, scale * power * log_x, np.ones_like(x)])
+    jac[1] = scale * power * log_x
+    jac[2] = 1.0
+    return jac
 
 
 def _sqrt_offset(x, p):
@@ -98,7 +109,10 @@ def _sqrt_offset(x, p):
 
 
 def _sqrt_offset_jacobian(x, p):
-    return np.stack([np.sqrt(x), np.ones_like(x)])
+    jac = np.empty((2, x.size))
+    np.sqrt(x, out=jac[0])
+    jac[1] = 1.0
+    return jac
 
 
 def _exp_decay(x, p):
@@ -108,9 +122,11 @@ def _exp_decay(x, p):
 
 def _exp_decay_jacobian(x, p):
     amplitude, lifetime, _ = p
-    decay = np.exp(-x / lifetime)
-    return np.stack([decay, (amplitude / lifetime**2) * x * decay,
-                     np.ones_like(x)])
+    jac = np.empty((3, x.size))
+    decay = np.exp(-x / lifetime, out=jac[0])
+    jac[1] = (amplitude / lifetime**2) * x * decay
+    jac[2] = 1.0
+    return jac
 
 
 def _linear(x, p):
@@ -119,7 +135,10 @@ def _linear(x, p):
 
 
 def _linear_jacobian(x, p):
-    return np.stack([x, np.ones_like(x)])
+    jac = np.empty((2, x.size))
+    jac[0] = x
+    jac[1] = 1.0
+    return jac
 
 
 def _peak_width(x, y, level) -> float:
@@ -392,24 +411,27 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
         r = y - spec.function(x, p)
         return float(np.sum(w * r * r)), r
 
+    def linearized(p, r):
+        """The normal matrix J^T W J and the gradient J^T W r at p."""
+        jac = spec.jacobian(x, p)
+        jw = jac * w
+        return jw @ jac.T, jw @ r
+
     positive = [spec.parameters.index(name) for name in spec.positive]
     cost, residual = cost_of(params)
+    # taken again only after an accepted step, so a rejected one reuses
+    # them; the last normal matrix gives the standard errors
+    normal, gradient = linearized(params, residual)
     damping = 1e-3
     converged = False
     iteration = 0
-    while True:
-        # the Jacobian at params; the last one gives the standard errors
-        jac = spec.jacobian(x, params)
-        jw = jac * w
-        normal = jw @ jac.T
-        if converged or iteration == MAX_ITERATIONS or damping > 1e12:
-            break
+    while not (converged or iteration == MAX_ITERATIONS or damping > 1e12):
         iteration += 1
         diagonal = np.diag(normal).copy()
         diagonal[diagonal <= 0.0] = max(np.max(diagonal), 1.0)
         try:
             step = np.linalg.solve(normal + damping * np.diag(diagonal),
-                                   jw @ residual)
+                                   gradient)
         except np.linalg.LinAlgError:  # a singular solve is a rejected step
             damping *= 10.0
             continue
@@ -422,6 +444,7 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
             relative = np.max(np.abs(trial - params)
                               / np.maximum(np.abs(params), floors))
             params, cost, residual = trial, trial_cost, trial_residual
+            normal, gradient = linearized(params, residual)
             damping = max(damping / 3.0, 1e-12)
             converged = bool(relative < TOLERANCE or cost == 0.0)
         else:

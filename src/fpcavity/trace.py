@@ -17,6 +17,12 @@ The reader is more lenient than the writer.  It accepts:
 
 Anything else raises ``TraceFormatError`` naming the 1-based line of the
 file, header included.  There is no quoting and no comment syntax.
+
+A plain file (ASCII without U+000B, U+000C or U+001C-U+001F, a non-blank
+line after the header), which is what the writer makes, goes to numpy as
+an open handle, so reading it holds about twice the two returned arrays.  Any other
+file, or one numpy rejects, is read whole and parsed line by line, to the
+same bits.
 """
 from __future__ import annotations
 
@@ -107,39 +113,61 @@ def write_trace_csv(trace: Trace, path) -> None:
             handle.write(f"{x_field},{y_field}\n" * len(xs) % tuple(fields))
 
 
+# bytes the scan that picks the bulk parse reads at a time
+_SCAN_BLOCK = 1 << 16
+# the ASCII characters besides CR and LF at which str.splitlines breaks a
+# line and universal newlines do not, and U+001F, which numpy strips around
+# a number and Python's float rejects: checked over every code point, it is
+# the one character on which the two parsers disagree
+_ODD_BYTES = b"\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _is_plain(raw) -> bool:
+    """Whether the binary file ``raw`` is ASCII without ``_ODD_BYTES`` and
+    has a non-blank line after the first; numpy warns on a file without."""
+    past_header = has_row = False
+    while block := raw.read(_SCAN_BLOCK):
+        if not block.isascii() or any(byte in block for byte in _ODD_BYTES):
+            return False
+        if not past_header:
+            breaks = [at for at in map(block.find, (b"\n", b"\r")) if at >= 0]
+            if not breaks:
+                continue
+            past_header, block = True, block[min(breaks):]
+        has_row = has_row or bool(block.strip(b" \t\r\n"))
+    return has_row
+
+
 def read_trace_csv(path) -> Trace:
     """Read a trace CSV; raises TraceFormatError with the file line."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.splitlines()
+        plain = _is_plain(handle.buffer)
+        handle.seek(0)
+        if plain and handle.readline().strip() == "x,y":
+            try:
+                data = np.loadtxt(handle, delimiter=",", comments=None,
+                                  ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if data.shape[1] == 2:
+                    return Trace(x=np.ascontiguousarray(data[:, 0]),
+                                 y=np.ascontiguousarray(data[:, 1]))
+        handle.seek(0)
+        lines = handle.read().splitlines()
     if not lines:
         raise TraceFormatError("empty file, expected an 'x,y' header", 1)
     if lines[0].strip() != "x,y":
         raise TraceFormatError(f"expected header 'x,y', got {lines[0]!r}", 1)
-    body = lines[1:]
-    # numpy skips only empty lines and warns when it finds no row, so a body
-    # without a non-empty line goes straight to the line loop.  numpy also
-    # strips U+001F around a number, which Python's float rejects; checked
-    # over every code point, it is the one character on which the two
-    # parsers disagree.
-    if any(body) and "\x1f" not in text:
-        try:
-            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if data.shape[1] == 2:
-                return Trace(x=np.ascontiguousarray(data[:, 0]),
-                             y=np.ascontiguousarray(data[:, 1]))
-    return _read_rows(body)
+    return _read_rows(lines[1:])
 
 
 def _read_rows(body: list[str]) -> Trace:
     """Parse the data lines one at a time: the statement of the dialect.
 
     The bulk parse in ``read_trace_csv`` accepts a subset of what this loop
-    accepts and returns the same bits; every rejected file, and spellings
-    only Python's ``float`` takes (``1_0``), come here for their result.
+    accepts and returns the same bits; every file that is not plain, or
+    that numpy rejects (``1_0``, say), comes here for its result.
     """
     xs: list[float] = []
     ys: list[float] = []

@@ -14,6 +14,7 @@ import pytest
 import fpcavity
 from fpcavity import (RunConfig, SweepRow, Trace, cli, sweep_grid,
                       write_trace_csv)
+from fpcavity import trace as trace_module
 from fpcavity.cli import main
 from fpcavity.config import ConfigError, file_sha256
 from fpcavity.core import NumericalError
@@ -593,9 +594,18 @@ def test_fit_out_on_a_nameless_input_exits_3(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
-def test_fit_on_a_trace_that_is_not_utf8_exits_3(tmp_path, capsys):
+# the scan that picks the reader's bulk parse reads this many bytes at a time
+SCAN = trace_module._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("data", [
+    "x,y\n1.0,2.0\n2.0,\u00a03.0\n".encode("latin-1"),
+    b"x\xff,y\n1.0,2.0\n",
+    b"x,y\n" + b"1.0,2.0\n" * (SCAN // 8 + 1) + b"2.0,\xff3.0\n",
+], ids=["latin-1", "in-header", "after-first-scan-block"])
+def test_fit_on_a_trace_that_is_not_utf8_exits_3(tmp_path, capsys, data):
     trace = tmp_path / "latin1.csv"
-    trace.write_bytes("x,y\n1.0,2.0\n2.0,\u00a03.0\n".encode("latin-1"))
+    trace.write_bytes(data)
     assert main(["fit", "linear", str(trace)]) == 3
     assert capsys.readouterr().err.startswith(
         f"input error: cannot read {trace}: 'utf-8' codec can't decode")

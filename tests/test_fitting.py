@@ -1,6 +1,7 @@
 """Model registry, automatic guesses, and the least-squares solver."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,29 +136,58 @@ def test_power_law_exponent_derivative_is_zero_at_the_origin():
                        rtol=1e-12, atol=0.0)
 
 
-def test_each_iteration_makes_one_model_and_one_jacobian_pass(monkeypatch):
+def test_one_model_pass_per_trial_one_jacobian_pass_per_step(monkeypatch):
     spec = MODELS["exp_decay"]
-    calls = {"function": 0, "jacobian": 0}
-
-    def counted(kind):
-        original = getattr(spec, kind)
-
-        def wrapper(x, p):
-            calls[kind] += 1
-            return original(x, p)
-        return wrapper
-
-    monkeypatch.setitem(fitting.MODELS, "exp_decay", dataclasses.replace(
-        spec, function=counted("function"), jacobian=counted("jacobian")))
+    model_at, jacobian_at, costs = [], [], []
     t = np.linspace(0.0, 5e-3, 100)
     trace = decay_histogram(1.1e-3, t, 20000, 0.05, background=0.002,
                             seed=1)
+    w = 1.0 / np.maximum(trace.y, 1.0)
+
+    def function(x, p):
+        model_at.append(p.tolist())
+        values = spec.function(x, p)
+        r = trace.y - values
+        costs.append(float(np.sum(w * r * r)))
+        return values
+
+    def jacobian(x, p):
+        jacobian_at.append(p.tolist())
+        return spec.jacobian(x, p)
+
+    monkeypatch.setitem(fitting.MODELS, "exp_decay", dataclasses.replace(
+        spec, function=function, jacobian=jacobian))
     result = fit("exp_decay", trace, weights="poisson")
     assert result.converged and result.iterations >= 3
     # the initial cost, then one trial per iteration
-    assert calls["function"] == result.iterations + 1
-    # one per iteration, then one for the standard errors
-    assert calls["jacobian"] == result.iterations + 1
+    assert len(model_at) == result.iterations + 1
+    # a trial is accepted when its cost does not exceed the current one; the
+    # Jacobian is taken at the start and after each accepted step only, and
+    # the last one, at the fitted parameters, gives the standard errors
+    accepted, best = [model_at[0]], costs[0]
+    for params, cost in zip(model_at[1:], costs[1:]):
+        if cost <= best:
+            accepted.append(params)
+            best = cost
+    assert len(accepted) < len(model_at), "no rejected step to reuse"
+    assert jacobian_at == accepted
+    assert jacobian_at[-1] == list(result.parameters.values())
+
+
+def test_a_long_poisson_fit_holds_one_jacobian_at_a_time():
+    # 100k points are 0.8 MB a column: the weights, the residual, the
+    # Jacobian and its weighted copy (three rows each) make 6.4 MB
+    t = np.linspace(0.0, 1e-2, 100_000)
+    trace = decay_histogram(1e-3, t, 2_000_000, 0.9, background=0.01,
+                            seed=3)
+    tracemalloc.start()
+    try:
+        result = fit("exp_decay", trace, weights="poisson")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak <= 8e6, peak
 
 
 def test_auto_guess_flat_data_raises():

@@ -1,6 +1,7 @@
 """Trace CSV writer and reader: bytes, round trip and the accepted dialect."""
 import math
 import random
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -360,6 +361,73 @@ def test_differential_fuzz_against_the_line_loop(tmp_path):
         kinds[got[0]] += 1
     # both outcomes must be well represented for the comparison to mean much
     assert kinds["trace"] > 150 and kinds["error"] > 50, kinds
+
+
+SCAN = trace_module._SCAN_BLOCK
+# more than one scan block of plain rows, so what follows them is only seen
+# by the scan's second or later block
+_ROWS = "".join(f"{i}.0,{i * 0.25!r}\n" for i in range(SCAN // 8))
+assert len(_ROWS) > SCAN
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("x,y\r\n" + _ROWS.replace("\n", "\r\n"), True),
+    ("x,y\r" + _ROWS.replace("\n", "\r").rstrip("\r"), True),
+    ("x,y\r\n" + _ROWS.replace("0\n", "0\r"), True),
+    ("x,y" + " " * SCAN + "\n" + _ROWS, True),
+    (" " * SCAN + "x,y\r\n1,2\r\n", True),
+    ("x,y" + " " * SCAN + "\r\n\r\n  \r\n", False),
+    ("x,y\n" + _ROWS + "3,\x1f4\n", False),
+    ("x,y\n" + _ROWS + "\x1f\n5,6\n", False),
+    ("x,y\n" + _ROWS + "5,6\x0b7,8\n", False),
+    ("x,y\n" + _ROWS + "5,6\x0c7,8\x1c9,1\n", False),
+    ("x,y\n" + _ROWS + "\u0661,2\n", False),
+    ("x,y\n" + _ROWS + "5,6\u20287,8\n", False),
+    ("x,y\u20281,2\n", False),
+    ("x,y\n\n\n", False),
+    ("x,y\n" + "\n" * SCAN, False),
+    ("x,y\r\n \t\r\n\r\n", False),
+], ids=["crlf", "cr", "mixed-endings", "padded-header", "padded-front",
+        "padded-header-blank-body", "late-unit-separator",
+        "late-unit-separator-line", "late-vertical-tab",
+        "late-form-feed-and-file-separator", "late-arabic-digit",
+        "late-line-separator", "line-separator-header", "blank-body",
+        "long-blank-body", "whitespace-body"])
+def test_the_scan_picks_the_parse_and_both_equal_the_line_loop(
+        tmp_path, monkeypatch, text, bulk):
+    path = _write_text(tmp_path / "t.csv", text)
+    calls = []
+
+    def counted(body):
+        calls.append(body)
+        return read_rows(body)
+
+    read_rows = trace_module._read_rows
+    monkeypatch.setattr(trace_module, "_read_rows", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(read_trace_csv, path)
+    assert got == _outcome(_line_loop_reader, path)
+    assert len(calls) == (0 if bulk else 1)
+
+
+def test_reading_a_long_trace_peaks_near_its_arrays(tmp_path):
+    # the bulk parse holds numpy's (n, 2) result and the two columns, never
+    # the whole text or a list of its lines
+    rng = np.random.default_rng(5)
+    n = 200_000
+    out = tmp_path / "long.csv"
+    write_trace_csv(Trace(x=np.linspace(0.0, 2e-2, n),
+                          y=rng.poisson(30.0, n).astype(float)), out)
+    tracemalloc.start()
+    try:
+        back = read_trace_csv(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = back.x.nbytes + back.y.nbytes
+    assert len(back) == n
+    assert peak <= 2.5 * arrays, peak / arrays
 
 
 def test_a_trace_path_that_is_its_own_sidecar_is_refused(tmp_path):
