@@ -24,7 +24,7 @@ _EXPORTS = {
         "TOOLKIT_VERSION", "YTTRIA_CATION_DENSITY", "CavityGeometry",
         "DetectionChain", "Nanoparticle", "NumericalError", "Transition",
         "frequency_to_wavelength", "linewidth_to_coherence_time",
-        "wavelength_to_frequency"),
+        "sidecar_path", "wavelength_to_frequency"),
     "optics": (
         "DoubleResonance", "LossBudget", "cavity_linewidth",
         "double_resonance", "finesse", "free_spectral_range",
@@ -55,8 +55,8 @@ _EXPORTS = {
         "mode_detected_rate", "photon_path_efficiency", "snr", "sweep_grid",
         "write_sweep_csv"),
     "trace": (
-        "Trace", "TraceFormatError", "read_trace_csv", "sidecar_path",
-        "write_trace", "write_trace_csv"),
+        "Trace", "TraceFormatError", "read_trace_csv", "write_trace",
+        "write_trace_csv"),
     "config": (
         "ConfigError", "RunConfig", "RunManifest", "build_manifest",
         "default_config_data"),

@@ -50,7 +50,7 @@ from .config import (
     write_manifest,
 )
 from .core import (CONTACT_LENGTH, TOOLKIT_VERSION, NumericalError,
-                   replace)
+                   replace, sidecar_path, written_sidecar_path)
 from .optics import (
     cavity_linewidth,
     double_resonance,
@@ -212,7 +212,7 @@ def _cmd_purcell(args, config: RunConfig, seed: int):
 
 
 def _cmd_simulate(args, config: RunConfig, seed: int):
-    from .trace import sidecar_path, write_trace
+    from .trace import write_trace
     params = config.simulate_params(args.kind)
     trace, derived = SIMULATIONS[args.kind].run(params, config, seed)
     out = Path(args.out)
@@ -398,12 +398,10 @@ def _outputs(args) -> list[Path]:
     if not out.name:  # "", "." or "/" leaves no name to write or derive
         raise _CliError(2, f"output error: --out {args.out!r} names no file")
     written, inputs = [out], [args.config]
-    if args.command != "plan":  # plan stays numpy-free
-        from .trace import sidecar_path, written_sidecar_path
-        if args.command == "simulate":
-            written.append(written_sidecar_path(out))
-        elif Path(args.input).name:  # "" or "." is a directory: exit 3
-            inputs += [args.input, sidecar_path(args.input)]
+    if args.command == "simulate":
+        written.append(written_sidecar_path(out))
+    elif args.command == "fit" and Path(args.input).name:  # "" or ".": exit 3
+        inputs += [args.input, sidecar_path(args.input)]
     written.append(manifest_path_for(out))
     taken = {Path(os.path.realpath(source)): f"the input {source}"
              for source in inputs if source}

@@ -201,15 +201,16 @@ class Section:
                 for key, item in value.items()}
 
 
-def _record(cls):
+def _record(cls, *derived: str):
     """Rules read off a value type's fields: an ``int`` field takes a JSON
     integer, any other a finite number, and a field with a default (a class
-    attribute) may be left out.  The constructor then checks the domain."""
+    attribute) may be left out; a ``derived`` one is no key and keeps its
+    default.  The constructor then checks the domain."""
     types, defaults = cls.__annotations__, vars(cls)
     check = Section(**{
         name: (_integer if types[name] == "int" else _number, None,
                *((defaults[name],) if name in defaults else ()))
-        for name in cls.__match_args__})
+        for name in cls.__match_args__ if name not in derived})
 
     def rule(value, path: str):
         checked = check(value, path)
@@ -345,8 +346,8 @@ _DOCUMENT = Section(
         "radius_of_curvature": 25e-6, "cavity_length": 5.808e-6,
         "mode_order": 20, "rms_length_jitter": 8e-12}),
     # bare-cavity mirror budgets in ppm, one per transition; nanoparticle
-    # scattering is added per computation
-    loss_budgets=(_list(_record(LossBudget)), [
+    # scattering comes from nanoparticle.diameter, added per computation
+    loss_budgets=(_list(_record(LossBudget, "particle_scatter")), [
         {"transmission_in": 25.0, "transmission_out": 200.0,
          "absorption_scatter": 134.04},
         {"transmission_in": 25.0, "transmission_out": 200.0,

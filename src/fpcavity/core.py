@@ -23,12 +23,14 @@ and no such process reads that metadata.
 The vocabulary the run configuration checks lives here too, so loading a
 config needs no numpy: the plan modes and their rules, the detection
 chain, and the noise models.  ``planner`` and ``spectra`` re-export it.
+So does the rule naming a trace's JSON sidecar, which ``trace`` re-exports.
 """
 from __future__ import annotations
 
 import copy
 import json
 import math
+from pathlib import Path
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -78,6 +80,20 @@ def linewidth_to_coherence_time(fwhm: float) -> float:
     """Coherence time 1/(pi * FWHM) of a Lorentzian line of width ``fwhm`` Hz."""
     _require_positive("linewidth", fwhm)
     return 1.0 / (math.pi * fwhm)
+
+
+def sidecar_path(csv_path) -> Path:
+    """JSON sidecar path for a trace CSV."""
+    return Path(csv_path).with_suffix(".json")
+
+
+def written_sidecar_path(path) -> Path:
+    """The sidecar path of a trace to be written at ``path``; a ``path``
+    ending in ``.json`` is its own sidecar path and raises ``ValueError``."""
+    side = sidecar_path(path)
+    if side == Path(path):
+        raise ValueError(f"trace path {path} is its own sidecar path")
+    return side
 
 
 class _DataclassMetadata:

@@ -103,18 +103,6 @@ def _power_law_jacobian(x, p):
     return jac
 
 
-def _sqrt_offset(x, p):
-    slope, offset = p
-    return slope * np.sqrt(x) + offset
-
-
-def _sqrt_offset_jacobian(x, p):
-    jac = np.empty((2, x.size))
-    np.sqrt(x, out=jac[0])
-    jac[1] = 1.0
-    return jac
-
-
 def _exp_decay(x, p):
     amplitude, lifetime, offset = p
     return amplitude * np.exp(-x / lifetime) + offset
@@ -139,6 +127,14 @@ def _linear_jacobian(x, p):
     jac[0] = x
     jac[1] = 1.0
     return jac
+
+
+def _sqrt_offset(x, p):
+    return _linear(np.sqrt(x), p)
+
+
+def _sqrt_offset_jacobian(x, p):
+    return _linear_jacobian(np.sqrt(x), p)
 
 
 def _peak_width(x, y, level) -> float:

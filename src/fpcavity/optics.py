@@ -11,7 +11,7 @@ import math
 
 from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_count,
                    _require_finite, _require_non_negative, _require_positive,
-                   _require_stable, replace)
+                   _require_stable, replace, wavelength_to_frequency)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -29,7 +29,7 @@ class LossBudget(_JsonRecord):
     transmission_in: input (fiber) mirror transmission
     transmission_out: output (flat) mirror transmission
     absorption_scatter: combined mirror absorption and surface scatter
-    particle_scatter: extra scattering introduced by a nanoparticle
+    particle_scatter: a nanoparticle's scattering, set by loaded_budget
     """
 
     transmission_in: float
@@ -129,7 +129,7 @@ def double_resonance(wavelength_1: float,
             f"(would need q = {q})")
     length = resonance_length(wavelength_1, q)
     fsr = free_spectral_range(length)
-    residual = SPEED_OF_LIGHT / wavelength_2 - (q - 1) * fsr
+    residual = wavelength_to_frequency(wavelength_2) - (q - 1) * fsr
     return DoubleResonance(cavity_length=length, mode_order_1=q,
                            mode_order_2=q - 1, residual_detuning=residual)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (NOISE_MODELS, _require_count, _require_each,
                    _require_finite, _require_fraction, _require_non_negative,
                    _require_positive)
+from .optics import lorentzian_suppression
 from .trace import Trace, _grid
 
 
@@ -37,8 +38,7 @@ def lorentzian_profile(x, center: float, fwhm: float):
     _require_each("x", x)
     _require_finite(center=center)
     _require_positive("fwhm", fwhm)
-    u = 2.0 * (x - center) / fwhm
-    return 1.0 / (1.0 + u * u)
+    return lorentzian_suppression(2.0 * (x - center) / fwhm)
 
 
 def ple_scan(inhomogeneous_fwhm: float, center_frequency: float,

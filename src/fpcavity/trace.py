@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _Record, _require_each
+# the sidecar rule is core's, which the CLI reads without numpy
+from .core import _Record, _require_each, sidecar_path, written_sidecar_path
 
 
 class TraceFormatError(ValueError):
@@ -186,20 +187,6 @@ def _read_rows(body: list[str]) -> Trace:
     if not xs:
         raise TraceFormatError("no data rows", max(2, len(body) + 1))
     return Trace(x=np.array(xs), y=np.array(ys))
-
-
-def sidecar_path(csv_path) -> Path:
-    """JSON sidecar path for a trace CSV."""
-    return Path(csv_path).with_suffix(".json")
-
-
-def written_sidecar_path(path) -> Path:
-    """The sidecar path of a trace to be written at ``path``; a ``path``
-    ending in ``.json`` is its own sidecar path and raises ``ValueError``."""
-    side = sidecar_path(path)
-    if side == Path(path):
-        raise ValueError(f"trace path {path} is its own sidecar path")
-    return side
 
 
 def write_trace(trace: Trace, path, metadata: dict | None = None) -> Path:

@@ -472,6 +472,21 @@ def test_nanoparticle_refractive_index_is_an_unknown_key(tmp_path, capsys,
         "config error: nanoparticle.refractive_index: unknown key\n")
 
 
+@pytest.mark.parametrize("command", ["cavity", "purcell", "plan"])
+def test_a_budget_particle_scatter_is_an_unknown_key(tmp_path, capsys,
+                                                    command):
+    # the loaded figures replaced the value with the scatter that
+    # nanoparticle.diameter gives, so only the bare finesse read it
+    data = RunConfig.default().data
+    data["loss_budgets"][0]["particle_scatter"] = 500
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: loss_budgets[0].particle_scatter: unknown key\n")
+
+
 @pytest.mark.parametrize("diameter, message", [
     pytest.param(1000.0, "must be in (0, 1e-06] m",
                  id="1000.0-past-the-ceiling"),
@@ -835,6 +850,14 @@ def _write_csv(path, x, y):
     return str(path)
 
 
+def test_fit_without_spare_points_prints_no_error_bars(tmp_path, capsys):
+    trace = _write_csv(tmp_path / "trace.csv", np.array([0.0, 1.0]),
+                       np.array([1.0, 3.0]))
+    assert main(["fit", "linear", trace]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["  slope = 2", "  intercept = 1"]
+
+
 def test_fit_guess_overflow_exits_3(tmp_path, capsys):
     # it exited 1 with an OverflowError traceback
     trace = _write_csv(tmp_path / "trace.csv",
@@ -981,6 +1004,37 @@ def test_plan_empty_grid(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(data))
     assert main(["plan", "--config", str(empty)]) == 2
+
+
+def test_plan_without_a_usable_point_exits_2_writing_nothing(tmp_path,
+                                                           capsys):
+    # no light leaves the output mirror, and both modes use that budget
+    data = RunConfig.default().data
+    data["loss_budgets"][0]["transmission_out"] = 0
+    data["plan"]["modes"] = ["contact", "open_single"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["plan", "--config", str(config),
+                 "--out", str(out / "sweep.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "plan error: sweep produced no usable operating point\n")
+    assert not any(out.iterdir())
+
+
+def test_a_data_file_that_cannot_be_written_exits_2_without_a_manifest(
+        tmp_path, capsys, monkeypatch):
+    def full(sweep, path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr("fpcavity.planner.write_sweep_csv", full)
+    out = tmp_path / "sweep.csv"
+    assert main(["plan", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"output error: cannot write {out}: No space left on device\n")
+    assert captured.out == "" and not any(tmp_path.iterdir())
 
 
 def test_numerical_failures_exit_4(capsys, monkeypatch):

@@ -413,6 +413,56 @@ def test_a_failed_least_squares_guess_is_a_numerical_error(monkeypatch):
             call("sqrt_offset", x, y)
 
 
+def test_x_without_y_or_of_another_length_is_rejected():
+    x, y, _ = _clean_case("linear")
+    with pytest.raises(ValueError,
+                       match="^y data is required when x is an array$"):
+        fit("linear", x)
+    with pytest.raises(ValueError, match="^x and y must be 1-d arrays of "
+                                         "equal length$"):
+        fit("linear", x, y[:-1])
+
+
+def test_a_singular_step_solve_is_a_rejected_step(monkeypatch):
+    solve, calls = np.linalg.solve, []
+
+    def singular_first(matrix, vector):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(matrix, vector)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_first)
+    x, y, true = _clean_case("lorentzian")
+    result = fit("lorentzian", x, y)
+    assert result.converged and len(calls) == result.iterations
+    for name, value in true.items():
+        assert result.parameters[name] == pytest.approx(value, rel=1e-6)
+
+    # a solve that always fails rejects every step, raising the damping
+    # tenfold from 1e-3 until it passes 1e12: 16 steps, none taken
+    def singular(matrix, vector):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    result = fit("lorentzian", x, y)
+    assert not result.converged and result.iterations == 16
+    assert result.parameters == auto_initial_guess("lorentzian", x, y)
+
+
+def test_a_singular_normal_matrix_leaves_nan_errors(monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    x, y, _ = _clean_case("linear")
+    result = fit("linear", x, y)
+    assert result.converged
+    assert all(math.isnan(e) for e in result.standard_errors.values())
+    assert result.to_dict()["standard_errors"] == {"slope": None,
+                                                   "intercept": None}
+
+
 def test_too_few_points():
     with pytest.raises(ValueError):
         fit("lorentzian", np.arange(3.0), np.arange(3.0))

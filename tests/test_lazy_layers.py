@@ -1,7 +1,7 @@
 """Layers load on first use: ``import fpcavity``, ``fpcavity cavity``,
-``fpcavity purcell``, ``fpcavity plan`` and ``ensemble_purcell_stats``
-run without numpy, the three subcommands also without ``dataclasses``,
-and the package namespace stays what it was."""
+``fpcavity purcell``, ``fpcavity plan``, ``ensemble_purcell_stats`` and
+``sidecar_path`` run without numpy, the three subcommands also without
+``dataclasses``, and the package namespace stays what it was."""
 import json
 import os
 import subprocess
@@ -144,6 +144,14 @@ def test_import_leaves_numpy_and_the_layers_unloaded():
                    "and type(module) is types.ModuleType))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "['fpcavity']"]
+
+
+def test_the_sidecar_rule_leaves_numpy_unloaded():
+    proc = _python("-c", "import sys, fpcavity; "
+                   "print(fpcavity.sidecar_path('t.csv'), "
+                   "'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["t.json", "False"]
 
 
 def test_ensemble_purcell_stats_leaves_numpy_unloaded():

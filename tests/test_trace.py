@@ -440,3 +440,10 @@ def test_a_trace_path_that_is_its_own_sidecar_is_refused(tmp_path):
     assert not any(tmp_path.iterdir())
     assert write_trace(trace, tmp_path / "d.csv") == out
     assert np.array_equal(read_trace_csv(tmp_path / "d.csv").y, trace.y)
+
+
+def test_the_sidecar_rule_is_cores_re_exported():
+    # the CLI names a run's sidecars before it runs, without numpy
+    from fpcavity import core
+    assert trace_module.sidecar_path is core.sidecar_path
+    assert trace_module.written_sidecar_path is core.written_sidecar_path
