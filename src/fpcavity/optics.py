@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 
 from .core import (SPEED_OF_LIGHT, TWO_PI, _JsonRecord, _require_count,
-                   _require_finite, _require_non_negative, _require_positive,
-                   _require_stable, replace, wavelength_to_frequency)
+                   _require_each, _require_finite, _require_non_negative,
+                   _require_positive, _require_stable, replace,
+                   wavelength_to_frequency)
 
 # Rayleigh scattering reference point: loss of a single reference-size
 # particle at the reference wavelength, scaling with d^6 and lambda^-4.
@@ -179,4 +180,6 @@ def outcoupling_efficiency(budget: LossBudget) -> float:
 def lorentzian_suppression(detuning_in_hwhm: float) -> float:
     """Lorentzian response 1 / (1 + x^2) at x half-widths of detuning."""
     _require_finite(detuning_in_hwhm=detuning_in_hwhm)
+    if getattr(detuning_in_hwhm, "ndim", 0):  # each entry of a numpy array
+        _require_each("detuning_in_hwhm", detuning_in_hwhm)
     return 1.0 / (1.0 + detuning_in_hwhm**2)

@@ -35,10 +35,12 @@ def _trace(x: np.ndarray, mean: np.ndarray, noise: str,
 def lorentzian_profile(x, center: float, fwhm: float):
     """Unit-peak Lorentzian 1 / (1 + (2 (x - c) / fwhm)^2)."""
     x = np.asarray(x, dtype=float)
-    _require_each("x", x)
     _require_finite(center=center)
     _require_positive("fwhm", fwhm)
-    return lorentzian_suppression(2.0 * (x - center) / fwhm)
+    with np.errstate(over="ignore"):  # a square past 1e308 gives 0.0
+        detuning = 2.0 * (x - center) / fwhm
+        _require_each("2 (x - center) / fwhm", detuning)
+        return lorentzian_suppression(detuning)
 
 
 def ple_scan(inhomogeneous_fwhm: float, center_frequency: float,

@@ -20,11 +20,19 @@ from fpcavity.config import ConfigError, file_sha256
 from fpcavity.core import NumericalError
 
 
+def _strict_json(text: str):
+    """Parse ``text`` as JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _json_run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    return json.loads(captured.out)
+    return _strict_json(captured.out)
 
 
 def test_cavity_text(capsys):
@@ -944,12 +952,7 @@ def test_plan_json_without_dark_counts_is_strict_json(tmp_path, capsys):
     data["detection"]["dark_rate"] = 0
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
-    assert main(["plan", "--json", "--config", str(config)]) == 0
-
-    def refuse(name):
-        raise ValueError(f"not JSON: {name}")
-
-    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    report = _json_run(capsys, ["plan", "--json", "--config", str(config)])
     assert report["best"]["snr"] is None
     assert {row["snr"] for row in report["rows"]} == {None}
     # the library keeps the infinity

@@ -83,8 +83,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _strict_json(text: str):
+    """Parse ``text`` as JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _report_without_manifest(text: str) -> bytes:
-    report = json.loads(text)
+    report = _strict_json(text)
     del report["manifest"]
     return json.dumps(report, indent=2, sort_keys=True).encode()
 
@@ -107,8 +115,8 @@ def _outputs(tmp_path, capsys) -> dict:
                              ("decay", None)):
             name = f"{kind}-{seed}"
             extra = ("--config", config) if config else ()
-            run("simulate", kind.split("-")[0], "--seed", seed,
-                "--out", f"{name}.csv", *extra)
+            _strict_json(run("simulate", kind.split("-")[0], "--seed", seed,
+                             "--out", f"{name}.csv", "--json", *extra))
             for suffix in ("csv", "json"):
                 path = tmp_path / f"{name}.{suffix}"
                 digests[path.name] = _digest(path.read_bytes())

@@ -146,9 +146,12 @@ def test_lorentzian_suppression():
                                                         rel=1e-15)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf,
+    np.array([math.nan]), np.array([math.inf]), np.array([-math.inf]),
+], ids=["nan", "inf", "-inf", "array-nan", "array-inf", "array--inf"])
 def test_lorentzian_suppression_rejects_non_finite_detuning(value):
-    # NaN came back as NaN and an infinite detuning as a suppression of 0.0
+    # NaN came back as NaN and an infinite detuning as a suppression of 0.0;
+    # in an array they still did
     with pytest.raises(ValueError, match="detuning_in_hwhm must be finite"):
         lorentzian_suppression(value)

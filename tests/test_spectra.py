@@ -1,5 +1,6 @@
 """Synthetic spectroscopy generators."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ def test_lorentzian_profile():
     assert y[0] == y[3]
     with pytest.raises(ValueError):
         lorentzian_profile(x, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("form", [float, lambda value: [value]],
+                         ids=["scalar", "array"])
+def test_lorentzian_profile_refuses_an_overflowing_detuning(form):
+    # both forms warned of an overflow; then the scalar blamed
+    # detuning_in_hwhm, a name its caller never passed, and the array
+    # returned [0.]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^2 \(x - center\) / fwhm must be finite$"):
+            lorentzian_profile(form(1e308), -1e308, 1.0)
+        # a finite detuning whose square overflows has a profile of 0.0
+        assert np.all(lorentzian_profile(form(1e200), 0.0, 1.0) == 0.0)
 
 
 def test_ple_scan_noiseless():
