@@ -10,6 +10,7 @@ import numpy as np
 
 import fpcavity
 from fpcavity import (
+    RunConfig,
     decay_histogram,
     fit,
     hole_spectrum,
@@ -77,9 +78,11 @@ def main() -> None:
     result = fit("sqrt_offset", read_trace_csv(dataset))
     report(f"bundled dataset {dataset.name} -> sqrt_offset",
            result, {"slope": 6.4e9, "offset": 3.3e6})
-    print(f"  zero-power hole width {result.parameters['offset'] / 1e6:.2f}"
-          f" MHz -> homogeneous linewidth "
-          f"{hole_width_to_homogeneous(result.parameters['offset']) / 1e6:.2f} MHz")
+    # its sidecar: the y is the homogeneous linewidth, not a hole width
+    configured = RunConfig.default().transitions[0].homogeneous_linewidth
+    print(f"  zero-power homogeneous linewidth "
+          f"{result.parameters['offset'] / 1e6:.2f} MHz "
+          f"(config {configured / 1e6:.2f} MHz)")
 
 
 if __name__ == "__main__":

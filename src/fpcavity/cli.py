@@ -33,8 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -50,7 +48,7 @@ from .config import (
     write_manifest,
 )
 from .core import (CONTACT_LENGTH, TOOLKIT_VERSION, NumericalError,
-                   replace, sidecar_path, written_sidecar_path)
+                   _json_text, replace, sidecar_path, written_sidecar_path)
 from .optics import (
     cavity_linewidth,
     double_resonance,
@@ -268,16 +266,9 @@ def _cmd_fit(args, config: RunConfig, seed: int):
                  f"{result.residual_sum_of_squares:.6g}")
     if args.out is not None:
         lines.append(f"wrote report to {Path(args.out)}")
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return report, lines, lambda path: path.write_text(text, encoding="utf-8")
-
-
-def _row_report(row) -> dict:
-    """A sweep row for JSON, which has no infinity: an infinite SNR is null."""
-    report = row.to_dict()
-    if math.isinf(report["snr"]):
-        report["snr"] = None
-    return report
+    text = _json_text(report)
+    return report, lines, lambda path: path.write_text(
+        text, encoding="utf-8", newline="\n")
 
 
 def _cmd_plan(args, config: RunConfig, seed: int):
@@ -298,8 +289,8 @@ def _cmd_plan(args, config: RunConfig, seed: int):
             "n_rows": len(sweep),
             "modes": list(config.plan_modes),
             "integration_time": config.plan_integration_time,
-            "best": _row_report(best),
-            "rows": [_row_report(row) for row in sweep],
+            "best": best.to_dict(),
+            "rows": [row.to_dict() for row in sweep],
         }
     lines = [
         f"swept {len(sweep)} operating points "
@@ -445,7 +436,7 @@ def _run(args, argv) -> int:
 
     if args.json:
         report["manifest"] = manifest.to_dict()
-        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+        sys.stdout.write(_json_text(report))
     else:
         for line in lines:
             print(line)

@@ -42,6 +42,7 @@ from .core import (
     Transition,
     _check_mode,
     _detection_window,
+    _json_text,
     _JsonRecord,
     _require_count,
     _require_diameter,
@@ -511,7 +512,8 @@ def build_manifest(command, config: RunConfig, seed: int,
 
 def write_manifest(manifest: RunManifest, path) -> Path:
     path = Path(path)
-    path.write_text(manifest.to_json(indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json_text(manifest.to_dict()), encoding="utf-8",
+                    newline="\n")
     return path
 
 

@@ -12,7 +12,8 @@ Unit conventions used across the package:
 
 All types are immutable and serialize to JSON with the field names below,
 verbatim; ``to_dict`` is a deep copy of the fields, which is what
-``dataclasses.asdict`` gives while no record holds another.  Each is a
+``dataclasses.asdict`` gives while no record holds another, and
+:func:`_json_text` writes it, each NaN or infinity as ``null``.  Each is a
 :class:`_Record` subclass that annotates its fields; its methods come from
 that base, and ``__match_args__`` names its fields.
 They are dataclasses to the ``dataclasses`` API, but their dataclass
@@ -197,14 +198,30 @@ def replace(record, **changes):
 
 
 class _JsonRecord(_Record):
-    """JSON serialization helpers shared by the value types."""
+    """A record that serializes to JSON through :func:`_json_text`."""
 
     def to_dict(self) -> dict:
         """A deep copy of the fields, none of which is a record."""
         return copy.deepcopy(vars(self))
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+
+def _json_text(data) -> str:
+    """``data`` as the toolkit writes every JSON report and file: sorted
+    keys, a two-space indent, a final newline, and each NaN or infinite
+    float as ``null``, which JSON has no other way to write."""
+    return json.dumps(_finite(data), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _finite(data):
+    """``data`` with None for each non-finite float in it."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: _finite(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite(value) for value in data]
+    return data
 
 
 def _require_finite(**values) -> None:
@@ -250,12 +267,12 @@ def _require_probability(name: str, value: float) -> None:
 
 def _require_count(name: str, value, minimum: int) -> None:
     """Reject a count below ``minimum``, or one that is NaN or infinite
-    (ValueError), and a number in range that is not an integer
-    (TypeError)."""
+    (ValueError), and a number in range that is not an integer, or is a
+    bool, as the config does (TypeError)."""
     if not minimum <= value < math.inf:
         _require_finite(**{name: value})
         raise ValueError(f"{name} must be >= {minimum}")
-    if not hasattr(type(value), "__index__"):  # what operator.index takes
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer")
 
 

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .core import (NumericalError, _Record, _require_each, _require_finite,
-                   _require_non_negative, _require_positive)
+from .core import (NumericalError, _JsonRecord, _Record, _require_each,
+                   _require_finite, _require_non_negative, _require_positive)
 from .trace import Trace
 
 # the solver's iteration cap and its relative step-size convergence test
@@ -306,12 +306,12 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
 
-class FitResult(_Record):
+class FitResult(_JsonRecord):
     """Outcome of a least-squares fit.
 
     ``residual_sum_of_squares`` is the weighted sum entering the cost
     function; standard errors are NaN when the normal matrix is singular
-    or the fit has no spare degrees of freedom.
+    or the fit has no spare degrees of freedom, in ``to_dict`` too.
     """
 
     model: str
@@ -326,14 +326,6 @@ class FitResult(_Record):
         spec = _model(self.model)
         vector = np.array([self.parameters[n] for n in spec.parameters])
         return spec.function(np.asarray(x, dtype=float), vector)
-
-    def to_dict(self) -> dict:
-        """The fields, each NaN estimate or error as None (JSON null)."""
-        data = dict(zip(self.__match_args__, self._values()))
-        for key in ("parameters", "standard_errors"):
-            data[key] = {name: None if math.isnan(value) else value
-                         for name, value in data[key].items()}
-        return data
 
 
 # overflow is reported once, by the finite check on the result

@@ -26,13 +26,13 @@ same bits.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 # the sidecar rule is core's, which the CLI reads without numpy
-from .core import _Record, _require_each, sidecar_path, written_sidecar_path
+from .core import (_json_text, _Record, _require_each, sidecar_path,
+                   written_sidecar_path)
 
 
 class TraceFormatError(ValueError):
@@ -201,7 +201,5 @@ def write_trace(trace: Trace, path, metadata: dict | None = None) -> Path:
     meta = {"noise_model": trace.noise_model, "seed": trace.seed}
     if metadata:
         meta.update(metadata)
-    with side.open("w", encoding="utf-8", newline="\n") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    side.write_text(_json_text(meta), encoding="utf-8", newline="\n")
     return side

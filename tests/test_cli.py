@@ -864,6 +864,14 @@ def test_fit_without_spare_points_prints_no_error_bars(tmp_path, capsys):
     assert main(["fit", "linear", trace]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:3] == ["  slope = 2", "  intercept = 1"]
+    # the NaN errors are null in the JSON report and in the written file
+    out = tmp_path / "fit.json"
+    printed = _json_run(capsys, ["fit", "linear", trace, "--json",
+                                 "--out", str(out)])
+    written = _strict_json(out.read_text(encoding="utf-8"))
+    for report in (printed, written):
+        assert report["standard_errors"] == {"slope": None,
+                                             "intercept": None}
 
 
 def test_fit_guess_overflow_exits_3(tmp_path, capsys):

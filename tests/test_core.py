@@ -17,7 +17,7 @@ from fpcavity import (
     wavelength_to_frequency,
 )
 from fpcavity.core import (MAX_CATION_DENSITY, MAX_DIAMETER, TWO_PI,
-                           hz_to_angular)
+                           _json_text, hz_to_angular)
 from fpcavity.optics import (
     LossBudget,
     free_spectral_range,
@@ -112,7 +112,7 @@ def test_transition_validation():
 
 def test_transition_json_roundtrip():
     t = _transition()
-    assert Transition(**json.loads(t.to_json())) == t
+    assert Transition(**json.loads(_json_text(t.to_dict()))) == t
 
 
 def test_cavity_geometry_validation():
@@ -137,6 +137,17 @@ def test_cavity_geometry_validation():
 ], ids=["hole_spectrum", "decay_histogram", "resonance_length",
         "SpectralPopulation", "CavityGeometry"])
 def test_a_fractional_count_raises_type_error(call):
+    with pytest.raises(TypeError, match=r" must be an integer$"):
+        call()
+
+
+# True == 1 passes each range rule; the config refuses a bool count too
+@pytest.mark.parametrize("call", [
+    lambda: hole_spectrum([0.0, 1e6], True, 1e-7, 12e6, 100.0),
+    lambda: decay_histogram(1e-3, [0.0, 1e-3], True, 1.0, noise="none"),
+    lambda: CavityGeometry(25e-6, 5.8e-6, True),
+], ids=["hole_spectrum", "decay_histogram", "CavityGeometry"])
+def test_a_bool_count_raises_type_error(call):
     with pytest.raises(TypeError, match=r" must be an integer$"):
         call()
 

@@ -25,7 +25,7 @@ from fpcavity import (
 )
 from fpcavity import planner
 from fpcavity.cli import main
-from fpcavity.core import Nanoparticle, _Record
+from fpcavity.core import Nanoparticle, _json_text, _Record
 from fpcavity.ensemble import channel_strengths
 from fpcavity.optics import LossBudget, loaded_budget, outcoupling_efficiency
 from fpcavity.planner import (
@@ -250,9 +250,10 @@ def test_sweep_rows_are_frozen_records():
               "rate": 12.5, "snr": -0.0, "effective_purcell": 0.82}
     assert row.to_dict() == fields
     assert type(row.to_dict()["repetition_rate"]) is int
-    assert row.to_json() == (
-        '{"diameter": 6e-08, "effective_purcell": 0.82, "mode": "contact", '
-        '"rate": 12.5, "repetition_rate": 4000, "snr": -0.0}')
+    assert _json_text(row.to_dict()) == (
+        '{\n  "diameter": 6e-08,\n  "effective_purcell": 0.82,\n'
+        '  "mode": "contact",\n  "rate": 12.5,\n  "repetition_rate": 4000,\n'
+        '  "snr": -0.0\n}\n')
     same = SweepRow(**fields)
     assert row == same and row is not same
     assert row != dataclasses.replace(row, rate=12.6)
