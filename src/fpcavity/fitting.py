@@ -14,7 +14,7 @@ The solver is deliberately plain: normal equations with a Levenberg damping
 term, multiplicative step control, and a relative step-size convergence
 test.  Unweighted on default Poisson traces (seeds 0-99), it stopped at
 MAX_ITERATIONS unconverged in 9 of 100 power_law fits of saturation traces
-and 12 of 100 inverted_lorentzian fits of hole traces (ROADMAP items 13, 18).
+(ROADMAP item 13) and in none of 100 inverted_lorentzian fits of hole traces.
 """
 from __future__ import annotations
 
@@ -138,24 +138,28 @@ def _sqrt_offset_jacobian(x, p):
     return _linear_jacobian(np.sqrt(x), p)
 
 
-def _peak_width(x, y, level) -> float:
-    inside = np.nonzero(y >= level)[0]
-    if inside.size >= 2:
-        width = abs(x[inside[-1]] - x[inside[0]])
-        if width > 0.0:
-            return width
-    span = np.ptp(x)
-    return span / 10.0 if span > 0.0 else 1.0
-
-
 def _guess_lorentzian(x, y):
-    offset = float(np.min(y))
-    amplitude = float(np.max(y)) - offset
+    # levels from many bins, not single noisy ones: the far level is the
+    # median (by np.partition, since np.median would import numpy.ma), the
+    # peak a running mean of up to five points, normalized at the edges
+    n = y.size
+    window = np.ones(min(5, max(1, n // 5)))
+    smooth = np.convolve(y, window, "same") \
+        / np.convolve(np.ones(n), window, "same")
+    peak = int(np.argmax(smooth))
+    middle = np.partition(y, ((n - 1) // 2, n // 2))
+    offset = float(np.mean(middle[(n - 1) // 2:n // 2 + 1]))
+    amplitude = float(smooth[peak]) - offset
     if amplitude <= 0.0:
         raise ValueError("cannot guess a Lorentzian from flat data")
-    center = float(x[np.argmax(y)])
-    fwhm = _peak_width(x, y, offset + 0.5 * amplitude)
-    return np.array([amplitude, center, fwhm, offset])
+    # the width of the run of points around the peak above half height; a
+    # run one point wide takes a tenth of the span, and no span 1
+    below = np.flatnonzero(smooth < offset + 0.5 * amplitude)
+    i = int(np.searchsorted(below, peak))
+    first = below[i - 1] + 1 if i > 0 else 0
+    last = below[i] - 1 if i < below.size else n - 1
+    fwhm = abs(float(x[last] - x[first])) or float(np.ptp(x)) / 10.0 or 1.0
+    return np.array([amplitude, float(x[peak]), fwhm, offset])
 
 
 def _guess_inverted_lorentzian(x, y):
@@ -179,9 +183,7 @@ def _guess_power_law(x, y):
 
 def _guess_sqrt_offset(x, y):
     _require_each("sqrt model x", x, _require_non_negative)
-    design = np.column_stack([np.sqrt(x), np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return np.asarray(coef, dtype=float)
+    return _guess_linear(np.sqrt(x), y)
 
 
 def _guess_exp_decay(x, y):
@@ -287,9 +289,8 @@ def _jacobian(spec: ModelSpec, x, params, floors) -> np.ndarray:
 
 
 def auto_initial_guess(model: str, x, y) -> dict[str, float]:
-    """Data-driven starting parameters for a registered model: raises
-    ``ValueError`` on data it cannot start from, ``NumericalError`` when
-    its least-squares solve fails."""
+    """Data-driven starting parameters for a registered model, in closed
+    form: raises ``ValueError`` on data it cannot start from."""
     spec = _model(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -300,9 +301,6 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     except ArithmeticError as exc:  # math.exp overflowing, say
         raise ValueError(f"cannot guess initial parameters for model "
                          f"{model!r}: {exc}") from None
-    except np.linalg.LinAlgError as exc:  # lstsq's SVD failing, say
-        raise NumericalError(f"initial guess for model {model!r} failed: "
-                             f"{exc}") from None
     return dict(zip(spec.parameters, (float(v) for v in values)))
 
 
@@ -338,9 +336,9 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     arrays.  ``initial_guess`` is a full or partial parameter dict (missing
     entries fall back to the automatic guess).  ``weights`` is None or
     "poisson" (1/max(y, 1)); ``x_range`` is finite, low <= high, and x and
-    y must be finite inside it.  Bad input raises ``ValueError``; a failed
-    initial guess, or a fit that ends on a non-finite residual sum or
-    parameter, raises ``NumericalError``.
+    y must be finite inside it.  Bad input, data the automatic guess
+    cannot start from included, raises ``ValueError``; a fit that ends on a
+    non-finite residual sum or parameter raises ``NumericalError``.
     """
     spec = _model(model)
     if isinstance(trace_or_x, Trace):

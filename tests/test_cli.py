@@ -1057,19 +1057,18 @@ def test_numerical_failures_exit_4(capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_a_failed_least_squares_guess_exits_4(tmp_path, capsys, monkeypatch):
-    # the fit raises NumericalError itself: main no longer maps numpy's
-    # LinAlgError to exit 4
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "lstsq", singular)
-    data = tmp_path / "wide.csv"
-    write_trace_csv(Trace(x=np.arange(1.0, 6.0), y=np.arange(5.0)), data)
-    assert main(["fit", "sqrt_offset", str(data)]) == 4
-    assert capsys.readouterr().err == (
-        "numerical failure: initial guess for model 'sqrt_offset' failed: "
-        "SVD did not converge\n")
+def test_sqrt_offset_at_one_x_exits_3_and_writes_nothing(tmp_path, capsys):
+    # lstsq's min-norm line (slope 1.5, offset 1.5) was reported as a
+    # converged fit, exit 0
+    data = tmp_path / "one_x.csv"
+    data.write_text("x,y\n1.0,2.0\n1.0,3.0\n1.0,4.0\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", "sqrt_offset", str(data), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("input error: cannot guess a line through points "
+                            "at one x\n")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["one_x.csv"]
 
 
 def test_power_law_at_one_x_exits_3_without_lapack_noise(tmp_path, capfd):

@@ -9,12 +9,14 @@ import pytest
 from fpcavity import (
     FitResult,
     MODELS,
+    RunConfig,
     Trace,
     auto_initial_guess,
     decay_histogram,
     fit,
 )
 from fpcavity import fitting
+from fpcavity.config import SIMULATIONS
 from fpcavity.core import NumericalError
 from fpcavity.fitting import _jacobian, _step_floors
 
@@ -74,6 +76,39 @@ def test_noisy_decay_with_poisson_weights():
     err = result.standard_errors["lifetime"]
     assert math.isfinite(err) and err > 0.0
     assert err < 0.1 * result.parameters["lifetime"]
+
+
+# each peak or dip kind at the config defaults with `noise: poisson`, fitted
+# by its model as `simulate` then `fit` would. `saturation` waits for
+# ROADMAP item 13: 21 of 200 of its fits stop at MAX_ITERATIONS even from
+# the true start.
+@pytest.mark.parametrize("weights", [None, "poisson"],
+                         ids=["unweighted", "poisson"])
+@pytest.mark.parametrize("kind, model, population, true_fwhm", [
+    ("hole", "inverted_lorentzian", False, "hole_fwhm"),
+    ("ple", "lorentzian", False, "inhomogeneous_fwhm"),
+    ("ple", "lorentzian", True, "inhomogeneous_fwhm"),
+], ids=["hole", "ple", "ple-population"])
+def test_default_fits_find_the_feature_in_noisy_default_traces(
+        kind, model, population, true_fwhm, weights):
+    # the dip guess took its baseline from the highest single bin, so its
+    # half level lay above the true baseline: unweighted, 18 of 100 hole
+    # fits missed the hole and 12 of those did not converge
+    config = RunConfig.default()
+    params = {**config.simulate_params(kind), "noise": "poisson"}
+    if population:
+        params["use_population"] = True
+    width = params[true_fwhm]
+    missed = []
+    for seed in range(50):
+        trace, _ = SIMULATIONS[kind].run(params, config, seed)
+        result = fit(model, trace, weights=weights)
+        # both kinds are centred on zero
+        center, fwhm = result.parameters["center"], result.parameters["fwhm"]
+        if not (result.converged and abs(center) < width
+                and 0.5 * width < fwhm < 2.0 * width):
+            missed.append(seed)
+    assert missed == []
 
 
 def test_jacobian_matches_analytic_lorentzian():
@@ -386,8 +421,14 @@ def test_linear_guess_matches_polyfit_at_ordinary_scales():
         assert [guess["exponent"], math.log(guess["scale"])] == \
             pytest.approx([slope, intercept], rel=1e-12)
         assert guess["offset"] == 0.0
-    with pytest.raises(ValueError, match="one x"):
-        auto_initial_guess("linear", np.full(4, 2.0), np.arange(4.0))
+        # and the square-root guess is that line on a square-root x axis
+        guess = auto_initial_guess("sqrt_offset", x, y)
+        assert [guess["slope"], guess["offset"]] == pytest.approx(
+            np.polyfit(np.sqrt(x), y, 1).tolist(), rel=1e-12)
+    for model in ("linear", "sqrt_offset"):
+        with pytest.raises(ValueError, match="^cannot guess a line through "
+                                             "points at one x$"):
+            auto_initial_guess(model, np.full(4, 2.0), np.arange(4.0))
     # the points at x <= 0 are dropped, which leaves one x
     with pytest.raises(ValueError, match="^power-law guess needs positive "
                                          "points at two distinct x$"):
@@ -398,20 +439,6 @@ def test_linear_guess_matches_polyfit_at_ordinary_scales():
                                          "points at two distinct x$"):
         auto_initial_guess("power_law", np.array([-1.0, 0.0]),
                            np.array([1.0, 2.0]))
-
-
-def test_a_failed_least_squares_guess_is_a_numerical_error(monkeypatch):
-    # the LinAlgError left fit unconverted, so callers had to know numpy's
-    # exception to tell a numerical failure from bad input
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "lstsq", singular)
-    x, y = np.arange(1.0, 6.0), np.arange(5.0)
-    for call in (auto_initial_guess, fit):
-        with pytest.raises(NumericalError, match="^initial guess for model "
-                                                 "'sqrt_offset' failed: SVD"):
-            call("sqrt_offset", x, y)
 
 
 def test_x_without_y_or_of_another_length_is_rejected():

@@ -67,13 +67,13 @@ PINNED = {
     "purcell.json":
         "ca4d727460127cbb9d4256ee1a6b2aeb2f59ae99efc2f52fd503d0ee6b63cce7",
     "fit.json":
-        "3f652adf812c4760f3929a9cc7a462b7d2b32a26d71944ba77263133431e03b0",
+        "d33a23753687320cf4536f7f1700ffdf81bb8423575249f4e23c45bcbefd16fc",
     "fit-ple-population-0.json":
-        "8e4e7ff7f002f73c3baa8d513e7d384a8c6ae4961ba13d077b4d5fabd144e6ef",
+        "d7585b7c8e4984a5a07757846bc8e00f83e314a998f360454b700b3d37cabf89",
     "fit-saturation-0.json":
         "8e974251a62a5c084784339439db2ddcc64dcc8d0ee3ccb19106d3688dd72420",
     "fit-hole-0.json":
-        "4167d6f6d4f5a12310a9cc840be296f65b1aeaf67507d4527477cde312c52f36",
+        "80eff112b82d04aaf83b0d0c130251ecc86be7ae917ae56dcb0d60f33496c50c",
     "fit-decay-0.json":
         "4bd5c3f4ca99951d68794c445a7a0a5d8fae6df7ab9cc66247385dbb0928894a",
 }

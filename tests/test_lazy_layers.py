@@ -137,6 +137,18 @@ def test_fit_power_law_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.stderr == "False\n"
 
 
+def test_the_peak_and_dip_guesses_leave_numpy_ma_unloaded():
+    # their far level is a median, and np.median imports numpy.ma
+    proc = _python("-c", "import sys, numpy as np; "
+                   "from fpcavity import auto_initial_guess; "
+                   "x = np.linspace(-1.0, 1.0, 41); y = 1.0 / (1.0 + x * x); "
+                   "auto_initial_guess('lorentzian', x, y); "
+                   "auto_initial_guess('inverted_lorentzian', x, -y); "
+                   "print('numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_import_leaves_numpy_and_the_layers_unloaded():
     proc = _python("-c", "import sys, types, fpcavity; print('numpy' in "
                    "sys.modules, sorted(name for name, module in "
