@@ -9,13 +9,15 @@ analysis, ``planner`` the detection budget, and ``cli``/``config`` the
 reproducible run plumbing.  Everything commonly needed is re-exported here.
 
 Each layer loads on first use.  ``import fpcavity`` puts every layer but
-``cli`` in ``sys.modules`` unexecuted, through ``importlib.util.LazyLoader``;
-the first attribute read or import of a layer executes it.  The re-exported
-names are looked up in their layer on every read (PEP 562), so
+``cli`` in ``sys.modules`` unexecuted, as a ``_Layer``; the first read of
+a name in a layer, ``from`` import included, runs it, under a lock.  The
+re-exported names are looked up in their layer on every read (PEP 562), so
 ``import fpcavity`` imports no numpy.
 """
+import _thread
 import importlib.util
 import sys
+import types
 
 # each layer and the names the package re-exports from it
 _EXPORTS = {
@@ -66,39 +68,35 @@ _LAYER_OF = {name: layer for layer, names in _EXPORTS.items()
 __all__ = [*_EXPORTS, *_LAYER_OF]
 
 
-class _Reporting:
-    """A layer's loader that, when running the layer fails, makes every
-    later read of a missing name raise that failure again.  An ``import``
-    statement that triggers the lazy load drops the error (CPython reads
-    ``__spec__`` and ignores what that raises), and would report only
-    ``cannot import name``."""
+# re-entrant: held through a layer's run, which runs the layers it imports
+_RUNNING = _thread.RLock()
 
-    def __init__(self, loader):
-        self.loader = loader
 
-    def __getattr__(self, name):
-        return getattr(self.loader, name)
+class _Layer(types.ModuleType):
+    """A layer that has not run.  The first read of any name but
+    ``__spec__``, which the import system reads, runs it into its own
+    namespace and makes it a plain module, holding ``_RUNNING`` so that a
+    second thread waits for the whole run.  A run that raises leaves it a
+    ``_Layer``: every later read, ``from layer import name`` included, runs
+    it again and raises the layer's own error again."""
 
-    def exec_module(self, module):
-        try:
-            self.loader.exec_module(module)
-        except BaseException as exc:
-            failure = exc
-
-            def __getattr__(name):
-                raise failure
-            module.__getattr__ = __getattr__
-            raise
+    def __getattribute__(self, name):
+        read = types.ModuleType.__getattribute__
+        if name != "__spec__":
+            with _RUNNING:
+                if type(self) is _Layer:
+                    spec = read(self, "__spec__")
+                    exec(spec.loader.get_code(spec.name),
+                         read(self, "__dict__"))
+                    self.__class__ = types.ModuleType
+        return read(self, name)
 
 
 def _lazy(name: str):
-    """Register the module ``name`` in ``sys.modules``, executed on first
-    attribute access."""
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(_Reporting(spec.loader))
-    module = importlib.util.module_from_spec(spec)
+    """Register the module ``name`` in ``sys.modules`` as an unrun layer."""
+    module = importlib.util.module_from_spec(importlib.util.find_spec(name))
+    module.__class__ = _Layer
     sys.modules[name] = module
-    spec.loader.exec_module(module)
     return module
 
 

@@ -32,7 +32,8 @@ TOLERANCE = 1e-10
 
 
 class ModelSpec(_Record):
-    """A registered fit model: parameters, function, Jacobian, guess."""
+    """A registered fit model: parameters, function, Jacobian, guess, and
+    the rule each x must pass, if any."""
 
     name: str
     parameters: tuple[str, ...]
@@ -46,6 +47,7 @@ class ModelSpec(_Record):
     # partial derivatives at (x, p): a k x N array, one row per parameter
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     guess: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    x_rule: Callable[[str, float], None] | None = None
 
 
 def _lorentzian(x, p):
@@ -181,11 +183,6 @@ def _guess_power_law(x, y):
     return np.array([math.exp(intercept), slope, 0.0])
 
 
-def _guess_sqrt_offset(x, y):
-    _require_each("sqrt model x", x, _require_non_negative)
-    return _guess_linear(np.sqrt(x), y)
-
-
 def _guess_exp_decay(x, y):
     # average over thirds: the successive differences of the three block
     # sums cancel a constant background exactly, and on a uniform grid the
@@ -240,10 +237,13 @@ MODELS: dict[str, ModelSpec] = {
                   _guess_inverted_lorentzian),
         ModelSpec("power_law", ("scale", "exponent", "offset"),
                   ("y", "unit", "y"), frozenset({"scale"}),
-                  _power_law, _power_law_jacobian, _guess_power_law),
+                  _power_law, _power_law_jacobian, _guess_power_law,
+                  _require_non_negative),
         ModelSpec("sqrt_offset", ("slope", "offset"),
                   ("slope", "y"), frozenset(),
-                  _sqrt_offset, _sqrt_offset_jacobian, _guess_sqrt_offset),
+                  _sqrt_offset, _sqrt_offset_jacobian,
+                  lambda x, y: _guess_linear(np.sqrt(x), y),
+                  _require_non_negative),
         ModelSpec("exp_decay", ("amplitude", "lifetime", "offset"),
                   ("y", "x", "y"), frozenset({"amplitude", "lifetime"}),
                   _exp_decay, _exp_decay_jacobian, _guess_exp_decay),
@@ -292,12 +292,11 @@ def auto_initial_guess(model: str, x, y) -> dict[str, float]:
     """Data-driven starting parameters for a registered model, in closed
     form: raises ``ValueError`` on data it cannot start from."""
     spec = _model(model)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_each("x", x)
-    _require_each("y", y)
+    data = Trace(x, y)
+    _require_each("x", data.x, spec.x_rule)
+    _require_each("y", data.y)
     try:
-        values = spec.guess(x, y)
+        values = spec.guess(data.x, data.y)
     except ArithmeticError as exc:  # math.exp overflowing, say
         raise ValueError(f"cannot guess initial parameters for model "
                          f"{model!r}: {exc}") from None
@@ -320,10 +319,12 @@ class FitResult(_JsonRecord):
     iterations: int
 
     def evaluate(self, x):
-        """Model curve at the fitted parameters."""
+        """Model curve at the fitted parameters, at x in the model's domain."""
         spec = _model(self.model)
         vector = np.array([self.parameters[n] for n in spec.parameters])
-        return spec.function(np.asarray(x, dtype=float), vector)
+        x = np.asarray(x, dtype=float)
+        _require_each("x", x, spec.x_rule)
+        return spec.function(x, vector)
 
 
 # overflow is reported once, by the finite check on the result
@@ -336,23 +337,20 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
     arrays.  ``initial_guess`` is a full or partial parameter dict (missing
     entries fall back to the automatic guess).  ``weights`` is None or
     "poisson" (1/max(y, 1)); ``x_range`` is finite, low <= high, and x and
-    y must be finite inside it.  Bad input, data the automatic guess
-    cannot start from included, raises ``ValueError``; a fit that ends on a
-    non-finite residual sum or parameter raises ``NumericalError``.
+    y inside it are finite, x in the model's domain.  Bad input, data the
+    automatic guess cannot start from included, raises ``ValueError``; a
+    fit ending on a non-finite cost or parameter raises ``NumericalError``.
     """
     spec = _model(model)
     if isinstance(trace_or_x, Trace):
         if y is not None:
             raise ValueError("pass either a trace or x and y, not both")
-        x, y = trace_or_x.x, trace_or_x.y
+        data = trace_or_x
     else:
         if y is None:
             raise ValueError("y data is required when x is an array")
-        x = trace_or_x
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
+        data = Trace(trace_or_x, y)
+    x, y = data.x, data.y
     if x_range is not None:
         lo, hi = x_range
         if not -math.inf < lo <= hi < math.inf:
@@ -360,7 +358,7 @@ def fit(model: str, trace_or_x, y=None, *, initial_guess=None, weights=None,
                              f"got ({lo}, {hi})")
         keep = (x >= lo) & (x <= hi)
         x, y = x[keep], y[keep]
-    _require_each("x inside the fit window", x)
+    _require_each("x inside the fit window", x, spec.x_rule)
     _require_each("y inside the fit window", y)
 
     k = len(spec.parameters)

@@ -182,4 +182,7 @@ def lorentzian_suppression(detuning_in_hwhm: float) -> float:
     _require_finite(detuning_in_hwhm=detuning_in_hwhm)
     if getattr(detuning_in_hwhm, "ndim", 0):  # each entry of a numpy array
         _require_each("detuning_in_hwhm", detuning_in_hwhm)
-    return 1.0 / (1.0 + detuning_in_hwhm**2)
+    try:
+        return 1.0 / (1.0 + detuning_in_hwhm**2)
+    except OverflowError:  # a square past the float range; numpy gives 0.0
+        return 0.0

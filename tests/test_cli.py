@@ -1081,3 +1081,13 @@ def test_power_law_at_one_x_exits_3_without_lapack_noise(tmp_path, capfd):
     assert err == ("input error: power-law guess needs positive points at "
                    "two distinct x\n")
     assert "DLASCL" not in err
+
+
+def test_power_law_at_negative_x_exits_3(tmp_path, capsys):
+    # the guess dropped the point at x = -1 and the fit reached NaN there,
+    # so the CLI exited 4 with "numerical failure"
+    data = tmp_path / "negative_x.csv"
+    data.write_text("x,y\n-1.0,2.0\n1.0,3.0\n2.0,4.0\n3.0,5.0\n")
+    assert main(["fit", "power_law", str(data)]) == 3
+    assert capsys.readouterr().err == (
+        "input error: x inside the fit window must be >= 0\n")

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -432,12 +433,12 @@ def test_linear_guess_matches_polyfit_at_ordinary_scales():
     # the points at x <= 0 are dropped, which leaves one x
     with pytest.raises(ValueError, match="^power-law guess needs positive "
                                          "points at two distinct x$"):
-        auto_initial_guess("power_law", np.array([-1.0, 0.0, 2.0, 2.0]),
+        auto_initial_guess("power_law", np.array([0.0, 0.0, 2.0, 2.0]),
                            np.arange(1.0, 5.0))
     # and when none is positive, no x is left at all
     with pytest.raises(ValueError, match="^power-law guess needs positive "
                                          "points at two distinct x$"):
-        auto_initial_guess("power_law", np.array([-1.0, 0.0]),
+        auto_initial_guess("power_law", np.array([0.0, 0.0]),
                            np.array([1.0, 2.0]))
 
 
@@ -449,6 +450,41 @@ def test_x_without_y_or_of_another_length_is_rejected():
     with pytest.raises(ValueError, match="^x and y must be 1-d arrays of "
                                          "equal length$"):
         fit("linear", x, y[:-1])
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_empty_or_mismatched_data_is_rejected_as_a_trace(model):
+    # the guesses reached numpy's reductions: "zero-size array to reduction
+    # operation", and a "Mean of empty slice" warning for linear and
+    # sqrt_offset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^trace must not be empty$"):
+            auto_initial_guess(model, [], [])
+        with pytest.raises(ValueError, match="^trace must not be empty$"):
+            fit(model, [], [])
+        with pytest.raises(ValueError, match="^x and y must be 1-d arrays "
+                                             "of equal length$"):
+            auto_initial_guess(model, [1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("model", ["power_law", "sqrt_offset"])
+def test_a_model_of_x_at_least_0_rejects_negative_x(model):
+    # a fit from a full initial guess reached NaN model values, and
+    # evaluate returned NaN with a RuntimeWarning
+    x, y, true = _clean_case(model)
+    x = np.concatenate(([-1.0], x))
+    y = np.concatenate(([y[0]], y))
+    with pytest.raises(ValueError, match="^x inside the fit window must be "
+                                         ">= 0$"):
+        fit(model, x, y, initial_guess=true)
+    with pytest.raises(ValueError, match="^x must be >= 0$"):
+        auto_initial_guess(model, x, y)
+    # outside the window the point is not fitted
+    result = fit(model, x, y, x_range=(0.0, x[-1]))
+    assert result.converged
+    with pytest.raises(ValueError, match="^x must be >= 0$"):
+        result.evaluate(x)
 
 
 def test_a_singular_step_solve_is_a_rejected_step(monkeypatch):

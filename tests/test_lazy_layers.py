@@ -93,7 +93,7 @@ def test_subcommand_runs_without_numpy(command, capsys, tmp_path):
 
 
 # runs the CLI, then prints the executed layers and whether numpy loaded;
-# a layer not yet executed is still an importlib.util._LazyModule
+# a layer not yet executed is still a fpcavity._Layer
 _LOADED = ("import json, sys, types; from fpcavity.cli import main; "
            "code = main(sys.argv[1:]); "
            "print(json.dumps([sorted(name for name, module "
@@ -156,6 +156,35 @@ def test_import_leaves_numpy_and_the_layers_unloaded():
                    "and type(module) is types.ModuleType))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "['fpcavity']"]
+
+
+def test_two_threads_can_touch_a_layer_first_together():
+    # the second thread waits for the whole run; it must not read a name
+    # the layer has not defined yet
+    proc = _python("-c", """if True:
+        import threading, fpcavity
+        failures = []
+
+        def touch(barrier, name):
+            barrier.wait()
+            try:
+                getattr(fpcavity, name)
+            except BaseException as exc:
+                failures.append(f"{name}: {exc!r}")
+
+        for names in fpcavity._EXPORTS.values():
+            barrier = threading.Barrier(2)
+            threads = [threading.Thread(target=touch,
+                                        args=(barrier, names[-1]))
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        print(failures)""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_sidecar_rule_leaves_numpy_unloaded():
@@ -241,8 +270,8 @@ def test_trace_format_error_exits_3(tmp_path, capsys):
 
 
 def test_a_layer_that_fails_to_run_reports_its_error(tmp_path, monkeypatch):
-    # an import statement that triggers a lazy load drops the error the
-    # load raised; a later read must raise it, not "cannot import name"
+    # an import statement raises the layer's own error, not "cannot import
+    # name", and a failed layer runs again and raises again on every read
     (tmp_path / "fpcavity_failing_layer.py").write_text(
         "VALUE = 1\nraise RuntimeError('the layer failed')\n")
     monkeypatch.syspath_prepend(str(tmp_path))
@@ -252,6 +281,7 @@ def test_a_layer_that_fails_to_run_reports_its_error(tmp_path, monkeypatch):
             exec("from fpcavity_failing_layer import name", {})
         with pytest.raises(RuntimeError, match="the layer failed"):
             module.name
-        assert module.VALUE == 1
+        with pytest.raises(RuntimeError, match="the layer failed"):
+            module.VALUE
     finally:
         del sys.modules["fpcavity_failing_layer"]

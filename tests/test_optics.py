@@ -146,6 +146,13 @@ def test_lorentzian_suppression():
                                                         rel=1e-15)
 
 
+@pytest.mark.parametrize("value", [1.4e154, -1e200, 1.7e308, 10**400],
+                         ids=["1.4e154", "-1e200", "1.7e308", "int"])
+def test_lorentzian_suppression_far_out_is_0(value):
+    # a float's square raised OverflowError, and so did an int's quotient
+    assert lorentzian_suppression(value) == 0.0
+
+
 @pytest.mark.parametrize("value", [
     math.nan, math.inf, -math.inf,
     np.array([math.nan]), np.array([math.inf]), np.array([-math.inf]),
