@@ -40,6 +40,7 @@ from .core import (
     DetectionChain,
     Nanoparticle,
     Transition,
+    _check_budgets,
     _check_mode,
     _detection_window,
     _json_text,
@@ -391,8 +392,8 @@ class RunConfig:
     def __init__(self, data: dict):
         doc = {**_DOCUMENT.omitted, **_DOCUMENT(data, "")}
         transitions = doc["transitions"]
-        if len(doc["loss_budgets"]) != len(transitions):
-            raise ConfigError("loss_budgets: need one budget per transition")
+        with _reported_at("loss_budgets"):
+            _check_budgets(transitions, doc["loss_budgets"])
         for i in range(1, len(transitions)):
             with _reported_at(f"transitions[{i}].free_space_lifetime"):
                 _shared_lifetime(transitions[:i + 1])

@@ -10,16 +10,12 @@ Unit conventions used across the package:
 * mirror and scattering losses are dimensionless and carried in parts per
   million (ppm)
 
-All types are immutable and serialize to JSON with the field names below,
-verbatim; ``to_dict`` is a deep copy of the fields, which is what
-``dataclasses.asdict`` gives while no record holds another, and
+All types are immutable values and serialize to JSON with the field names
+below, verbatim; ``to_dict`` is a deep copy of the fields, and
 :func:`_json_text` writes it, each NaN or infinity as ``null``.  Each is a
 :class:`_Record` subclass that annotates its fields; its methods come from
-that base, and ``__match_args__`` names its fields.
-They are dataclasses to the ``dataclasses`` API, but their dataclass
-metadata is built on the first read of it: importing ``dataclasses`` brings
-``inspect`` with it, which cost about a tenth of a numpy-free CLI process,
-and no such process reads that metadata.
+that base, and ``__match_args__`` names its fields.  :func:`replace` is
+the one way to vary a record, with its checks run again.
 
 The vocabulary the run configuration checks lives here too, so loading a
 config needs no numpy: the plan modes and their rules, the detection
@@ -97,35 +93,12 @@ def written_sidecar_path(path) -> Path:
     return side
 
 
-class _DataclassMetadata:
-    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record
-    class, which ``dataclass()`` puts on the class at the first read; a
-    class that annotates no fields, nor any of its bases, has neither.
-    Two threads reading first may both build it; each build describes the
-    same fields."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, instance, owner):
-        for cls in owner.__mro__:
-            if "__match_args__" in vars(cls):  # set by __init_subclass__
-                from dataclasses import dataclass
-                dataclass(cls, init=False, repr=False, eq=False)
-                return vars(cls)[self.name]
-        raise AttributeError(
-            f"{owner.__qualname__} has no attribute {self.name!r}")
-
-
 class _Record:
-    """Methods of a frozen dataclass, written once for every record instead
-    of compiled for each.  A subclass that annotates fields is a record of
+    """A frozen value.  A subclass that annotates fields is a record of
     them, in order, each with its class attribute as the default;
-    ``__match_args__`` names them.  Unpickling and copying rebuild a record
-    through ``__init__``."""
-
-    __dataclass_fields__ = _DataclassMetadata()
-    __dataclass_params__ = _DataclassMetadata()
+    ``__match_args__`` names them.  ``__post_init__``, if defined, checks a
+    new record; unpickling and copying rebuild one through ``__init__``.
+    Assignment raises ``FrozenInstanceError``."""
 
     def __init_subclass__(cls):
         if fields := cls.__annotations__:  # the class's own, not its bases'
@@ -165,9 +138,6 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values()
 
-    def __replace__(self, **changes):  # copy.replace, from Python 3.13
-        return replace(self, **changes)
-
 
 def _bind(cls, args: tuple, kwargs: dict) -> list:
     """Field values in order: the arguments, else the field defaults,
@@ -192,7 +162,7 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
 
 def replace(record, **changes):
     """``record`` with ``changes``, rebuilt through its constructor so that
-    ``__post_init__`` checks it again, as ``dataclasses.replace`` does."""
+    ``__post_init__`` checks it again."""
     return type(record)(**dict(zip(record.__match_args__, record._values()),
                                **changes))
 
@@ -404,6 +374,12 @@ def _check_mode(mode: str, transitions) -> None:
         raise ValueError(f"unknown mode {mode!r}; choose from {PLAN_MODES}")
     if mode in _OPEN_MODES and len(transitions) != 2:
         raise ValueError(f"mode {mode!r} needs exactly two transitions")
+
+
+def _check_budgets(transitions, budgets) -> None:
+    """Reject bare loss budgets that are not one per transition."""
+    if len(budgets) != len(transitions):
+        raise ValueError("need one budget per transition")
 
 
 def _shared_lifetime(transitions) -> float:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .core import (CavityGeometry, Nanoparticle, _JsonRecord, _require_count,
-                   _require_each, _require_finite, _require_non_negative,
-                   _require_positive)
+from .core import (CavityGeometry, Nanoparticle, _check_budgets, _JsonRecord,
+                   _require_count, _require_each, _require_finite,
+                   _require_non_negative, _require_positive)
 from .optics import loaded_budget
 from .purcell import jittered_purcell
 
@@ -33,6 +33,7 @@ _DOMAIN_SFS = 2
 
 
 def _rng(seed: int, domain: int) -> np.random.Generator:
+    _require_count("seed", seed, 0)
     import numpy as np
     # the 0 keeps the streams, and the traces they draw, of earlier versions
     sequence = np.random.SeedSequence(entropy=(seed, domain, 0))
@@ -107,8 +108,9 @@ def channel_strengths(particle: Nanoparticle, geometry: CavityGeometry,
     own scattering loss is added here before the finesse is taken.  The
     geometry's rms length jitter applies.
     """
+    _check_budgets(transitions, budgets)
     channels = []
-    for transition, bare in zip(transitions, budgets, strict=True):
+    for transition, bare in zip(transitions, budgets):
         loaded = loaded_budget(bare, particle.diameter, transition.wavelength)
         channels.append(ChannelStrength(
             wavelength=transition.wavelength,
@@ -136,7 +138,7 @@ def ensemble_purcell_stats(particle: Nanoparticle, geometry: CavityGeometry,
 
     ``max`` is the analytic ceiling with orientation and position factors
     set to 1.  The jitter factor takes ``geometry.rms_length_jitter``; to
-    change it, pass a geometry built with ``dataclasses.replace``.
+    change it, pass a geometry built with :func:`fpcavity.core.replace`.
     ``n_samples`` (an integer >= 2) and ``seed`` (an integer >= 0) are
     checked, but neither changes a number nor is kept: nothing is sampled.
     """

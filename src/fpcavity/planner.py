@@ -25,7 +25,7 @@ from pathlib import Path
 # the plan vocabulary is stated in core, which config reads without numpy,
 # and re-exported here
 from .core import (CONTACT_LENGTH, PLAN_MODES, _OPEN_MODES, CavityGeometry,
-                   DetectionChain, Nanoparticle, _check_mode,
+                   DetectionChain, Nanoparticle, _check_budgets, _check_mode,
                    _detection_window, _JsonRecord, _require_fraction,
                    _require_non_negative, _require_positive,
                    _require_probability, _shared_lifetime)
@@ -101,8 +101,8 @@ class SweepRow(_JsonRecord):
     effective_purcell: float
 
     def to_dict(self) -> dict:
-        # the fields hold numbers and a string, so a shallow dict equals
-        # the deep copy dataclasses.asdict makes
+        # the fields hold numbers and a string, so a shallow dict is
+        # already the deep copy to_dict promises
         return dict(zip(self.__match_args__, self._values()))
 
 
@@ -134,7 +134,7 @@ def _channel_setup(particle: Nanoparticle, geometry: CavityGeometry,
     of one particle in one cavity, both from one loaded budget per
     transition."""
     loaded = [loaded_budget(budget, particle.diameter, transition.wavelength)
-              for transition, budget in zip(enhanced, bare, strict=True)]
+              for transition, budget in zip(enhanced, bare)]
     strengths = [jittered_purcell(transition, geometry, budget)
                  for transition, budget in zip(enhanced, loaded)]
     return strengths, [outcoupling_efficiency(budget) for budget in loaded]
@@ -144,6 +144,10 @@ def _channel_sums(strengths: list[float], outcouplings,
                   collected) -> tuple[float, float]:
     """Summed enhancement of all channels, and of the collected ones
     weighted by their outcoupling."""
+    if not len(strengths) == len(outcouplings) == len(collected):
+        raise ValueError("channels, outcouplings and collected differ in "
+                         f"length: {len(strengths)}, {len(outcouplings)}, "
+                         f"{len(collected)}")
     collect = math.fsum(
         strength * eta
         for strength, eta, keep in zip(strengths, outcouplings, collected)
@@ -246,6 +250,7 @@ def sweep_grid(diameters, repetition_rates, modes, transitions, budgets,
     # are checked below
     PulseScheme(excitation_time, 1.0, excited_population)
     _require_positive("integration_time", integration_time)
+    _check_budgets(transitions, budgets)
     # both are read once: every mode iterates them again
     diameters = list(diameters)
     repetition_rates = list(repetition_rates)

@@ -23,6 +23,8 @@ from .trace import Trace, _grid
 def _trace(x: np.ndarray, mean: np.ndarray, noise: str,
            seed: int | None) -> Trace:
     """The trace of the curve ``mean`` on ``x`` under the noise model."""
+    if seed is not None:
+        _require_count("seed", seed, 0)
     if noise == "poisson":
         rng = np.random.default_rng(seed)
         mean = rng.poisson(np.clip(mean, 0.0, None)).astype(float)

@@ -9,7 +9,6 @@ checks the same ones.
 """
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
@@ -32,6 +31,7 @@ from fpcavity.config import (
     file_sha256,
 )
 from fpcavity.core import (
+    _Record,
     _require_count,
     _require_diameter,
     _require_fraction,
@@ -122,8 +122,8 @@ def _replaced(path, value):
 
 def _numbers(value):
     """Every int and float held by a loaded config attribute."""
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.asdict(value)
+    if isinstance(value, _Record):
+        value = value._values()
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
@@ -131,6 +131,12 @@ def _numbers(value):
             yield from _numbers(item)
     elif isinstance(value, (int, float)):
         yield value
+
+
+def test_numbers_reach_inside_records():
+    config = RunConfig(DEFAULT)
+    wavelength = DEFAULT["transitions"][0]["wavelength"]
+    assert wavelength in list(_numbers(list(vars(config).values())))
 
 
 def test_loader_rejects_or_holds_finite_numbers():

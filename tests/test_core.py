@@ -1,5 +1,4 @@
 """Domain value types and unit conversions."""
-import dataclasses
 import json
 import math
 
@@ -17,7 +16,7 @@ from fpcavity import (
     wavelength_to_frequency,
 )
 from fpcavity.core import (MAX_CATION_DENSITY, MAX_DIAMETER, TWO_PI,
-                           _json_text, hz_to_angular)
+                           _json_text, hz_to_angular, replace)
 from fpcavity.optics import (
     LossBudget,
     free_spectral_range,
@@ -193,11 +192,12 @@ def test_nanoparticle_cation_density_ceiling():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("record, name", [
-    pytest.param(record, f.name, id=f"{type(record).__name__}.{f.name}")
+    pytest.param(record, name, id=f"{type(record).__name__}.{name}")
     for record in _VALUE_TYPES
-    for f in dataclasses.fields(record) if f.type == "float"
+    for name in record.__match_args__
+    if type(record).__annotations__[name] == "float"
 ])
 def test_value_types_reject_non_finite_fields(record, name, value):
     # NaN passed every `<` domain check, and inf most of them
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        dataclasses.replace(record, **{name: value})
+        replace(record, **{name: value})

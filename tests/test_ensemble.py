@@ -1,7 +1,6 @@
 """Ensemble statistics against the samplers, and spectral ion counts."""
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +27,7 @@ from fpcavity import (
     standing_wave_factor,
     total_ion_count,
 )
+from fpcavity.core import replace
 
 T580 = Transition(wavelength=580.8e-9, branching_ratio=0.007,
                   homogeneous_linewidth=3.3e6, free_space_lifetime=2.0e-3)
@@ -750,3 +750,28 @@ def test_ion_count_moments_are_the_binomial_moments():
                                                  (1e6, 0.5 + 5e-7)))
     assert ion_count_moments(wide, 0.0, 1e30) == ExactMoments(1000.0, 0.0)
 
+
+
+def test_ensemble_needs_one_budget_per_transition():
+    # raised zip()'s "argument 2 is longer than argument 1"
+    particle = Nanoparticle(diameter=70e-9, dopant_concentration=0.003)
+    with pytest.raises(ValueError,
+                       match="^need one budget per transition$"):
+        ensemble_purcell_stats(particle, GEOMETRY, [T580], BUDGETS)
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (-2, ValueError, "must be >= 0"),
+    (1.5, TypeError, "must be an integer"),
+    (True, TypeError, "must be an integer"),
+], ids=["negative", "float", "bool"])
+def test_samplers_hold_seeds_to_the_seed_rule(seed, error, message):
+    # numpy refused the negative seed in its own words, took the bool as 1,
+    # and SeedSequence refused the float
+    population = SpectralPopulation(total_ions=20000,
+                                    inhomogeneous_fwhm=34e9)
+    grid = np.linspace(-50e6, 50e6, 11)
+    with pytest.raises(error, match=f"^seed {message}$"):
+        sfs_spectrum(population, 13e6, grid, seed=seed)
+    with pytest.raises(error, match=f"^seed {message}$"):
+        ions_in_bandwidth(population, 0.0, 13e6, seed=seed)

@@ -1,5 +1,4 @@
 """Model registry, automatic guesses, and the least-squares solver."""
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -18,7 +17,7 @@ from fpcavity import (
 )
 from fpcavity import fitting
 from fpcavity.config import SIMULATIONS
-from fpcavity.core import NumericalError
+from fpcavity.core import NumericalError, replace
 from fpcavity.fitting import _jacobian, _step_floors
 
 # finite data whose power-law guess, exp of the fitted log intercept,
@@ -191,7 +190,7 @@ def test_one_model_pass_per_trial_one_jacobian_pass_per_step(monkeypatch):
         jacobian_at.append(p.tolist())
         return spec.jacobian(x, p)
 
-    monkeypatch.setitem(fitting.MODELS, "exp_decay", dataclasses.replace(
+    monkeypatch.setitem(fitting.MODELS, "exp_decay", replace(
         spec, function=function, jacobian=jacobian))
     result = fit("exp_decay", trace, weights="poisson")
     assert result.converged and result.iterations >= 3
@@ -260,7 +259,7 @@ def test_positive_parameters_are_clamped_above_zero(monkeypatch):
         return spec.function(x, p)
 
     monkeypatch.setitem(fitting.MODELS, "exp_decay",
-                        dataclasses.replace(spec, function=recorded))
+                        replace(spec, function=recorded))
     x = np.linspace(0.0, 5e-3, 60)
     y = 100.0 * np.exp(-x / 1e-3) + 5.0
     result = fit("exp_decay", x, y, initial_guess={

@@ -84,7 +84,7 @@ def test_subcommand_runs_without_numpy(command, capsys, tmp_path):
     assert "json" in imported  # the log is read right
     assert not {name for name in imported
                 if name == "numpy" or name.startswith("numpy.")}
-    # the records build their dataclass metadata only when it is read
+    # a record imports dataclasses only to raise FrozenInstanceError
     assert not imported & {"dataclasses", "inspect", "datetime"}
     assert main([command, "--json"]) == 0
     in_process = json.loads(capsys.readouterr().out)

@@ -25,7 +25,7 @@ from fpcavity import (
 )
 from fpcavity import planner
 from fpcavity.cli import main
-from fpcavity.core import Nanoparticle, _json_text, _Record
+from fpcavity.core import Nanoparticle, _json_text, _Record, replace
 from fpcavity.ensemble import channel_strengths
 from fpcavity.optics import LossBudget, loaded_budget, outcoupling_efficiency
 from fpcavity.planner import (
@@ -256,7 +256,7 @@ def test_sweep_rows_are_frozen_records():
         '  "snr": -0.0\n}\n')
     same = SweepRow(**fields)
     assert row == same and row is not same
-    assert row != dataclasses.replace(row, rate=12.6)
+    assert row != replace(row, rate=12.6)
     assert hash(row) == hash(same) == hash(tuple(fields.values()))
     assert repr(row) == (
         "SweepRow(diameter=6e-08, repetition_rate=4000, mode='contact', "
@@ -296,7 +296,8 @@ def test_sweep_rows_equal_constructor_built_rows():
 ], ids=["int-rate-negative-zero", "int-purcell-infinite-snr"])
 def test_sweep_row_to_dict_matches_asdict(values):
     row = SweepRow(*values)
-    shallow, deep = row.to_dict(), dataclasses.asdict(row)
+    shallow = row.to_dict()
+    deep = copy.deepcopy(dict(zip(row.__match_args__, row._values())))
     assert list(shallow.items()) == list(deep.items())
     for key in deep:
         assert type(shallow[key]) is type(deep[key])
@@ -521,7 +522,7 @@ def test_numpy_scalar_inputs_enter_the_rates_as_doubles():
     chain = DetectionChain(np.float32(0.8), np.float32(0.65), 20.0)
     expected = mode_detected_rate(
         channels, [1.0], [True],
-        PulseScheme(*(float(v) for v in dataclasses.astuple(singles))),
+        PulseScheme(*(float(v) for v in singles._values())),
         float(np.float32(2e-3)), DetectionChain(
             float(np.float32(0.8)), float(np.float32(0.65)), 20.0))
     rate = mode_detected_rate(channels, [1.0], [True], singles,
@@ -605,3 +606,31 @@ def test_sweep_builds_only_the_rows_that_are_read(tmp_path, monkeypatch,
     assert main(["plan", "--out", str(tmp_path / "plan.csv")]) == 0
     assert len(built) == 1
     assert "swept 252 operating points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("transitions, budgets", [
+    ([T580, T611], BUDGETS[:1]),
+    ([T580], []),
+], ids=["two-transitions-one-budget", "one-transition-no-budget"])
+def test_sweep_needs_one_budget_per_transition(transitions, budgets):
+    # the first was swept on the one budget, the second raised IndexError
+    with pytest.raises(ValueError,
+                       match="^need one budget per transition$"):
+        sweep_grid([6e-8], [4000.0], "contact", transitions, budgets, 25e-6,
+                   CHAIN, excitation_time=1e-6, excited_population=0.5)
+
+
+@pytest.mark.parametrize("outcouplings, collected", [
+    ([1.0], [True, True]),
+    ([1.0, 0.4], [True]),
+], ids=["one-outcoupling", "one-flag"])
+def test_detected_rate_needs_one_outcoupling_and_flag_per_channel(
+        outcouplings, collected):
+    # zip dropped the channels past the shortest list: 59.76 counts/s
+    # against 61.24 for the first channel alone
+    scheme = PulseScheme(1e-6, 249e-6, 0.5)
+    channels = [ChannelStrength(580.8e-9, 2.0), ChannelStrength(611e-9, 1.0)]
+    with pytest.raises(ValueError, match="^channels, outcouplings and "
+                                         "collected differ in length"):
+        mode_detected_rate(channels, outcouplings, collected, scheme, 2e-3,
+                           CHAIN)

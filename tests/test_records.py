@@ -2,8 +2,9 @@
 
 Each record type is checked against a twin declared with a plain
 ``@dataclass(frozen=True)`` from the same fields and ``__post_init__``,
-which serves as the oracle for every dataclass behaviour the package
-relies on.
+which serves as the oracle for every behaviour the package relies on:
+the record's own API (``core.replace``, ``_values``, ``__match_args__``)
+must do what the ``dataclasses`` functions do to the twin.
 """
 import copy
 import dataclasses
@@ -44,8 +45,7 @@ _SAMPLES = [
     (ExactMoments, (1.5, 0.25, "exact"), None),
     (SpectralPopulation, (10**6, 34e9, 0.0, [(0, 1)]), {"total_ions": 0}),
     (IonCountStats, (2.0, 1.5, 300, 11), None),
-    (ModelSpec, tuple(getattr(_SPEC, f.name)
-                      for f in dataclasses.fields(ModelSpec)), None),
+    (ModelSpec, _SPEC._values(), None),
     (FitResult, ("linear", {"slope": 2.0}, {"slope": 0.1}, 0.5, True, 4),
      None),
     (LossBudget, (25.0, 200.0, 134.04), {"particle_scatter": -1.0}),
@@ -61,14 +61,16 @@ _SAMPLES = [
 
 
 def _record_types():
-    """Every class of the package that ``dataclass`` has processed."""
-    found = set()
+    """Every ``_Record`` subclass of the package that has fields."""
     for module in pkgutil.iter_modules(fpcavity.__path__):
-        module = importlib.import_module(f"fpcavity.{module.name}")
-        for value in vars(module).values():
-            if isinstance(value, type) and hasattr(value,
-                                                   "__dataclass_fields__"):
-                found.add(value)
+        importlib.import_module(f"fpcavity.{module.name}")
+    found, bases = set(), [_Record]
+    while bases:
+        for cls in bases.pop().__subclasses__():
+            bases.append(cls)
+            if cls.__module__.startswith("fpcavity.") \
+                    and hasattr(cls, "__match_args__"):
+                found.add(cls)
     return found
 
 
@@ -79,22 +81,18 @@ def _shares_the_record_methods(cls) -> bool:
 
 
 # what dataclass and _Record put on a class, left out of its twin
-_MACHINERY = {"__dict__", "__weakref__", "__slots__", "__dataclass_fields__",
-              "__dataclass_params__", "__match_args__", "__eq__", "__hash__"}
+_MACHINERY = {"__dict__", "__weakref__", "__slots__", "__match_args__",
+              "__eq__", "__hash__"}
 
 
 def _twin(cls, module):
-    """``cls`` declared as a plain frozen dataclass with the same fields and
-    methods, put in ``module`` under the same name so that it pickles."""
-    fields = dataclasses.fields(cls)
+    """``cls`` declared as a plain frozen dataclass with the same fields,
+    defaults and methods, put in ``module`` under the same name so that it
+    pickles."""
     namespace = {name: value for name, value in vars(cls).items()
-                 if name not in _MACHINERY
-                 and name not in {f.name for f in fields}}
-    namespace.update(__annotations__={}, __module__=module.__name__)
-    for f in fields:
-        namespace["__annotations__"][f.name] = f.type
-        if f.default is not dataclasses.MISSING:
-            namespace[f.name] = f.default
+                 if name not in _MACHINERY}
+    namespace.update(__annotations__=dict(cls.__annotations__),
+                     __module__=module.__name__)
     twin = dataclasses.dataclass(
         type(cls.__name__, (), namespace), frozen=True,
         eq=cls.__eq__ is not object.__eq__,
@@ -111,8 +109,24 @@ def _outcome(action):
         return "raised", type(error)
 
 
-def _observe(make, args, bad):
-    """Every observable dataclass behaviour of ``make``'s records."""
+# the record API, by the name of the dataclasses function it stands in for;
+# asdict and astuple copy deeply, which can reorder a rebuilt set's repr
+_RECORD_API = types.SimpleNamespace(
+    replace=core.replace,
+    asdict=lambda record: copy.deepcopy(
+        dict(zip(record.__match_args__, record._values()))),
+    astuple=lambda record: copy.deepcopy(record._values()),
+    fields=lambda cls: [(name, cls.__annotations__[name])
+                        for name in cls.__match_args__])
+_DATACLASS_API = types.SimpleNamespace(
+    replace=dataclasses.replace, asdict=dataclasses.asdict,
+    astuple=dataclasses.astuple,
+    fields=lambda cls: [(f.name, f.type) for f in dataclasses.fields(cls)])
+
+
+def _observe(make, args, bad, api=_RECORD_API):
+    """Every observable behaviour of ``make``'s records, varied and taken
+    apart through ``api``."""
     names = make.__match_args__
     record = make(*args)
     same = make(*args)
@@ -138,12 +152,12 @@ def _observe(make, args, bad):
         "pickle": repr(pickle.loads(pickle.dumps(record))),
         "deepcopy": repr(copy.deepcopy(record)),
         "copy": repr(copy.copy(record)),
-        "replace": repr(dataclasses.replace(record)),
-        "replace one": repr(dataclasses.replace(
+        "replace": repr(api.replace(record)),
+        "replace one": repr(api.replace(
             record, **{names[-1]: getattr(record, names[-1])})),
-        "asdict": repr(dataclasses.asdict(record)),
-        "astuple": repr(dataclasses.astuple(record)),
-        "fields": [(f.name, f.type) for f in dataclasses.fields(make)],
+        "asdict": repr(api.asdict(record)),
+        "astuple": repr(api.astuple(record)),
+        "fields": api.fields(make),
     }
     for name in names:
         observed[f"set {name}"] = _outcome(
@@ -151,7 +165,7 @@ def _observe(make, args, bad):
         observed[f"delete {name}"] = _outcome(lambda: delattr(record, name))
     if bad is not None:
         observed["replace bad"] = _outcome(
-            lambda: repr(dataclasses.replace(record, **bad)))
+            lambda: repr(api.replace(record, **bad)))
         changed = dict(zip(names, args), **bad)
         observed["construct bad"] = _outcome(lambda: repr(make(**changed)))
     return observed
@@ -168,7 +182,7 @@ def test_record_behaves_as_a_frozen_dataclass(cls, args, bad, monkeypatch):
     monkeypatch.setitem(sys.modules, module.__name__, module)
     twin = _twin(cls, module)
     observed = _observe(cls, args, bad)
-    assert observed == _observe(twin, args, bad)
+    assert observed == _observe(twin, args, bad, _DATACLASS_API)
     # the checks the comparison rests on
     assert cls(*args) != twin(*args) and twin(*args) != cls(*args)
     if bad is not None:
@@ -178,7 +192,7 @@ def test_record_behaves_as_a_frozen_dataclass(cls, args, bad, monkeypatch):
         for action in ("set", "delete"):
             assert observed[f"{action} {name}"] == (
                 "raised", dataclasses.FrozenInstanceError)
-    required = [f for f in dataclasses.fields(cls)
+    required = [f for f in dataclasses.fields(twin)
                 if f.default is f.default_factory is dataclasses.MISSING]
     for key in ("extra positional", "extra keyword", "repeated",
                 "all repeated") + (
@@ -186,15 +200,8 @@ def test_record_behaves_as_a_frozen_dataclass(cls, args, bad, monkeypatch):
         assert observed[key] == ("raised", TypeError), key
 
 
-def _copy_replace(record, **changes):
-    """What ``copy.replace`` does from Python 3.13."""
-    return record.__replace__(**changes)
-
-
-@pytest.mark.parametrize(
-    "replace", [dataclasses.replace, core.replace, _copy_replace],
-    ids=["dataclasses", "core", "copy"])
-def test_replace_reruns_post_init(replace):
+def test_replace_reruns_post_init():
+    replace = core.replace
     population = SpectralPopulation(10**6, 34e9)
     changed = replace(population, hyperfine_offsets=[(1, 1)])
     assert changed.hyperfine_offsets == ((1.0, 1.0),)
@@ -233,11 +240,14 @@ def _mutable_parts(value) -> set:
 
 @pytest.mark.parametrize("cls, args", _JSON_SAMPLES,
                          ids=[cls.__name__ for cls, _ in _JSON_SAMPLES])
-def test_to_dict_is_the_deep_copy_asdict_makes(cls, args):
+def test_to_dict_is_the_deep_copy_asdict_makes(cls, args, monkeypatch):
+    module = types.ModuleType("fpcavity_record_twins")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
     record = cls(*args)
     plain = record.to_dict()
-    assert plain == dataclasses.asdict(record)
-    assert repr(plain) == repr(dataclasses.asdict(record))  # order, types
+    deep = dataclasses.asdict(_twin(cls, module)(*args))
+    assert plain == deep
+    assert repr(plain) == repr(deep)  # order, types
     assert not _mutable_parts(plain) & _mutable_parts(record)
     if cls is RunManifest and record.outputs:
         assert len(_mutable_parts(record)) == 1  # the outputs dict
@@ -256,12 +266,19 @@ def test_unpickled_trace_stays_read_only():
 def test_every_record_type_takes_the_shared_methods():
     for cls in _record_types():
         assert _shares_the_record_methods(cls), cls
-        assert cls.__match_args__ == tuple(
-            f.name for f in dataclasses.fields(cls)), cls
-        for f in dataclasses.fields(cls):
-            # the shared methods read every field alike
-            assert (f.init, f.repr, f.compare, f.hash, f.kw_only) == (
-                True, True, True, None, False), (cls, f.name)
+        assert cls.__match_args__ == tuple(vars(cls)["__annotations__"]), cls
+        # a record's fields are its own annotations: no base adds any
+        assert not any(vars(base).get("__annotations__")
+                       for base in cls.__mro__[1:]), cls
+
+
+def test_no_record_is_a_dataclass():
+    assert _record_types()
+    for cls, args, _ in _SAMPLES:
+        assert not dataclasses.is_dataclass(cls), cls
+        assert not dataclasses.is_dataclass(cls(*args)), cls
+        with pytest.raises(TypeError):
+            dataclasses.replace(cls(*args))
 
 
 def test_a_plain_frozen_dataclass_fails_the_guard():
@@ -280,7 +297,7 @@ def test_a_subclass_that_annotates_fields_is_a_record():
 
     assert P(1.0) == P(1.0, 0.0) == P(x=1.0)
     assert P.__match_args__ == ("x", "y")
-    assert [f.name for f in dataclasses.fields(P)] == ["x", "y"]
+    assert P(1.0)._values() == (1.0, 0.0)
     assert P(1.0, 2.0).to_dict() == {"x": 1.0, "y": 2.0}
     assert "__match_args__" not in vars(_JsonRecord)
     assert not hasattr(_JsonRecord, "__dataclass_fields__")

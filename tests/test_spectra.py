@@ -229,3 +229,32 @@ def test_generators_reject_a_scalar_grid(call, name, noise):
     # 'astype', and no noise a ValueError that named only the trace's x, y
     with pytest.raises(ValueError, match=f"^{name} must be a 1-d array$"):
         call(noise)
+
+
+
+_DETUNINGS = np.linspace(-50e6, 50e6, 11)
+
+
+@pytest.mark.parametrize("generate, error, message", [
+    (lambda: hole_spectrum(_DETUNINGS, 10, 1e-7, 12e6, 100.0,
+                           noise="poisson", seed=True),
+     TypeError, "must be an integer"),
+    (lambda: ple_scan(34e9, 0.0, 1000.0, 0.0, _DETUNINGS,
+                      population=SpectralPopulation(5000, 34e9),
+                      probe_fwhm=13e6, seed=-1),
+     ValueError, "must be >= 0"),
+    (lambda: saturation_curve(np.linspace(1.0, 2.0, 5), 1000.0, 0.5,
+                              noise="poisson", seed=1.5),
+     TypeError, "must be an integer"),
+], ids=["hole-bool", "ple-population-negative", "saturation-float"])
+def test_generators_hold_seeds_to_the_seed_rule(generate, error, message):
+    # the bool went into the trace as its seed; the others failed in
+    # numpy's words
+    with pytest.raises(error, match=f"^seed {message}$"):
+        generate()
+
+
+@pytest.mark.parametrize("noise", ["none", "poisson"])
+def test_generators_take_no_seed(noise):
+    assert hole_spectrum(_DETUNINGS, 10, 1e-7, 12e6, 100.0, noise=noise,
+                         seed=None).seed is None
